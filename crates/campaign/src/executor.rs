@@ -5,7 +5,10 @@
 //!
 //! * [`ThreadPool`] — the in-process scoped-thread pool (self-scheduling
 //!   over an atomic counter, exactly the loop that used to live inside
-//!   `runner::parallel_map`).
+//!   `runner::parallel_map`). A call whose width — the pool's
+//!   parallelism capped at the unit count — is 1 spawns nothing: it runs
+//!   its units in index order on the caller's thread, so `--threads 1`
+//!   runs and one-unit phases pay no thread spawn and join.
 //! * [`WorkerPool`] — a multi-process pool: N independently spawned
 //!   `dpm worker` child processes coordinate **purely through the
 //!   campaign archive directory** (atomic lease records, see
@@ -45,9 +48,22 @@ pub trait Executor: Sync {
     fn parallelism(&self) -> usize;
 }
 
+/// The machine's available parallelism (at least 1), resolved once per
+/// process: `std::thread::available_parallelism` reads cgroup files on
+/// every call, and `threads = 0` is resolved on every batch.
+pub(crate) fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The in-process backend: scoped OS threads pulling unit indices from a
 /// shared atomic counter (work stealing degenerates to self-scheduling
 /// because every unit is independent).
+///
+/// A call's width is `parallelism().min(units)`. At width 1 the pool
+/// spawns no thread: the units run in index order on the caller's
+/// thread. Wider calls spawn `width` scoped threads, joined before
+/// `execute` returns.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPool {
     /// Worker threads; `0` selects the machine's available parallelism.
@@ -63,12 +79,14 @@ impl ThreadPool {
 
 impl Executor for ThreadPool {
     fn execute(&self, units: usize, unit: &(dyn Fn(usize) + Sync)) {
-        if units == 0 {
+        let width = self.parallelism().min(units);
+        if width <= 1 {
+            (0..units).for_each(unit);
             return;
         }
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..self.parallelism().min(units) {
+            for _ in 0..width {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= units {
@@ -84,7 +102,7 @@ impl Executor for ThreadPool {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            available_threads()
         }
     }
 }
@@ -149,8 +167,7 @@ impl WorkerPool {
         if self.threads_per_worker > 0 {
             return self.threads_per_worker;
         }
-        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (avail / self.workers.max(1)).max(1)
+        (available_threads() / self.workers.max(1)).max(1)
     }
 
     /// Spawns the children over `dir` and waits for all of them.
@@ -342,6 +359,20 @@ mod tests {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn width_one_calls_run_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for (threads, units) in [(1, 17), (8, 1)] {
+            let ran = std::sync::Mutex::new(Vec::new());
+            ThreadPool::new(threads).execute(units, &|i| {
+                assert_eq!(std::thread::current().id(), caller);
+                ran.lock().expect("no unit panicked").push(i);
+            });
+            let ran = ran.into_inner().expect("no unit panicked");
+            assert_eq!(ran, (0..units).collect::<Vec<_>>(), "index order");
         }
     }
 

@@ -38,7 +38,8 @@
 //!
 //! 1. **Work units** ([`executor::Executor`]): independent,
 //!    index-addressed jobs. The [`executor::ThreadPool`] schedules them
-//!    over scoped OS threads via a shared atomic counter.
+//!    over scoped OS threads via a shared atomic counter, or runs them
+//!    on the caller's thread when only one thread would.
 //! 2. **Batches** ([`runner::run_cells_with`]): resume-from-archive,
 //!    shared-baseline dedup and panic isolation around a set of cells;
 //!    with a [`archive::LeaseConfig`] it claims whole baseline groups

@@ -34,7 +34,7 @@ use dpm_soc::{build_soc, collect_metrics, ControllerKind, SocConfig, SocMetrics}
 use dpm_units::SimTime;
 
 use crate::archive::{CampaignArchive, LeaseConfig};
-use crate::executor::{map_units, ThreadPool};
+use crate::executor::{map_units, Executor, ThreadPool};
 use crate::spec::{
     BatteryAxis, CampaignSpec, ControllerAxis, ScenarioSpec, ThermalAxis, WorkloadAxis,
 };
@@ -95,8 +95,8 @@ impl Fidelity {
 pub struct RunnerConfig {
     /// Worker threads; `0` selects the machine's available parallelism.
     pub threads: usize,
-    /// Progress callback, called after each finished run with
-    /// `(done, total)`.
+    /// Print a `[n/N] runs done` line to stderr, rewritten in place as
+    /// each simulation finishes.
     pub progress: bool,
     /// Share one always-`ON1` baseline run across cells that differ only
     /// in controller/tuning (default). Result-preserving; turn off only
@@ -192,11 +192,7 @@ impl RunnerConfig {
 
     /// The effective worker count.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        ThreadPool::new(self.threads).parallelism()
     }
 }
 
@@ -605,7 +601,7 @@ pub fn run_cells_with(
     }
 }
 
-/// Called (from worker threads) after every finished simulation unit —
+/// Called (on the thread that ran it) after every finished simulation unit —
 /// the leased path hangs its heartbeat refresher here so a long batch
 /// keeps its lease alive cell by cell, not just at batch boundaries.
 type UnitHook<'a> = Option<&'a (dyn Fn() + Sync)>;
@@ -675,7 +671,7 @@ fn run_cells_local(
         .collect();
 
     let work = to_run.len() + missing.len();
-    let pool = ThreadPool::new(config.effective_threads().min(work.max(1)));
+    let pool = ThreadPool::new(config.threads);
     let progress = Progress::new(config.progress, work);
     // one counter per (fidelity, speculative) pair; this run's
     // evaluations all land in the pair matching `config.fidelity`, with

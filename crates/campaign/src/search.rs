@@ -41,8 +41,11 @@
 //! coordinated multi-process runs; only [`SearchOutcome::stats`] (work
 //! actually done) differs, which is why it is not part of any report.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use crate::archive::CampaignArchive;
-use crate::objective::{CellScore, MultiObjective, MultiScore, Objective};
+use crate::objective::{CellScore, Direction, MultiObjective, MultiScore, Objective};
 use crate::runner::{
     run_cells_with, BaselineCache, Fidelity, RunStats, RunnerConfig, ScenarioMetrics,
     ScenarioResult,
@@ -510,7 +513,6 @@ struct Scoreboard {
     objective: Objective,
     /// `None` = unevaluated; `Some(None)` = evaluated but failed.
     scores: Vec<Option<Option<CellScore>>>,
-    expanded: Vec<bool>,
 }
 
 impl Scoreboard {
@@ -518,7 +520,6 @@ impl Scoreboard {
         Self {
             objective,
             scores: vec![None; n],
-            expanded: vec![false; n],
         }
     }
 
@@ -532,25 +533,12 @@ impl Scoreboard {
         self.scores[index].is_some()
     }
 
-    /// The best evaluated, not-yet-expanded, non-failed cell (ties to
-    /// the lowest index), or `None` when the whole evaluated set has
-    /// been expanded.
-    fn best_unexpanded(&self) -> Option<usize> {
-        let mut best: Option<(usize, CellScore)> = None;
-        for (i, slot) in self.scores.iter().enumerate() {
-            if self.expanded[i] {
-                continue;
-            }
-            let Some(Some(score)) = slot else { continue };
-            let wins = match best {
-                None => true,
-                Some((_, bs)) => self.objective.better(*score, bs),
-            };
-            if wins {
-                best = Some((i, *score));
-            }
-        }
-        best.map(|(i, _)| i)
+    /// `center`'s unevaluated single-axis neighbors: a climbing step.
+    fn fresh_neighbors(&self, spec: &CampaignSpec, center: usize) -> Vec<usize> {
+        spec.neighbors_of(center)
+            .into_iter()
+            .filter(|&j| !self.is_evaluated(j))
+            .collect()
     }
 
     /// The lowest-index unevaluated cell (the restart point).
@@ -559,6 +547,57 @@ impl Scoreboard {
     }
 }
 
+/// A scored cell, ordered exactly as [`Objective::wins`] ranks cells:
+/// feasible first, then the value in the objective's direction by
+/// `total_cmp`, then the lower grid index. The maximum of a set is the
+/// cell a scan of it with that comparator would pick — which lets the
+/// climber keep its frontier in a heap instead of rescanning the grid.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    score: CellScore,
+    index: usize,
+    direction: Direction,
+}
+
+impl Ranked {
+    fn new(objective: &Objective, score: CellScore, index: usize) -> Self {
+        Self {
+            score,
+            index,
+            direction: objective.direction,
+        }
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let value = self.score.value.total_cmp(&other.score.value);
+        let value = match self.direction {
+            Direction::Maximize => value,
+            Direction::Minimize => value.reverse(),
+        };
+        self.score
+            .feasible
+            .cmp(&other.score.feasible)
+            .then(value)
+            .then(other.index.cmp(&self.index))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
 /// The original deterministic neighborhood climber: evaluate an
 /// evenly-spread start frontier, then repeatedly expand the best
 /// evaluated-but-unexpanded cell's single-axis neighbors
@@ -566,6 +605,9 @@ impl Scoreboard {
 /// unevaluated cell when every neighborhood is exhausted.
 pub struct ClimbStrategy {
     board: Scoreboard,
+    /// Every scored (non-failed), not-yet-expanded cell; the maximum is
+    /// the next cell to expand.
+    frontier: BinaryHeap<Ranked>,
     start_points: usize,
     started: bool,
 }
@@ -575,8 +617,18 @@ impl ClimbStrategy {
     pub fn new(spec: &CampaignSpec, objective: Objective, start_points: usize) -> Self {
         Self {
             board: Scoreboard::new(objective, spec.scenario_count()),
+            frontier: BinaryHeap::new(),
             start_points,
             started: false,
+        }
+    }
+
+    /// Records a cell's score; scored cells join the frontier.
+    fn record(&mut self, index: usize, score: Option<CellScore>) {
+        self.board.record(index, score);
+        if let Some(score) = score {
+            self.frontier
+                .push(Ranked::new(&self.board.objective, score, index));
         }
     }
 }
@@ -588,13 +640,8 @@ impl Strategy for ClimbStrategy {
             self.started = true;
             return start_frontier(n, self.start_points.clamp(1, n));
         }
-        while let Some(center) = self.board.best_unexpanded() {
-            self.board.expanded[center] = true;
-            let fresh: Vec<usize> = spec
-                .neighbors_of(center)
-                .into_iter()
-                .filter(|&j| !self.board.is_evaluated(j))
-                .collect();
+        while let Some(center) = self.frontier.pop() {
+            let fresh = self.board.fresh_neighbors(spec, center.index);
             if !fresh.is_empty() {
                 return fresh;
             }
@@ -603,8 +650,7 @@ impl Strategy for ClimbStrategy {
     }
 
     fn observe(&mut self, index: usize, result: &ScenarioResult) {
-        let score = self.board.objective.score(result);
-        self.board.record(index, score);
+        self.record(index, self.board.objective.score(result));
     }
 
     /// The climber's likely next proposal: the unevaluated neighbors of
@@ -615,12 +661,8 @@ impl Strategy for ClimbStrategy {
         if !self.started {
             return Vec::new();
         }
-        match self.board.best_unexpanded() {
-            Some(center) => spec
-                .neighbors_of(center)
-                .into_iter()
-                .filter(|&j| !self.board.is_evaluated(j))
-                .collect(),
+        match self.frontier.peek() {
+            Some(center) => self.board.fresh_neighbors(spec, center.index),
             None => self.board.first_unevaluated().into_iter().collect(),
         }
     }
@@ -713,11 +755,7 @@ impl Strategy for AnnealStrategy {
             return start_frontier(n, self.start_points.clamp(1, n));
         }
         let fresh: Vec<usize> = match self.current {
-            Some((cur, _)) => spec
-                .neighbors_of(cur)
-                .into_iter()
-                .filter(|&j| !self.board.is_evaluated(j))
-                .collect(),
+            Some((cur, _)) => self.board.fresh_neighbors(spec, cur),
             // every cell so far failed: no position to walk from
             None => Vec::new(),
         };
@@ -1329,29 +1367,20 @@ fn multi_fidelity_campaign(
     let mut archive_errors = screen.archive_errors;
     let screened = screen.evaluations.len();
 
-    // rank the screened cells; failed cells sort last (they are only
-    // promoted when nothing else is left to spend the budget on)
+    // rank the screened cells best first; failed cells sort last, by
+    // index (they are only promoted when nothing else is left to spend
+    // the budget on)
     let objective = &search.objective;
-    let mut ranked: Vec<(usize, Option<CellScore>)> = screen
+    let mut ranked: Vec<(usize, Option<Ranked>)> = screen
         .evaluations
         .iter()
-        .map(|(_, r)| (r.scenario.index, objective.score(r)))
+        .map(|(_, r)| {
+            let index = r.scenario.index;
+            let rank = objective.score(r).map(|s| Ranked::new(objective, s, index));
+            (index, rank)
+        })
         .collect();
-    ranked.sort_unstable_by(|a, b| {
-        use std::cmp::Ordering;
-        match (a.1, b.1) {
-            (Some(sa), Some(sb)) => {
-                if objective.wins(sa, a.0, sb, b.0) {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                }
-            }
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => a.0.cmp(&b.0),
-        }
-    });
+    ranked.sort_unstable_by_key(|&(index, rank)| (Reverse(rank), index));
 
     // phase 2: promote into the fine-equivalent budget the screen left
     // (each coarse evaluation cost 1/COARSE_FACTOR of a fine run)
@@ -1488,6 +1517,7 @@ pub fn pareto_campaign(
 mod tests {
     use super::*;
     use crate::aggregate::Metric;
+    use crate::objective::Constraint;
     use crate::spec::{BatteryAxis, ControllerAxis, ThermalAxis, TuningAxis, WorkloadAxis};
 
     fn tiny_spec() -> CampaignSpec {
@@ -1508,6 +1538,182 @@ mod tests {
 
     fn multi() -> MultiObjective {
         MultiObjective::parse("energy_saving,min:delay").unwrap()
+    }
+
+    /// A 36-cell grid over four axes, for the climber's frontier tests
+    /// (its cells are never simulated).
+    fn climb_grid() -> CampaignSpec {
+        CampaignSpec {
+            controllers: vec![
+                ControllerAxis::Dpm,
+                ControllerAxis::AlwaysOn,
+                ControllerAxis::Oracle,
+            ],
+            tunings: vec![TuningAxis::Paper, TuningAxis::Eager],
+            workloads: vec![WorkloadAxis::Low, WorkloadAxis::High],
+            seeds: vec![1, 2, 3],
+            ..tiny_spec()
+        }
+    }
+
+    /// Objective values with ties, both zeros and a NaN.
+    const VALUES: [f64; 6] = [-1.0, -0.0, 0.0, 0.5, 2.0, f64::NAN];
+
+    /// The linear scan the climber's frontier heap replaced, kept as its
+    /// reference: the best evaluated, not-yet-expanded, non-failed cell
+    /// (ties to the lowest index).
+    fn scan_best_unexpanded(board: &Scoreboard, expanded: &[bool]) -> Option<usize> {
+        let mut best: Option<(usize, CellScore)> = None;
+        for (i, slot) in board.scores.iter().enumerate() {
+            if expanded[i] {
+                continue;
+            }
+            let Some(Some(score)) = slot else { continue };
+            let wins = match best {
+                None => true,
+                Some((_, bs)) => board.objective.better(*score, bs),
+            };
+            if wins {
+                best = Some((i, *score));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// The climber as it was before the frontier heap: every expansion
+    /// rescans the grid.
+    struct ScanClimb {
+        board: Scoreboard,
+        expanded: Vec<bool>,
+        start_points: usize,
+        started: bool,
+    }
+
+    impl Strategy for ScanClimb {
+        fn propose(&mut self, spec: &CampaignSpec) -> Vec<usize> {
+            let n = spec.scenario_count();
+            if !self.started {
+                self.started = true;
+                return start_frontier(n, self.start_points.clamp(1, n));
+            }
+            while let Some(center) = scan_best_unexpanded(&self.board, &self.expanded) {
+                self.expanded[center] = true;
+                let fresh = self.board.fresh_neighbors(spec, center);
+                if !fresh.is_empty() {
+                    return fresh;
+                }
+            }
+            self.board.first_unevaluated().into_iter().collect()
+        }
+
+        fn observe(&mut self, index: usize, result: &ScenarioResult) {
+            let score = self.board.objective.score(result);
+            self.board.record(index, score);
+        }
+
+        fn prefetch_hint(&self, spec: &CampaignSpec) -> Vec<usize> {
+            if !self.started {
+                return Vec::new();
+            }
+            match scan_best_unexpanded(&self.board, &self.expanded) {
+                Some(center) => self.board.fresh_neighbors(spec, center),
+                None => self.board.first_unevaluated().into_iter().collect(),
+            }
+        }
+    }
+
+    fn objective_for(direction: Direction) -> Objective {
+        Objective {
+            metric: Metric::EnergySavingPct,
+            direction,
+            constraint: Some(Constraint::parse("delay_overhead_pct<=1").unwrap()),
+        }
+    }
+
+    #[test]
+    fn frontier_heap_picks_what_the_scan_picks() {
+        let spec = climb_grid();
+        let n = spec.scenario_count();
+        for seed in 0..400 {
+            let mut rng = SplitMix64(seed);
+            let direction = [Direction::Maximize, Direction::Minimize][rng.below(2)];
+            let mut climb = ClimbStrategy::new(&spec, objective_for(direction), 1);
+            let mut expanded = vec![false; n];
+            let mut unevaluated: Vec<usize> = (0..n).collect();
+            while !unevaluated.is_empty() || !climb.frontier.is_empty() {
+                if climb.frontier.is_empty() || (!unevaluated.is_empty() && rng.below(3) > 0) {
+                    let index = unevaluated.swap_remove(rng.below(unevaluated.len()));
+                    let score = (rng.below(8) > 0).then(|| CellScore {
+                        value: VALUES[rng.below(VALUES.len())],
+                        feasible: rng.below(3) > 0,
+                    });
+                    climb.record(index, score);
+                } else {
+                    let center = climb.frontier.pop().expect("non-empty frontier");
+                    expanded[center.index] = true;
+                }
+                assert_eq!(
+                    climb.frontier.peek().map(|r| r.index),
+                    scan_best_unexpanded(&climb.board, &expanded),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heap_climber_proposes_the_scan_climbers_batches() {
+        let spec = climb_grid();
+        let n = spec.scenario_count();
+        for seed in 0..200 {
+            let mut rng = SplitMix64(seed);
+            let results: Vec<ScenarioResult> = (0..n)
+                .map(|i| ScenarioResult {
+                    scenario: spec.cell_at(i),
+                    metrics: (rng.below(10) > 0).then(|| ScenarioMetrics {
+                        completed: 1,
+                        total_tasks: 1,
+                        deferred: 0,
+                        energy_j: 1.0,
+                        baseline_energy_j: 1.0,
+                        energy_saving_pct: VALUES[rng.below(VALUES.len())],
+                        temp_reduction_pct: 0.0,
+                        delay_overhead_pct: rng.below(3) as f64,
+                        mean_latency_us: 0.0,
+                        max_temp_c: 30.0,
+                        final_soc: 0.9,
+                        low_power_frac: 0.0,
+                    }),
+                    error: None,
+                })
+                .collect();
+            let direction = [Direction::Maximize, Direction::Minimize][rng.below(2)];
+            let objective = objective_for(direction);
+            let start_points = 1 + rng.below(4);
+            let budget = 1 + rng.below(n);
+            let mut heap = ClimbStrategy::new(&spec, objective, start_points);
+            let mut scan = ScanClimb {
+                board: Scoreboard::new(objective, n),
+                expanded: vec![false; n],
+                start_points,
+                started: false,
+            };
+            // the driver's loop: batches truncated to the budget left
+            let mut evaluated = 0;
+            while evaluated < budget {
+                let batch = heap.propose(&spec);
+                assert_eq!(batch, scan.propose(&spec), "seed {seed} at {evaluated}");
+                assert_eq!(heap.prefetch_hint(&spec), scan.prefetch_hint(&spec));
+                if batch.is_empty() {
+                    break;
+                }
+                for &i in batch.iter().take(budget - evaluated) {
+                    heap.observe(i, &results[i]);
+                    scan.observe(i, &results[i]);
+                    evaluated += 1;
+                }
+            }
+        }
     }
 
     #[test]
