@@ -1,9 +1,10 @@
 //! Per-scenario campaign archives: resumable sweeps **and** the
 //! coordination medium for multi-process execution.
 //!
-//! A campaign directory persists one versioned JSON record per completed
-//! grid cell, plus the spec that produced it and the work leases of any
-//! in-flight workers:
+//! A campaign directory holds the spec that produced it, one versioned
+//! record per completed grid cell — appended as a checksummed `DPS1`
+//! frame to a segment file — and the work leases of any in-flight
+//! workers:
 //!
 //! ```text
 //! <dir>/
@@ -11,6 +12,7 @@
 //!   segments/
 //!     seg-0000.log         # append-only CellRecord frames (see segment.rs)
 //!     seg-0001.log
+//!   segments-coarse/       # the same, for coarse (screening) records
 //!   cells/                 # legacy per-cell records, read-through only
 //!     cell-00000.json
 //!   leases/
@@ -54,9 +56,11 @@
 //!
 //! Failure semantics, in order of importance:
 //!
-//! * **Results are never corrupted.** Cell records are written to a
-//!   temporary file and renamed into place; a worker dying mid-cell
-//!   leaves a reclaimable lease, never a truncated record.
+//! * **Results are never corrupted.** Cell records are appended as
+//!   length-prefixed, checksummed frames: a worker killed mid-append
+//!   leaves a torn tail that every scan skips (that cell simply re-runs),
+//!   so no reader ever loads a truncated record, and a worker dying
+//!   mid-cell leaves a reclaimable lease.
 //! * **Work is never lost.** A lease whose heartbeat is older than the
 //!   TTL is *stale*: any worker may take it over (atomic rename to a
 //!   per-claimant tombstone, then a fresh `create_new`) and re-run the
@@ -138,31 +142,6 @@ pub struct CellRecord {
     /// requested fidelity (a coarse screen must never be resumed as a
     /// completed fine cell, nor the reverse).
     pub fidelity: Fidelity,
-}
-
-/// One shared always-`ON1` baseline result on disk, so *cross-process*
-/// runs share baselines the way the in-memory `BaselineCache` shares
-/// them across batches inside one process. Written by the group's lease
-/// holder after it first simulates the baseline; any later holder of
-/// the same group (an adaptive search touches a group across many
-/// batches, and which searcher claims it is a race) loads it instead of
-/// re-simulating — summed `simulations`/`coarse_simulations` across
-/// coordinated workers stay equal to the single-process totals.
-/// Deterministic simulation makes the read purely a work saving: served
-/// and re-simulated baselines are identical.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct BaselineRecord {
-    /// Archive format version ([`ARCHIVE_VERSION`] at write time).
-    archive_version: u32,
-    /// Fingerprint of the producing spec ([`spec_fingerprint`]).
-    spec_fingerprint: u64,
-    /// The baseline group ([`CampaignSpec::group_of`]).
-    group: usize,
-    /// The fidelity the baseline was evaluated at (never served across
-    /// the fine/coarse boundary, like cell records).
-    fidelity: Fidelity,
-    /// The shared always-`ON1` run.
-    metrics: dpm_soc::SocMetrics,
 }
 
 /// One work lease on disk: a claim on a whole baseline group, created
@@ -551,72 +530,6 @@ impl CampaignArchive {
         self.dir
             .join("leases")
             .join(format!("group-{group:05}.lease"))
-    }
-
-    /// The stored shared-baseline file of one group at one fidelity.
-    fn baseline_path(&self, group: usize, fidelity: Fidelity) -> PathBuf {
-        let tag = match fidelity {
-            Fidelity::Fine => "fine",
-            Fidelity::Coarse => "coarse",
-        };
-        self.dir
-            .join("baselines")
-            .join(format!("{tag}-group-{group:05}.json"))
-    }
-
-    /// Loads `group`'s stored shared baseline at `fidelity`, if a valid
-    /// one exists (see [`BaselineRecord`]): a missing, foreign or
-    /// corrupt file just means the caller simulates the baseline
-    /// itself, exactly as before baselines were persisted.
-    pub fn load_baseline(&self, group: usize, fidelity: Fidelity) -> Option<dpm_soc::SocMetrics> {
-        let text = std::fs::read_to_string(self.baseline_path(group, fidelity)).ok()?;
-        match serde_json::from_str::<BaselineRecord>(&text) {
-            Ok(rec)
-                if rec.archive_version == ARCHIVE_VERSION
-                    && rec.spec_fingerprint == self.fingerprint
-                    && rec.group == group
-                    && rec.fidelity == fidelity =>
-            {
-                Some(rec.metrics)
-            }
-            _ => None,
-        }
-    }
-
-    /// Stores `group`'s freshly simulated shared baseline (best-effort
-    /// for callers: a failure only risks a peer re-simulating the
-    /// baseline, never wrong results). Written to a temporary file and
-    /// renamed into place, so a reader never sees a torn record; the
-    /// caller holds `group`'s lease, so concurrent writers of the same
-    /// file do not arise in normal operation — and would write
-    /// identical bytes if staleness reclaim ever overlapped them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the record cannot be written.
-    pub fn store_baseline(
-        &self,
-        group: usize,
-        fidelity: Fidelity,
-        metrics: &dpm_soc::SocMetrics,
-    ) -> Result<(), String> {
-        let record = BaselineRecord {
-            archive_version: ARCHIVE_VERSION,
-            spec_fingerprint: self.fingerprint,
-            group,
-            fidelity,
-            metrics: metrics.clone(),
-        };
-        let json = serde_json::to_string(&record)
-            .map_err(|e| format!("cannot serialize baseline record: {e}"))?;
-        let path = self.baseline_path(group, fidelity);
-        let dir = path.parent().expect("baseline path has a parent");
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| format!("cannot rename {} into place: {e}", tmp.display()))
     }
 
     /// Parses and validates one record's text against the cell it

@@ -8,10 +8,10 @@
 //! dpm campaign compact <DIR>
 //! dpm worker <DIR> [--threads N] [--ttl-ms N] [--poll-ms N] [--holder ID] [--no-dedup]
 //! dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
-//!            [--objective O] [--constraint C] [--budget N] [--start-points N]
-//!            [--threads N] [--workers N] [--prefetch]
+//!            [--objective O] [--constraint C] [--fidelity fine|coarse|multi]
+//!            [--budget N] [--start-points N] [--threads N] [--prefetch]
 //!            [--initial-temp T] [--cooling F] [--anneal-seed N]
-//!            [--format F] [--out FILE] [--resume DIR] [--coordinate] [--no-dedup]
+//!            [--format F] [--out FILE] [--resume DIR] [--no-dedup]
 //! dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
 //!           [--ttl-ms N] [--poll-ms N] [--no-dedup]
 //! dpm table2 [--format F]
@@ -28,10 +28,9 @@ use dpm_campaign::{
     campaign_ascii, campaign_json, campaign_markdown, grid_json, pareto_ascii, pareto_campaign,
     pareto_json, pareto_markdown, parse_campaign_toml, run_stats_line, run_worker, search_ascii,
     search_campaign, search_json, search_markdown, spawn_server, summarize, CampaignArchive,
-    CampaignExecutor, CampaignSpec, Constraint, Executor as _, Fidelity, LeaseConfig,
-    MultiObjective, Objective, ParetoSpec, RunnerConfig, SearchDefaults, SearchFidelity,
-    SearchSpec, ServeOptions, StrategyKind, ThreadPool, WorkerOptions, WorkerPool, WorkerSummary,
-    DEFAULT_LEASE_POLL_MS, DEFAULT_LEASE_TTL_MS,
+    CampaignExecutor, CampaignSpec, Constraint, LeaseConfig, MultiObjective, Objective, ParetoSpec,
+    RunnerConfig, SearchDefaults, SearchFidelity, SearchSpec, ServeOptions, StrategyKind,
+    ThreadPool, WorkerOptions, WorkerPool, DEFAULT_LEASE_POLL_MS, DEFAULT_LEASE_TTL_MS,
 };
 use dpm_soc::experiment::{run_scenario, ScenarioId};
 use dpm_soc::report::{table2_ascii, table2_json, table2_markdown};
@@ -50,10 +49,10 @@ USAGE:
     dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
                [--objective METRIC[,METRIC...]] [--constraint METRIC<=X]
                [--fidelity fine|coarse|multi]
-               [--budget N] [--start-points N] [--threads N] [--workers N]
+               [--budget N] [--start-points N] [--threads N] [--prefetch]
                [--initial-temp T] [--cooling F] [--anneal-seed N]
                [--format ascii|markdown|json] [--out FILE] [--resume DIR]
-               [--coordinate] [--prefetch] [--no-dedup]
+               [--no-dedup]
     dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
               [--ttl-ms N] [--poll-ms N] [--no-dedup]
     dpm table2 [--format ascii|markdown|json]
@@ -101,18 +100,15 @@ expansion; pass two or more comma-separated --objective metrics and get
 the non-dominated front instead of a single winner), or 'portfolio'
 (a restart portfolio racing climb, anneal and a single-objective front
 expansion under one shared budget; every result is observed by all
-three, and the turn rotates deterministically). With --resume DIR
-the campaign directory doubles as a result cache — re-searching it
-performs zero fresh simulations — and --coordinate lets several search
-processes share one exploration through the directory's work leases.
-`search --workers N` spawns and supervises N such coordinated search
-processes itself (no --coordinate needed; an ephemeral directory is
-used when --resume is absent) and prints each child's accounting; the
-report stays byte-identical to the single-process run. --prefetch lets
-idle threads speculatively evaluate each strategy's likely next
-proposals while a batch is in flight: results land in the archive
-keyed by grid index, so reports are unchanged, and speculative work is
-accounted separately (never against the strategy's budget).
+three, and the turn rotates deterministically). A search runs in this
+process on --threads threads; the report is byte-identical for any
+thread count. With --resume DIR the campaign directory doubles as a
+result cache — re-searching it performs zero fresh simulations.
+--prefetch (needs --resume) lets idle threads speculatively evaluate
+each strategy's likely next proposals while a batch is in flight:
+results land in the archive keyed by grid index, so reports are
+unchanged, and speculative work is accounted separately (never against
+the strategy's budget).
 
 --fidelity picks how scalar searches spend the budget: 'fine' (full
 kernel simulation, the default), 'coarse' (the analytic dwell-time
@@ -380,10 +376,7 @@ fn campaign_run(args: &[String]) -> Result<(), String> {
         threads,
         progress: true,
         dedup_baselines: !opts.has("no-dedup"),
-        lease: None,
-        cancel: None,
-        fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
+        ..RunnerConfig::default()
     };
 
     // the multi-process backend needs a directory to coordinate through;
@@ -639,99 +632,6 @@ fn parse_f64_flag(opts: &Opts, name: &str) -> Result<Option<f64>, String> {
         .transpose()
 }
 
-/// What a `search --workers` child pool resolves to.
-type PoolOutcome = Result<(Vec<WorkerSummary>, Vec<String>), String>;
-
-/// Spawns `n` coordinated `dpm search` children over `dir`, forwarding
-/// the user's search flags verbatim (the children re-derive the same
-/// spec, strategy and budget) plus the coordination flags this driver
-/// computed. Each child prints a [`WorkerSummary`] on stdout via the
-/// hidden `--worker-summary` flag.
-fn spawn_search_pool(
-    opts: &Opts,
-    n: usize,
-    config: &RunnerConfig,
-    dir: Option<&Path>,
-    prefetch: bool,
-) -> Result<std::thread::JoinHandle<PoolOutcome>, String> {
-    let dir = dir
-        .ok_or("--workers needs a campaign directory")?
-        .to_owned();
-    let mut pool = WorkerPool::new(n);
-    pool.threads_per_worker = config.threads;
-    let lease_cfg = config
-        .lease
-        .clone()
-        .ok_or("--workers implies coordination")?;
-    let mut argv: Vec<std::ffi::OsString> = vec!["search".into()];
-    if opts.has("builtin") {
-        argv.push("--builtin".into());
-    } else if let Some(path) = opts.positionals.first() {
-        argv.push(path.into());
-    }
-    for flag in [
-        "strategy",
-        "objective",
-        "constraint",
-        "fidelity",
-        "budget",
-        "start-points",
-        "initial-temp",
-        "cooling",
-        "anneal-seed",
-    ] {
-        if let Some(v) = opts.value(flag) {
-            argv.push(format!("--{flag}").into());
-            argv.push(v.into());
-        }
-    }
-    if opts.has("no-dedup") {
-        argv.push("--no-dedup".into());
-    }
-    if prefetch {
-        argv.push("--prefetch".into());
-    }
-    argv.push("--threads".into());
-    argv.push(pool.effective_child_threads().to_string().into());
-    argv.push("--coordinate".into());
-    argv.push("--resume".into());
-    argv.push(dir.clone().into_os_string());
-    argv.push("--ttl-ms".into());
-    argv.push(lease_cfg.ttl_ms.to_string().into());
-    argv.push("--poll-ms".into());
-    argv.push(lease_cfg.poll_ms.to_string().into());
-    argv.push("--worker-summary".into());
-    eprintln!(
-        "  spawning {n} coordinated search worker(s) × {} threads over {}",
-        pool.effective_child_threads(),
-        dir.display(),
-    );
-    Ok(std::thread::spawn(move || pool.run_command(&argv)))
-}
-
-/// Joins the `search --workers` child pool and prints each child's
-/// accounting line, mirroring `campaign run --workers`. A failed child
-/// is a warning, not an error: a coordinated search completes solo.
-fn join_search_pool(handle: Option<std::thread::JoinHandle<PoolOutcome>>) -> Result<(), String> {
-    let Some(handle) = handle else {
-        return Ok(());
-    };
-    let (summaries, failures) = handle
-        .join()
-        .map_err(|_| "search worker pool thread panicked".to_string())??;
-    for summary in &summaries {
-        eprintln!(
-            "  worker {}: {}",
-            summary.holder,
-            run_stats_line(&summary.stats)
-        );
-    }
-    for failure in &failures {
-        eprintln!("  warning: {failure}");
-    }
-    Ok(())
-}
-
 fn search(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
@@ -743,24 +643,14 @@ fn search(args: &[String]) -> Result<(), String> {
             "budget",
             "start-points",
             "threads",
-            "workers",
             "initial-temp",
             "cooling",
             "anneal-seed",
             "format",
             "out",
             "resume",
-            "ttl-ms",
-            "poll-ms",
-            "holder",
         ],
-        &[
-            "builtin",
-            "no-dedup",
-            "coordinate",
-            "prefetch",
-            "worker-summary",
-        ],
+        &["builtin", "no-dedup", "prefetch"],
     )?;
     let format = output_format(&opts)?;
     let (spec, defaults) = load_spec_full(&opts)?;
@@ -808,89 +698,24 @@ fn search(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| grid.div_ceil(2));
     let start_points = parse_positive_flag(&opts, "start-points")?.or(defaults.start_points);
 
-    // --coordinate: claim batch-level work leases so several search
-    // processes can share one exploration over the same campaign
-    // directory; --workers spawns and supervises N such processes itself
-    let workers = parse_positive_flag(&opts, "workers")?;
-    if workers.is_some() && opts.has("coordinate") {
-        return Err("--workers spawns and coordinates its own search children; \
-                    --coordinate is for attaching this process to searchers \
-                    launched elsewhere — use one or the other"
-            .into());
-    }
-    if opts.has("worker-summary") && !opts.has("coordinate") {
-        return Err("--worker-summary only applies with --coordinate \
-                    (the --workers pool sets it on its children)"
-            .into());
-    }
-    let coordinated = opts.has("coordinate") || workers.is_some();
-    if !coordinated {
-        for flag in ["ttl-ms", "poll-ms", "holder"] {
-            if opts.value(flag).is_some() {
-                return Err(format!(
-                    "--{flag} only applies with --coordinate or --workers"
-                ));
-            }
-        }
-    }
-    let lease = coordinated.then(|| lease_from_flags(&opts)).transpose()?;
-    if opts.has("coordinate") && !opts.has("resume") {
-        return Err("--coordinate needs --resume DIR (the campaign \
-                    directory is the work-sharing medium)"
-            .into());
-    }
     let prefetch = opts.has("prefetch") || defaults.prefetch.unwrap_or(false);
-    if opts.has("prefetch") && workers.is_none() && !opts.has("resume") {
+    if opts.has("prefetch") && !opts.has("resume") {
         return Err("--prefetch needs an archive to key speculative results \
-                    by grid index: pass --resume DIR (or --workers N, which \
-                    creates an ephemeral one)"
+                    by grid index: pass --resume DIR"
             .into());
     }
-    // always fine here: search_campaign pins the per-phase fidelity
-    // itself from the SearchSpec, and pareto fronts are fine-only
+    // the fidelity stays the default (fine): search_campaign pins the
+    // per-phase fidelity itself from the SearchSpec, and pareto fronts
+    // are fine-only
     let config = RunnerConfig {
         threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
-        progress: false,
         dedup_baselines: !opts.has("no-dedup"),
-        lease,
-        cancel: None,
-        fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
+        ..RunnerConfig::default()
     };
-
-    // --workers without --resume coordinates through an ephemeral
-    // directory — uniquely named and removed on *every* exit path by
-    // the guard's Drop, exactly like `campaign run --workers`
-    let resume_dir = opts.value("resume").map(PathBuf::from);
-    let ephemeral = workers.is_some() && resume_dir.is_none();
-    let dir = resume_dir.or_else(|| {
-        ephemeral.then(|| {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0, |d| d.as_nanos());
-            std::env::temp_dir().join(format!("dpm-search-{}-{nanos}", std::process::id()))
-        })
-    });
-    let _ephemeral_guard = ephemeral.then(|| EphemeralDir(dir.clone()));
-    let archive = match &dir {
-        Some(d) => Some(CampaignArchive::open(d, &spec)?),
+    let archive = match opts.value("resume") {
+        Some(dir) => Some(CampaignArchive::open(Path::new(dir), &spec)?),
         None => None,
     };
-
-    // spawn the search children *before* running our own coordinated
-    // search: the driver participates as one more searcher and is the
-    // one that renders the report
-    let pool_handle = match workers {
-        None => None,
-        Some(n) => Some(spawn_search_pool(
-            &opts,
-            n,
-            &config,
-            dir.as_deref(),
-            prefetch,
-        )?),
-    };
-    let quiet = opts.has("worker-summary");
     let started = std::time::Instant::now();
 
     if strategy == StrategyKind::Pareto {
@@ -915,39 +740,23 @@ fn search(args: &[String]) -> Result<(), String> {
         if let Some(points) = start_points {
             pareto_spec.start_points = points;
         }
-        if !quiet {
-            eprintln!(
-                "search '{}' (pareto): {} over a {}-cell grid, budget {}",
-                spec.name,
-                pareto_spec.objectives.describe(),
-                grid,
-                pareto_spec.budget,
-            );
-        }
+        eprintln!(
+            "search '{}' (pareto): {} over a {}-cell grid, budget {}",
+            spec.name,
+            pareto_spec.objectives.describe(),
+            grid,
+            pareto_spec.budget,
+        );
         let outcome = pareto_campaign(&spec, &pareto_spec, &config, archive.as_ref())?;
-        join_search_pool(pool_handle)?;
-        if !quiet {
-            eprintln!(
-                "  {} cells evaluated in {} rounds in {:.2?}; front size {}; {}",
-                outcome.report.evaluated,
-                outcome.report.rounds,
-                started.elapsed(),
-                outcome.report.front.len(),
-                run_stats_line(&outcome.stats),
-            );
-        }
+        eprintln!(
+            "  {} cells evaluated in {} rounds in {:.2?}; front size {}; {}",
+            outcome.report.evaluated,
+            outcome.report.rounds,
+            started.elapsed(),
+            outcome.report.front.len(),
+            run_stats_line(&outcome.stats),
+        );
         warn_archive_errors(&outcome.archive_errors);
-        if quiet {
-            let summary = WorkerSummary {
-                holder: config
-                    .lease
-                    .as_ref()
-                    .map_or_else(String::new, |l| l.holder.clone()),
-                stats: outcome.stats,
-            };
-            out(serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?);
-            return Ok(());
-        }
         return render_report(
             &opts,
             format,
@@ -1006,45 +815,29 @@ fn search(args: &[String]) -> Result<(), String> {
         SearchFidelity::Fine => String::new(),
         other => format!(", {} fidelity", other.label()),
     };
-    if !quiet {
-        eprintln!(
-            "search '{}' ({}{}): {} over a {}-cell grid, budget {}",
-            spec.name,
-            strategy.label(),
-            fidelity_note,
-            search_spec.objective.describe(),
-            grid,
-            search_spec.budget,
-        );
-    }
+    eprintln!(
+        "search '{}' ({}{}): {} over a {}-cell grid, budget {}",
+        spec.name,
+        strategy.label(),
+        fidelity_note,
+        search_spec.objective.describe(),
+        grid,
+        search_spec.budget,
+    );
     let outcome = search_campaign(&spec, &search_spec, &config, archive.as_ref())?;
-    join_search_pool(pool_handle)?;
     let screened_note = match outcome.report.screened {
         0 => String::new(),
         n => format!(" ({n} coarse-screened)"),
     };
-    if !quiet {
-        eprintln!(
-            "  {} cells evaluated{} in {} rounds in {:.2?}; {}",
-            outcome.report.evaluated,
-            screened_note,
-            outcome.report.rounds,
-            started.elapsed(),
-            run_stats_line(&outcome.stats),
-        );
-    }
+    eprintln!(
+        "  {} cells evaluated{} in {} rounds in {:.2?}; {}",
+        outcome.report.evaluated,
+        screened_note,
+        outcome.report.rounds,
+        started.elapsed(),
+        run_stats_line(&outcome.stats),
+    );
     warn_archive_errors(&outcome.archive_errors);
-    if quiet {
-        let summary = WorkerSummary {
-            holder: config
-                .lease
-                .as_ref()
-                .map_or_else(String::new, |l| l.holder.clone()),
-            stats: outcome.stats,
-        };
-        out(serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?);
-        return Ok(());
-    }
     render_report(
         &opts,
         format,
@@ -1357,16 +1150,23 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_without_resume_is_a_clear_error() {
-        let err = run(&args(&[
-            "search",
-            "--builtin",
-            "--objective",
-            "energy_saving",
-            "--coordinate",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--coordinate needs --resume"), "{err}");
+    fn search_has_no_process_fan_out_flags() {
+        for extra in [
+            &["--coordinate"][..],
+            &["--worker-summary"],
+            &["--ttl-ms", "5"],
+            &["--poll-ms", "5"],
+            &["--holder", "x"],
+            &["--workers", "2"],
+        ] {
+            let mut argv = vec!["search", "--builtin", "--objective", "energy_saving"];
+            argv.extend_from_slice(extra);
+            let err = run(&args(&argv)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag '{}'", extra[0])),
+                "{extra:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Pluggable campaign execution backends.
+//! Campaign execution backends.
 //!
 //! The runner no longer owns a thread loop; it dispatches independent
-//! **work units** through an [`Executor`]. Two backends exist:
+//! **work units** through a [`ThreadPool`], and whole campaigns go
+//! through one of two backends:
 //!
 //! * [`ThreadPool`] — the in-process scoped-thread pool (self-scheduling
 //!   over an atomic counter, exactly the loop that used to live inside
@@ -9,10 +10,11 @@
 //!   parallelism capped at the unit count — is 1 spawns nothing: it runs
 //!   its units in index order on the caller's thread, so `--threads 1`
 //!   runs and one-unit phases pay no thread spawn and join.
-//! * [`WorkerPool`] — a multi-process pool: N independently spawned
-//!   `dpm worker` child processes coordinate **purely through the
-//!   campaign archive directory** (atomic lease records, see
-//!   [`crate::archive`]); no pipes, sockets or shared memory.
+//! * [`WorkerPool`] — a multi-process pool for `campaign run --workers`:
+//!   N independently spawned `dpm worker` child processes coordinate
+//!   **purely through the campaign archive directory** (atomic lease
+//!   records, see [`crate::archive`]); no pipes, sockets or shared
+//!   memory.
 //!
 //! The two meet at different granularities on purpose. A thread pool
 //! schedules single simulations inside one address space; a worker pool
@@ -21,9 +23,10 @@
 //! hosts over a shared filesystem. [`CampaignExecutor`] is the
 //! backend-agnostic entry point the CLI dispatches through: results are
 //! byte-identical across backends because every result is keyed by grid
-//! index and every simulation is deterministic.
+//! index and every simulation is deterministic. Search always runs in
+//! one process, on a [`ThreadPool`].
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -32,21 +35,6 @@ use crate::archive::CampaignArchive;
 use crate::runner::{run_campaign_with, CampaignRun, RunnerConfig};
 use crate::spec::CampaignSpec;
 use crate::worker::WorkerSummary;
-
-/// An execution backend for independent, index-addressed work units.
-///
-/// Implementations may run units in any order and interleaving; callers
-/// key results by unit index, so scheduling never changes observable
-/// results.
-pub trait Executor: Sync {
-    /// Executes `unit(i)` for every `i in 0..units`, returning when all
-    /// units have run.
-    fn execute(&self, units: usize, unit: &(dyn Fn(usize) + Sync));
-
-    /// The backend's parallelism (used for progress lines and to cap
-    /// fan-out messages; purely informational).
-    fn parallelism(&self) -> usize;
-}
 
 /// The machine's available parallelism (at least 1), resolved once per
 /// process: `std::thread::available_parallelism` reads cgroup files on
@@ -75,10 +63,12 @@ impl ThreadPool {
     pub fn new(threads: usize) -> Self {
         Self { threads }
     }
-}
 
-impl Executor for ThreadPool {
-    fn execute(&self, units: usize, unit: &(dyn Fn(usize) + Sync)) {
+    /// Executes `unit(i)` for every `i in 0..units`, returning when all
+    /// units have run. Units may run in any order and interleaving;
+    /// callers key results by unit index, so scheduling never changes
+    /// observable results.
+    pub fn execute(&self, units: usize, unit: &(dyn Fn(usize) + Sync)) {
         let width = self.parallelism().min(units);
         if width <= 1 {
             (0..units).for_each(unit);
@@ -98,7 +88,12 @@ impl Executor for ThreadPool {
         });
     }
 
-    fn parallelism(&self) -> usize {
+    /// The pool's width: `threads`, or the machine's available
+    /// parallelism when `threads` is 0. [`Self::execute`] caps it at the
+    /// unit count and runs inline at width 1; the leased runner sizes its
+    /// chunks by it, and [`crate::search::drive_strategy`] its prefetch
+    /// slots.
+    pub fn parallelism(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
@@ -107,15 +102,15 @@ impl Executor for ThreadPool {
     }
 }
 
-/// Index-ordered parallel map over any [`Executor`]: `job(i)` for `i in
+/// Index-ordered parallel map over a [`ThreadPool`]: `job(i)` for `i in
 /// 0..n`, results in index order regardless of execution interleaving.
 pub fn map_units<T: Send + Sync>(
-    executor: &dyn Executor,
+    pool: &ThreadPool,
     n: usize,
     job: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-    executor.execute(n, &|i| {
+    pool.execute(n, &|i| {
         // each index is scheduled exactly once, so the slot is empty
         let _ = slots[i].set(job(i));
     });
@@ -138,8 +133,6 @@ pub fn map_units<T: Send + Sync>(
 pub struct WorkerPool {
     /// Child processes to spawn (must be ≥ 1).
     pub workers: usize,
-    /// The `dpm` binary to spawn; `None` uses the current executable.
-    pub program: Option<PathBuf>,
     /// `--threads` handed to each child (`0` = auto: the machine's
     /// parallelism divided across the children).
     pub threads_per_worker: usize,
@@ -154,7 +147,6 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
-            program: None,
             threads_per_worker: 0,
             ttl_ms: crate::archive::DEFAULT_LEASE_TTL_MS,
             no_dedup: false,
@@ -170,7 +162,8 @@ impl WorkerPool {
         (available_threads() / self.workers.max(1)).max(1)
     }
 
-    /// Spawns the children over `dir` and waits for all of them.
+    /// Spawns the children — `dpm worker DIR` through the current
+    /// executable — and waits for all of them.
     ///
     /// Each child prints a [`WorkerSummary`] as JSON on stdout; the
     /// summaries of the children that exited cleanly are returned along
@@ -180,56 +173,29 @@ impl WorkerPool {
     ///
     /// # Errors
     ///
-    /// Returns a description when no child can be spawned at all (bad
-    /// program path, zero workers).
+    /// Returns a description when no child can be spawned at all (no
+    /// locatable executable, zero workers).
     pub fn run(&self, dir: &Path) -> Result<(Vec<WorkerSummary>, Vec<String>), String> {
-        let threads = self.effective_child_threads();
+        if self.workers == 0 {
+            return Err("worker pool needs at least one worker".into());
+        }
+        let program = std::env::current_exe()
+            .map_err(|e| format!("cannot locate the dpm binary to spawn workers: {e}"))?;
         let mut argv: Vec<std::ffi::OsString> = vec![
             "worker".into(),
             dir.into(),
             "--threads".into(),
-            threads.to_string().into(),
+            self.effective_child_threads().to_string().into(),
             "--ttl-ms".into(),
             self.ttl_ms.to_string().into(),
         ];
         if self.no_dedup {
             argv.push("--no-dedup".into());
         }
-        self.run_command(&argv)
-    }
-
-    /// Spawns `workers` children running `dpm <argv...>` and waits for
-    /// all of them, collecting one [`WorkerSummary`] JSON line from each
-    /// clean child's stdout — the generalized core behind [`Self::run`].
-    ///
-    /// `dpm search --workers` reuses this to spawn coordinated *search*
-    /// children (`dpm search ... --coordinate --worker-summary`) instead
-    /// of plain grid-draining workers: a plain worker evaluates the full
-    /// grid at fine fidelity, which is exactly wrong for a budgeted or
-    /// multi-fidelity search. Every child gets the identical argv; the
-    /// children distinguish themselves through their process-unique
-    /// lease holder ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when no child can be spawned at all (bad
-    /// program path, zero workers).
-    pub fn run_command(
-        &self,
-        argv: &[std::ffi::OsString],
-    ) -> Result<(Vec<WorkerSummary>, Vec<String>), String> {
-        if self.workers == 0 {
-            return Err("worker pool needs at least one worker".into());
-        }
-        let program = match &self.program {
-            Some(p) => p.clone(),
-            None => std::env::current_exe()
-                .map_err(|e| format!("cannot locate the dpm binary to spawn workers: {e}"))?,
-        };
         let mut children = Vec::new();
         for k in 0..self.workers {
             let mut cmd = Command::new(&program);
-            cmd.args(argv)
+            cmd.args(&argv)
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit());
             match cmd.spawn() {
@@ -332,9 +298,7 @@ impl CampaignExecutor {
                 // aggregation pass: loads the drained grid (0 simulations
                 // when every worker finished) and back-fills any cell a
                 // crashed child never completed
-                let mut cfg = config.clone();
-                cfg.lease = None;
-                let run = run_campaign_with(spec, &cfg, Some(archive))?;
+                let run = run_campaign_with(spec, config, Some(archive))?;
                 Ok(ExecutedCampaign {
                     run,
                     workers,

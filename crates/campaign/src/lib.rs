@@ -10,7 +10,7 @@
 //! | layer | module | contents |
 //! |-------|--------|----------|
 //! | spec | [`spec`] | [`CampaignSpec`] grid, named axes, cartesian expansion |
-//! | executor | [`executor`] | pluggable backends: in-process thread pool, multi-process worker pool |
+//! | executor | [`executor`] | execution backends: in-process thread pool, multi-process worker pool |
 //! | runner | [`runner`] | work-unit dispatch, baseline dedup, panic isolation, lease loop |
 //! | worker | [`worker`] | the `dpm worker` loop: claim, simulate, store, reclaim |
 //! | archive | [`archive`] | cell records, work leases, gc/compaction — the coordination medium |
@@ -36,15 +36,18 @@
 //!
 //! Execution is stacked, and each layer is oblivious to the ones above:
 //!
-//! 1. **Work units** ([`executor::Executor`]): independent,
-//!    index-addressed jobs. The [`executor::ThreadPool`] schedules them
-//!    over scoped OS threads via a shared atomic counter, or runs them
-//!    on the caller's thread when only one thread would.
+//! 1. **Work units** ([`executor::ThreadPool`]): independent,
+//!    index-addressed jobs, scheduled over scoped OS threads via a
+//!    shared atomic counter, or run on the caller's thread when only one
+//!    thread would.
 //! 2. **Batches** ([`runner::run_cells_with`]): resume-from-archive,
-//!    shared-baseline dedup and panic isolation around a set of cells;
-//!    with a [`archive::LeaseConfig`] it claims whole baseline groups
-//!    through atomic lease records and polls the archive for cells other
-//!    processes hold.
+//!    shared-baseline dedup and panic isolation around a set of cells —
+//!    the per-round primitive of [`search::drive_strategy`], always in
+//!    one process.
+//!    [`runner::run_campaign_leased`] runs a whole campaign as one of
+//!    several processes: it claims whole baseline groups through atomic
+//!    lease records ([`archive::LeaseConfig`]) and polls the archive for
+//!    cells other processes hold.
 //! 3. **Campaigns** ([`executor::CampaignExecutor`]): one entry point,
 //!    two backends — run every cell in-process, or spawn a
 //!    [`executor::WorkerPool`] of `dpm worker` processes that coordinate
@@ -99,9 +102,7 @@ pub use archive::{
     LeaseConfig, LeaseRecord, LeaseState, WorkLease, ARCHIVE_VERSION, DEFAULT_LEASE_POLL_MS,
     DEFAULT_LEASE_TTL_MS, LEASE_VERSION,
 };
-pub use executor::{
-    map_units, CampaignExecutor, ExecutedCampaign, Executor, ThreadPool, WorkerPool,
-};
+pub use executor::{map_units, CampaignExecutor, ExecutedCampaign, ThreadPool, WorkerPool};
 pub use objective::{
     parse_metric, CellScore, Constraint, ConstraintOp, Direction, MultiObjective, MultiScore,
     Objective,
@@ -111,9 +112,9 @@ pub use report::{
     run_stats_line, search_ascii, search_json, search_markdown,
 };
 pub use runner::{
-    run_campaign, run_campaign_with, run_cells_with, run_scenario_cell, BaselineCache,
-    CampaignResult, CampaignRun, Fidelity, RunStats, RunnerConfig, ScenarioMetrics, ScenarioResult,
-    RUN_CANCELLED,
+    run_campaign, run_campaign_leased, run_campaign_with, run_cells_with, run_scenario_cell,
+    BaselineCache, CampaignResult, CampaignRun, Fidelity, RunStats, RunnerConfig, ScenarioMetrics,
+    ScenarioResult, RUN_CANCELLED,
 };
 pub use search::{
     drive_strategy, pareto_campaign, search_campaign, AnnealSchedule, AnnealStrategy,

@@ -408,8 +408,7 @@ pub fn pareto_markdown(report: &ParetoReport) -> String {
 }
 
 /// Serializes a Pareto report as pretty JSON — byte-identical across
-/// thread counts, archived/fresh mixes and worker counts, like
-/// [`search_json`].
+/// thread counts and archived/fresh mixes, like [`search_json`].
 ///
 /// # Errors
 ///

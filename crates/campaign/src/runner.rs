@@ -6,11 +6,13 @@
 //! so the result order, and everything aggregated from it, is
 //! **identical for any thread count, worker count or backend**.
 //!
-//! With [`RunnerConfig::lease`] set and an archive attached, execution
-//! switches to the cross-process path: whole baseline groups are claimed
+//! [`run_campaign_leased`] is the cross-process path (`dpm worker` and
+//! the `dpm serve` executor slots): whole baseline groups are claimed
 //! via atomic lease records in the campaign directory, foreign cells are
 //! polled from the archive, and stale leases (dead workers) are
-//! reclaimed — see [`crate::archive`] for the failure semantics.
+//! reclaimed — see [`crate::archive`] for the failure semantics. Every
+//! other entry point, the batches of [`crate::search::drive_strategy`]
+//! included, runs in this process alone.
 //!
 //! Two optimizations sit on top of that plan, both result-preserving:
 //!
@@ -24,9 +26,10 @@
 //!   re-executed.
 
 use std::collections::{BTreeMap, HashMap};
+use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use dpm_kernel::Simulation;
 use dpm_soc::experiment::table2_row;
@@ -34,7 +37,7 @@ use dpm_soc::{build_soc, collect_metrics, ControllerKind, SocConfig, SocMetrics}
 use dpm_units::SimTime;
 
 use crate::archive::{CampaignArchive, LeaseConfig};
-use crate::executor::{map_units, Executor, ThreadPool};
+use crate::executor::{map_units, ThreadPool};
 use crate::spec::{
     BatteryAxis, CampaignSpec, ControllerAxis, ScenarioSpec, ThermalAxis, WorkloadAxis,
 };
@@ -95,24 +98,14 @@ impl Fidelity {
 pub struct RunnerConfig {
     /// Worker threads; `0` selects the machine's available parallelism.
     pub threads: usize,
-    /// Print a `[n/N] runs done` line to stderr, rewritten in place as
-    /// each simulation finishes.
+    /// Print a `[n/N] runs done` line to stderr. On a terminal it is
+    /// rewritten in place as each simulation finishes; otherwise (CI
+    /// logs, redirected stderr) only the final count is printed.
     pub progress: bool,
     /// Share one always-`ON1` baseline run across cells that differ only
     /// in controller/tuning (default). Result-preserving; turn off only
     /// to measure the redundancy it removes.
     pub dedup_baselines: bool,
-    /// Cross-process coordination: claim per-group work leases in the
-    /// campaign archive before executing, and poll the archive for cells
-    /// other workers hold (requires an archive). `None` (default) means
-    /// this process owns every cell.
-    pub lease: Option<LeaseConfig>,
-    /// Cooperative cancellation flag, checked between baseline groups on
-    /// the leased path: when it flips, the in-flight group drains (its
-    /// lease is released as usual) and the run stops with
-    /// [`RUN_CANCELLED`]. `None` (default) means the run cannot be
-    /// cancelled. Set by the `dpm serve` daemon on graceful shutdown.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Evaluation fidelity for every cell in this run (default
     /// [`Fidelity::Fine`]). Coarse runs archive under fidelity-tagged
     /// records and count in [`RunStats::coarse_simulations`], never in
@@ -123,9 +116,8 @@ pub struct RunnerConfig {
     /// Speculative cells execute and archive exactly like any other
     /// cell — determinism is untouched — but their work is accounted in
     /// the `speculative_*` fields of [`RunStats`] instead of
-    /// `executed_cells`/`simulations`, and on the leased path their
-    /// groups are claimed only after every group containing a real
-    /// (proposed) cell. Empty (the default) means every cell is real.
+    /// `executed_cells`/`simulations`. Empty (the default) means every
+    /// cell is real.
     pub speculative: Vec<usize>,
 }
 
@@ -135,8 +127,6 @@ impl Default for RunnerConfig {
             threads: 0,
             progress: false,
             dedup_baselines: true,
-            lease: None,
-            cancel: None,
             fidelity: Fidelity::Fine,
             speculative: Vec::new(),
         }
@@ -158,18 +148,6 @@ impl RunnerConfig {
         self
     }
 
-    /// This configuration with cross-process lease coordination enabled.
-    pub fn with_lease(mut self, lease: LeaseConfig) -> Self {
-        self.lease = Some(lease);
-        self
-    }
-
-    /// This configuration with a cooperative cancellation flag attached.
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// This configuration evaluating at the given fidelity.
     pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
@@ -183,20 +161,13 @@ impl RunnerConfig {
         self
     }
 
-    /// `true` once the attached cancellation flag (if any) has flipped.
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
     /// The effective worker count.
     pub fn effective_threads(&self) -> usize {
         ThreadPool::new(self.threads).parallelism()
     }
 }
 
-/// The error a leased run returns when its [`RunnerConfig::cancel`] flag
+/// The error [`run_campaign_leased`] returns when its cancellation flag
 /// flips: the in-flight group drained, every lease was released, and the
 /// partial work is safely archived for any successor to resume.
 pub const RUN_CANCELLED: &str = "run cancelled (work archived, leases released)";
@@ -433,10 +404,12 @@ fn baseline_key(cell: &ScenarioSpec, fidelity: Fidelity) -> BaselineKey {
     )
 }
 
-/// Shared progress line over the phases of one run: bumps a counter and
-/// rewrites the stderr line each time a simulation unit finishes.
+/// Shared progress line over the phases of one run: bumps a counter each
+/// time a simulation unit finishes and writes what [`progress_text`]
+/// says to stderr.
 struct Progress {
     enabled: bool,
+    terminal: bool,
     done: AtomicUsize,
     total: usize,
 }
@@ -445,6 +418,7 @@ impl Progress {
     fn new(enabled: bool, total: usize) -> Self {
         Self {
             enabled,
+            terminal: enabled && std::io::stderr().is_terminal(),
             done: AtomicUsize::new(0),
             total,
         }
@@ -455,10 +429,23 @@ impl Progress {
             return;
         }
         let finished = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        eprint!("\r  [{finished}/{}] runs done", self.total);
-        if finished == self.total {
-            eprintln!();
+        if let Some(text) = progress_text(finished, self.total, self.terminal) {
+            eprint!("{text}");
         }
+    }
+}
+
+/// The progress output after `finished` of `total` units. A terminal
+/// gets the line redrawn in place (`\r`) after every unit; anywhere else
+/// a redraw would pile up into one huge line, so only the final count is
+/// written.
+fn progress_text(finished: usize, total: usize, terminal: bool) -> Option<String> {
+    let line = format!("[{finished}/{total}] runs done");
+    match (terminal, finished == total) {
+        (true, false) => Some(format!("\r  {line}")),
+        (true, true) => Some(format!("\r  {line}\n")),
+        (false, true) => Some(format!("  {line}\n")),
+        (false, false) => None,
     }
 }
 
@@ -592,13 +579,36 @@ pub fn run_cells_with(
     cache: Option<&mut BaselineCache>,
 ) -> Result<CampaignRun, String> {
     spec.validate()?;
-    match (&config.lease, archive) {
-        (Some(lease), Some(a)) => run_cells_leased(spec, cells, config, &lease.clone(), a, cache),
-        (Some(_), None) => Err("lease coordination needs a campaign directory \
-             (the archive is the work-sharing medium)"
-            .into()),
-        (None, _) => run_cells_local(spec, cells, config, archive, cache, None),
-    }
+    run_cells_local(spec, cells, config, archive, cache, None)
+}
+
+/// Runs the whole campaign as one of any number of lease-coordinated
+/// processes sharing `archive`'s directory (`dpm worker`, and each
+/// `dpm serve` executor slot): claim whole baseline groups through
+/// lease records, run the claimed cells here, and take every other cell
+/// from the archive once its holder stores it. Returns only when every
+/// cell has a result, so the run is complete and byte-identical to
+/// [`run_campaign_with`] whichever process simulated which group.
+///
+/// `cancel`, checked between baseline groups, stops the run gracefully
+/// when it flips: the in-flight group drains, its lease is released and
+/// the run returns [`RUN_CANCELLED`]. The `dpm serve` daemon sets it on
+/// shutdown.
+///
+/// # Errors
+///
+/// Returns a description when the spec is invalid, the archive cannot
+/// be read or written, or [`RUN_CANCELLED`] on cancellation. Scenario
+/// panics are per-cell results, as in [`run_campaign_with`].
+pub fn run_campaign_leased(
+    spec: &CampaignSpec,
+    config: &RunnerConfig,
+    archive: &CampaignArchive,
+    lease: &LeaseConfig,
+    cancel: Option<&AtomicBool>,
+) -> Result<CampaignRun, String> {
+    spec.validate()?;
+    run_cells_leased(spec, &spec.expand(), config, archive, lease, cancel)
 }
 
 /// Called (on the thread that ran it) after every finished simulation unit —
@@ -796,59 +806,53 @@ fn speculative_flags(cells: &[ScenarioSpec], config: &RunnerConfig) -> Vec<bool>
     cells.iter().map(|c| set.contains(&c.index)).collect()
 }
 
-/// The cross-process execution path: claim whole baseline groups via
-/// archive leases, run the claimed cells locally, and poll the archive
-/// for cells other workers hold — reclaiming any group whose lease goes
-/// stale. Returns only when every requested cell has a result, so any
-/// surviving worker can complete a campaign its peers abandoned.
+/// The cross-process execution path behind [`run_campaign_leased`]:
+/// claim whole baseline groups via archive leases, run the claimed
+/// cells locally, and poll the archive for cells other workers hold —
+/// reclaiming any group whose lease goes stale. Returns only when every
+/// requested cell has a result, so any surviving worker can complete a
+/// campaign its peers abandoned.
 ///
 /// Work accounting semantics across workers: `executed_cells`,
 /// `simulations`, `baseline_groups` and `reused_baselines` sum to the
-/// single-process totals (each group runs in exactly one worker);
-/// `archived_cells` counts the cells this worker received from the
-/// archive, whether they predate the run or were stored by a peer.
+/// single-process totals (each group runs in exactly one worker, which
+/// simulates its shared baseline once); `archived_cells` counts the
+/// cells this worker received from the archive, whether they predate
+/// the run or were stored by a peer.
 ///
 /// One asymmetry with the local path: *failed* (panicked) cells are
 /// never archived, so every waiting worker eventually claims and re-runs
-/// them itself — duplicated work, but identical error results.
+/// them itself — duplicated work, but identical error results. A group
+/// reclaimed from a crashed holder likewise re-simulates its baseline.
 fn run_cells_leased(
     spec: &CampaignSpec,
     cells: &[ScenarioSpec],
     config: &RunnerConfig,
-    lease_cfg: &LeaseConfig,
     archive: &CampaignArchive,
-    cache: Option<&mut BaselineCache>,
+    lease_cfg: &LeaseConfig,
+    cancel: Option<&AtomicBool>,
 ) -> Result<CampaignRun, String> {
+    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     let total = cells.len();
-    let is_spec = speculative_flags(cells, config);
     let load = archive.load_as(spec, cells, config.fidelity);
     let mut slots = load.slots;
     let mut stats = RunStats {
         total_cells: total,
-        // speculative archive hits count nowhere, as on the local path
-        archived_cells: (0..total)
-            .filter(|&i| slots[i].is_some() && !is_spec[i])
-            .count(),
+        archived_cells: slots.iter().filter(|s| s.is_some()).count(),
         ..RunStats::default()
     };
     let mut archive_errors = Vec::new();
 
-    // one baseline cache across every claimed batch, so a sequence of
-    // group batches shares baselines the way one exhaustive sweep would
-    let mut local_cache = BaselineCache::new();
-    let cache: &mut BaselineCache = match cache {
-        Some(c) => c,
-        None => &mut local_cache,
-    };
-    let mut inner = config.clone();
-    inner.lease = None; // the batches below run on the local path
+    // one baseline cache across the thread-sized chunks of a claimed
+    // group, so the group's baseline simulates once, as in a sweep
+    let mut cache = BaselineCache::new();
     let mut backoff = crate::worker::PollBackoff::new(lease_cfg.poll_ms);
 
     loop {
-        if config.cancelled() {
+        if cancelled() {
             return Err(RUN_CANCELLED.to_string());
         }
-        // claim and run every group we can get a lease on
+        // claim and run every group we can get a lease on, in group order
         let mut ran_any = false;
         let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
         if missing.is_empty() {
@@ -861,14 +865,8 @@ fn run_cells_leased(
                 .or_default()
                 .push(i);
         }
-        // lease-claim ordering: groups containing at least one real
-        // (proposed) cell are claimed first, in group order; groups made
-        // purely of speculative cells come last, so prefetch work never
-        // delays a proposal a coordinated searcher is waiting on
-        let mut ordered: Vec<(usize, Vec<usize>)> = by_group.into_iter().collect();
-        ordered.sort_by_key(|(group, positions)| (positions.iter().all(|&p| is_spec[p]), *group));
-        for (group, positions) in ordered {
-            if config.cancelled() {
+        for (group, positions) in by_group {
+            if cancelled() {
                 // graceful drain: leases release per finished group, so
                 // nothing is held — just stop claiming new ones
                 break;
@@ -887,29 +885,12 @@ fn run_cells_leased(
                 match slot {
                     Some(result) => {
                         slots[p] = Some(result);
-                        if !is_spec[p] {
-                            stats.archived_cells += 1;
-                        }
+                        stats.archived_cells += 1;
                     }
                     None => fresh.push(p),
                 }
             }
             if !fresh.is_empty() {
-                // cross-process baseline sharing: an earlier holder of
-                // this group (this search touches a group across many
-                // batches, and which worker claims it each time is a
-                // race) may have stored its shared baseline — load it
-                // into the cache so it is never re-simulated, keeping
-                // summed work across coordinated workers equal to the
-                // single-process totals
-                let key = baseline_key(&cells[fresh[0]], inner.fidelity);
-                let mut baseline_known = !inner.dedup_baselines || cache.map.contains_key(&key);
-                if !baseline_known {
-                    if let Some(metrics) = archive.load_baseline(group, inner.fidelity) {
-                        cache.map.insert(key, Ok(metrics));
-                        baseline_known = true;
-                    }
-                }
                 // run in thread-sized chunks (the baseline cache makes
                 // chunking work-neutral: the group's baseline simulates
                 // in the first chunk and is served from memory
@@ -933,7 +914,7 @@ fn run_cells_leased(
                         let _ = archive.refresh(&lease, lease_cfg);
                     }
                 };
-                let chunk_size = inner.effective_threads().max(1);
+                let chunk_size = config.effective_threads().max(1);
                 for (k, chunk) in fresh.chunks(chunk_size).enumerate() {
                     if k > 0 {
                         let _ = archive.refresh(&lease, lease_cfg);
@@ -942,32 +923,18 @@ fn run_cells_leased(
                     let run = run_cells_local(
                         spec,
                         &batch,
-                        &inner,
+                        config,
                         Some(archive),
-                        Some(cache),
+                        Some(&mut cache),
                         Some(&refresher),
                     )?;
-                    stats.archived_cells += run.stats.archived_cells;
-                    stats.executed_cells += run.stats.executed_cells;
-                    stats.simulations += run.stats.simulations;
-                    stats.baseline_groups += run.stats.baseline_groups;
-                    stats.reused_baselines += run.stats.reused_baselines;
-                    stats.coarse_simulations += run.stats.coarse_simulations;
-                    stats.speculative_cells += run.stats.speculative_cells;
-                    stats.speculative_simulations += run.stats.speculative_simulations;
-                    stats.speculative_coarse += run.stats.speculative_coarse;
+                    stats.absorb(&RunStats {
+                        total_cells: 0,
+                        ..run.stats
+                    });
                     archive_errors.extend(run.archive_errors);
                     for (j, result) in run.result.results.into_iter().enumerate() {
                         slots[chunk[j]] = Some(result);
-                    }
-                }
-                // persist a freshly simulated baseline (still under the
-                // group's lease) for the next holder. Best-effort, and
-                // failed baselines stay unstored — they re-run in every
-                // worker, like failed cells
-                if !baseline_known {
-                    if let Some(Ok(metrics)) = cache.map.get(&key) {
-                        let _ = archive.store_baseline(group, inner.fidelity, metrics);
                     }
                 }
                 ran_any = true;
@@ -990,9 +957,7 @@ fn run_cells_leased(
                 match slot {
                     Some(result) => {
                         slots[i] = Some(result);
-                        if !is_spec[i] {
-                            stats.archived_cells += 1;
-                        }
+                        stats.archived_cells += 1;
                         absorbed_any = true;
                     }
                     None => still_missing = true,
@@ -1011,7 +976,7 @@ fn run_cells_leased(
             // filesystem once per poll_ms forever. The sleep watches the
             // cancellation flag so a shutting-down daemon never waits
             // out a full idle tick.
-            backoff.sleep(config.cancel.as_deref());
+            backoff.sleep(cancel);
         }
     }
 
@@ -1167,6 +1132,25 @@ mod tests {
             },
         );
         assert_eq!(run.result, parallel);
+    }
+
+    #[test]
+    fn progress_redraws_on_a_terminal_and_prints_once_elsewhere() {
+        assert_eq!(
+            progress_text(1, 3, true).as_deref(),
+            Some("\r  [1/3] runs done")
+        );
+        assert_eq!(
+            progress_text(3, 3, true).as_deref(),
+            Some("\r  [3/3] runs done\n")
+        );
+        // a log or a pipe gets no redraws, only the final count
+        assert_eq!(progress_text(1, 3, false), None);
+        assert_eq!(progress_text(2, 3, false), None);
+        assert_eq!(
+            progress_text(3, 3, false).as_deref(),
+            Some("  [3/3] runs done\n")
+        );
     }
 
     #[test]

@@ -19,11 +19,10 @@
 //!   [`BaselineCache`], archive resume/store, and [`RunStats`]
 //!   aggregation. Strategies never touch the executor, so every
 //!   guarantee of the runner carries over to every strategy: results
-//!   are thread-count invariant, a campaign archive acts as a **result
-//!   cache** (re-searching a directory never re-simulates an archived
-//!   cell), and with [`RunnerConfig::lease`] set any number of
-//!   coordinated processes share one exploration through the archive's
-//!   work leases.
+//!   are thread-count invariant, and a campaign archive acts as a
+//!   **result cache** (re-searching a directory never re-simulates an
+//!   archived cell). A search runs in one process; its parallelism is
+//!   the [`RunnerConfig::threads`] of each batch.
 //!
 //! Every strategy is **complete**: when its local move pool is
 //! exhausted it restarts from the lowest-index unevaluated cell, so
@@ -38,7 +37,7 @@
 //! draws from a [`SplitMix64`](https://prng.di.unimi.it/splitmix64.c)
 //! stream seeded from its [`AnnealSchedule`] — so reports are
 //! byte-identical across thread counts, archived/fresh mixes, and
-//! coordinated multi-process runs; only [`SearchOutcome::stats`] (work
+//! speculative prefetch on or off; only [`SearchOutcome::stats`] (work
 //! actually done) differs, which is why it is not part of any report.
 
 use std::cmp::{Ordering, Reverse};
@@ -422,8 +421,7 @@ pub struct ParetoRound {
 }
 
 /// The deterministic Pareto search result: byte-identical for any
-/// thread count, archived/fresh mix and worker count, like
-/// [`SearchReport`].
+/// thread count and archived/fresh mix, like [`SearchReport`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ParetoReport {
     /// Campaign name.
@@ -475,10 +473,9 @@ pub struct ParetoOutcome {
 /// * every proposed cell that fits the remaining budget is executed and
 ///   fed back through `observe`, in ascending-index batch order, before
 ///   the next `propose`;
-/// * strategies never execute anything themselves — budget, caching,
-///   archives and leases belong to the driver, which is how every
-///   strategy inherits the runner's determinism and distribution
-///   guarantees.
+/// * strategies never execute anything themselves — budget, caching
+///   and archives belong to [`drive_strategy`], which is how every
+///   strategy inherits the runner's determinism guarantees.
 pub trait Strategy {
     /// The next cells to evaluate; empty ends the search.
     fn propose(&mut self, spec: &CampaignSpec) -> Vec<usize>;
@@ -1076,8 +1073,8 @@ pub struct Exploration {
 
 /// Runs `strategy` over `spec`'s grid until the budget is spent or the
 /// strategy stops proposing, executing each batch through
-/// [`run_cells_with`] (archive resume/store, baseline dedup, lease
-/// coordination — everything the campaign runner guarantees).
+/// [`run_cells_with`] (archive resume/store, baseline dedup, panic
+/// isolation — everything the campaign runner guarantees).
 ///
 /// With `prefetch` set (and an archive to land results in), each round
 /// also executes the strategy's [`Strategy::prefetch_hint`] cells —
@@ -1418,8 +1415,8 @@ fn multi_fidelity_campaign(
 }
 
 /// Runs a multi-objective Pareto search over `spec`'s grid, sharing the
-/// archive/lease machinery (and therefore all determinism guarantees)
-/// with [`search_campaign`].
+/// archive machinery (and therefore all determinism guarantees) with
+/// [`search_campaign`].
 ///
 /// # Errors
 ///

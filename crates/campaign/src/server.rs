@@ -46,7 +46,7 @@ use crate::http::{
 };
 use crate::objective::{Constraint, MultiObjective, Objective};
 use crate::report::run_stats_line;
-use crate::runner::{run_campaign_with, Fidelity, RunnerConfig, RUN_CANCELLED};
+use crate::runner::{run_campaign_leased, RunnerConfig, RUN_CANCELLED};
 use crate::store::{completed_run, grid_json, report_json, status_of, CampaignStore};
 use crate::toml_spec::SearchDefaults;
 
@@ -101,7 +101,7 @@ impl Default for ServeOptions {
 enum JobStatus {
     /// Waiting for an executor slot.
     Queued,
-    /// An executor slot is driving `run_cells_leased` on it.
+    /// An executor slot is driving `run_campaign_leased` on it.
     Running,
     /// Every cell archived.
     Complete,
@@ -153,7 +153,7 @@ struct ServerState {
     /// Accept no new work; flips once, never back.
     shutdown: AtomicBool,
     /// Cooperative cancel for in-flight runs (drain current group).
-    cancel: Arc<AtomicBool>,
+    cancel: AtomicBool,
     jobs: Mutex<JobBoard>,
     jobs_ready: Condvar,
     events: Mutex<HashMap<String, EventLog>>,
@@ -310,7 +310,7 @@ pub fn spawn(root: &Path, options: ServeOptions) -> Result<RunningServer, String
         options: options.clone(),
         addr,
         shutdown: AtomicBool::new(false),
-        cancel: Arc::new(AtomicBool::new(false)),
+        cancel: AtomicBool::new(false),
         jobs: Mutex::new(JobBoard::default()),
         jobs_ready: Condvar::new(),
         events: Mutex::new(HashMap::new()),
@@ -407,18 +407,13 @@ fn run_one(state: &ServerState, id: &str) -> Result<(), String> {
     let o = &state.options;
     let config = RunnerConfig {
         threads: o.threads,
-        progress: false,
         dedup_baselines: o.dedup_baselines,
-        lease: Some(
-            LeaseConfig::for_process()
-                .with_ttl_ms(o.ttl_ms)
-                .with_poll_ms(o.poll_ms),
-        ),
-        cancel: Some(Arc::clone(&state.cancel)),
-        fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
+        ..RunnerConfig::default()
     };
-    let run = run_campaign_with(&spec, &config, Some(&archive))?;
+    let lease = LeaseConfig::for_process()
+        .with_ttl_ms(o.ttl_ms)
+        .with_poll_ms(o.poll_ms);
+    let run = run_campaign_leased(&spec, &config, &archive, &lease, Some(&state.cancel))?;
     println!(
         "dpm serve: campaign {id} complete; {}",
         run_stats_line(&run.stats)

@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::archive::{CampaignArchive, LeaseConfig};
-use crate::runner::{run_campaign_with, CampaignRun, Fidelity, RunStats, RunnerConfig};
+use crate::runner::{run_campaign_leased, CampaignRun, RunStats, RunnerConfig};
 use crate::spec::CampaignSpec;
 
 /// Capped exponential backoff for idle polling: the wait starts at the
@@ -147,14 +147,10 @@ pub fn run_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerOutcome, 
     let (archive, spec) = CampaignArchive::open_existing(dir)?;
     let config = RunnerConfig {
         threads: options.threads,
-        progress: false,
         dedup_baselines: options.dedup_baselines,
-        lease: Some(options.lease.clone()),
-        cancel: None,
-        fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
+        ..RunnerConfig::default()
     };
-    let run = run_campaign_with(&spec, &config, Some(&archive))?;
+    let run = run_campaign_leased(&spec, &config, &archive, &options.lease, None)?;
     let summary = WorkerSummary {
         holder: options.lease.holder.clone(),
         stats: run.stats,

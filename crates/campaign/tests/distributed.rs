@@ -6,14 +6,13 @@
 //! and complete it.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dpm_campaign::{
-    campaign_json, run_campaign_with, run_cells_with, run_worker, search_campaign, search_json,
-    summarize, BatteryAxis, CampaignArchive, CampaignResult, CampaignSpec, ControllerAxis,
-    LeaseConfig, LeaseRecord, Metric, Objective, RunStats, RunnerConfig, ScenarioSpec,
-    SearchFidelity, SearchSpec, ThermalAxis, TuningAxis, WorkerOptions, WorkloadAxis,
-    LEASE_VERSION,
+    campaign_json, run_campaign_leased, run_campaign_with, run_cells_with, run_worker, summarize,
+    BatteryAxis, CampaignArchive, CampaignResult, CampaignSpec, ControllerAxis, LeaseConfig,
+    LeaseRecord, RunStats, RunnerConfig, ScenarioSpec, ThermalAxis, TuningAxis, WorkerOptions,
+    WorkloadAxis, LEASE_VERSION, RUN_CANCELLED,
 };
 use proptest::prelude::*;
 
@@ -219,14 +218,12 @@ fn slow_group_under_short_ttl_is_never_reclaimed_from_a_live_worker() {
                     let config = RunnerConfig {
                         threads: 2,
                         ..RunnerConfig::default()
-                    }
-                    .with_lease(
-                        LeaseConfig::for_process()
-                            .with_ttl_ms(ttl_ms)
-                            .with_poll_ms(5),
-                    );
+                    };
+                    let lease = LeaseConfig::for_process()
+                        .with_ttl_ms(ttl_ms)
+                        .with_poll_ms(5);
                     let started = std::time::Instant::now();
-                    let run = run_cells_with(spec, &spec.expand(), &config, Some(archive), None)
+                    let run = run_campaign_leased(spec, &config, archive, &lease, None)
                         .expect("leased run");
                     (run, started.elapsed())
                 })
@@ -294,158 +291,22 @@ fn slow_group_under_short_ttl_is_never_reclaimed_from_a_live_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A raised cancellation flag stops a leased run (the `dpm serve`
+/// shutdown path) before it claims a group: the run returns
+/// `RUN_CANCELLED` and leaves no lease behind.
 #[test]
-fn concurrent_coordinated_searches_share_one_climb() {
-    let spec = spec_with(vec![1, 2, 3, 4]);
-    let search = SearchSpec::new(Objective::for_metric(Metric::EnergySavingPct), 6);
-    let reference = search_campaign(&spec, &search, &serial(), None).expect("reference search");
-    let reference_bytes = search_json(&reference.report).expect("render");
-
+fn a_cancelled_leased_run_stops_without_holding_a_lease() {
+    let spec = spec_with(vec![1, 2]);
     let dir = scratch_dir();
-    let _ = CampaignArchive::open(&dir, &spec).expect("create campaign dir");
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let dir = dir.clone();
-                let spec = &spec;
-                let search = &search;
-                scope.spawn(move || {
-                    let archive = CampaignArchive::open(&dir, spec).expect("open archive");
-                    let config = serial().with_lease(fast_lease());
-                    search_campaign(spec, search, &config, Some(&archive)).expect("search")
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect()
-    });
-
-    let mut executed = 0;
-    for outcome in &outcomes {
-        assert_eq!(
-            search_json(&outcome.report).expect("render"),
-            reference_bytes,
-            "coordinated searches must report byte-identically"
-        );
-        executed += outcome.stats.executed_cells;
-    }
-    // the climbs share the directory: each evaluated cell simulated once
-    assert_eq!(executed, reference.stats.executed_cells);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Coarse work must be accounted exactly once across a coordinated
-/// multi-fidelity search: the screening pass runs at coarse fidelity
-/// under the same leases as the fine promotions, so the summed
-/// `coarse_simulations` (like `simulations`) must equal the
-/// single-process totals — a double-count or a dropped chunk sum would
-/// break the parity either way.
-#[test]
-fn coordinated_multi_fidelity_work_sums_match_single_process() {
-    let spec = spec_with(vec![1, 2, 3, 4]);
-    let search = SearchSpec::new(Objective::for_metric(Metric::EnergySavingPct), 6)
-        .with_fidelity(SearchFidelity::Multi);
-    let reference = search_campaign(&spec, &search, &serial(), None).expect("reference search");
-    let reference_bytes = search_json(&reference.report).expect("render");
-    assert!(
-        reference.stats.coarse_simulations > 0,
-        "the screen must do coarse work for this parity to mean anything"
-    );
-
-    let dir = scratch_dir();
-    let _ = CampaignArchive::open(&dir, &spec).expect("create campaign dir");
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let dir = dir.clone();
-                let spec = &spec;
-                let search = &search;
-                scope.spawn(move || {
-                    let archive = CampaignArchive::open(&dir, spec).expect("open archive");
-                    let config = serial().with_lease(fast_lease());
-                    search_campaign(spec, search, &config, Some(&archive)).expect("search")
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect()
-    });
-
-    let mut sum = RunStats::default();
-    for outcome in &outcomes {
-        assert_eq!(
-            search_json(&outcome.report).expect("render"),
-            reference_bytes,
-            "coordinated multi-fidelity searches must report byte-identically"
-        );
-        sum.absorb(&outcome.stats);
-    }
-    // every screen and every promotion simulated exactly once between
-    // the two searchers
-    assert_eq!(sum.executed_cells, reference.stats.executed_cells);
-    assert_eq!(sum.simulations, reference.stats.simulations);
-    assert_eq!(sum.coarse_simulations, reference.stats.coarse_simulations);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `dpm search --workers N` end to end: the driver spawns its own
-/// coordinated children and the report file it writes is byte-identical
-/// to a single-process run of the same spec — the CLI counterpart of
-/// the in-process coordination tests above, through the portfolio
-/// strategy for good measure.
-#[test]
-fn cli_search_with_workers_matches_single_process_report_bytes() {
-    let dir = scratch_dir();
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let spec_path = dir.join("spec.toml");
-    std::fs::write(
-        &spec_path,
-        "name = \"cli_workers\"\n\
-         horizon_ms = 4\n\
-         \n\
-         [axes]\n\
-         workloads = [\"low\", \"high\"]\n\
-         seeds = [1, 2]\n\
-         thermals = [\"cool\"]\n\
-         ip_counts = [1]\n\
-         \n\
-         [search]\n\
-         objective = \"energy_saving\"\n\
-         budget = 6\n",
-    )
-    .expect("write spec");
-
-    let run = |extra: &[&str], out: &std::path::Path| {
-        let status = std::process::Command::new(env!("CARGO_BIN_EXE_dpm"))
-            .arg("search")
-            .arg(&spec_path)
-            .args(["--strategy", "portfolio", "--format", "json"])
-            .arg("--out")
-            .arg(out)
-            .args(extra)
-            .status()
-            .expect("spawn dpm");
-        assert!(status.success(), "dpm search exited with {status}");
-    };
-
-    let single = dir.join("single.json");
-    run(&[], &single);
-    let pooled = dir.join("workers.json");
-    run(
-        &["--workers", "2", "--ttl-ms", "4000", "--poll-ms", "1"],
-        &pooled,
-    );
-
-    let single_bytes = std::fs::read(&single).expect("read single report");
-    let pooled_bytes = std::fs::read(&pooled).expect("read pooled report");
-    assert_eq!(
-        single_bytes, pooled_bytes,
-        "--workers 2 must write the byte-identical report"
-    );
+    let archive = CampaignArchive::open(&dir, &spec).expect("create campaign dir");
+    let lease = fast_lease();
+    let cancel = AtomicBool::new(true);
+    let err = run_campaign_leased(&spec, &serial(), &archive, &lease, Some(&cancel))
+        .expect_err("a cancelled run must not complete");
+    assert_eq!(err, RUN_CANCELLED);
+    let gc = archive.gc(&spec, lease.ttl_ms).expect("gc");
+    assert_eq!(gc.leases_active, 0);
+    assert_eq!(gc.records_kept, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,11 +14,8 @@
 //!   expansion inherits both guarantees — full budget ⇒ the exhaustive
 //!   argmax — property-tested over the same random grids and schedules;
 //! * **every strategy**: the report is **byte-identical** across 1/2/8
-//!   threads, fresh/archived mixes, lease-coordinated concurrent runs
-//!   (`--coordinate`), and speculative prefetch on or off — with summed
-//!   `RunStats` across coordinated searchers equal to the
-//!   single-process totals, and speculative work never charged against
-//!   the strategy budget.
+//!   threads, fresh/archived mixes, and speculative prefetch on or off,
+//!   with speculative work never charged against the strategy budget.
 //!
 //! Policy (tests/README.md): determinism claims assert on report
 //! *bytes* (`search_json` / `pareto_json`), work claims on `RunStats` —
@@ -29,9 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
     pareto_campaign, pareto_json, run_campaign_with, search_campaign, search_json, BatteryAxis,
-    CampaignArchive, CampaignSpec, ControllerAxis, LeaseConfig, Metric, MultiObjective, Objective,
-    ParetoSpec, RunnerConfig, SearchFidelity, SearchSpec, StrategyKind, ThermalAxis, TuningAxis,
-    WorkloadAxis,
+    CampaignArchive, CampaignSpec, ControllerAxis, Metric, MultiObjective, Objective, ParetoSpec,
+    RunnerConfig, SearchFidelity, SearchSpec, StrategyKind, ThermalAxis, TuningAxis, WorkloadAxis,
 };
 use proptest::prelude::*;
 
@@ -210,99 +206,6 @@ fn full_budget_portfolio_on_64_cells_equals_exhaustive_argmax() {
         .expect("portfolio found a best");
     assert_eq!(best.index, reference.scenario.index);
     assert_eq!(&best.metrics, reference.metrics.as_ref().unwrap());
-}
-
-// ---- coordinated (lease-sharing) byte-identity ----------------------
-
-/// Runs `search` through two lease-coordinated searchers over one
-/// campaign directory and returns their (report-bytes, stats) pairs.
-fn coordinated_pair<R: Send>(
-    spec: &CampaignSpec,
-    run: impl Fn(&RunnerConfig, &CampaignArchive) -> R + Sync,
-) -> Vec<R> {
-    let dir = scratch_dir();
-    let _ = CampaignArchive::open(&dir, spec).expect("create campaign dir");
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let dir = dir.clone();
-                let run = &run;
-                scope.spawn(move || {
-                    let archive = CampaignArchive::open(&dir, spec).expect("open archive");
-                    let config = config(1).with_lease(LeaseConfig::for_process().with_poll_ms(1));
-                    run(&config, &archive)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join searcher"))
-            .collect()
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    outcomes
-}
-
-/// ISSUE 5 acceptance: both new strategies are byte-identical under
-/// `--coordinate` with 2 workers, with summed work equal to one run.
-#[test]
-fn anneal_and_pareto_are_byte_identical_under_coordination() {
-    let spec = grid64();
-
-    let anneal = anneal_spec(Objective::for_metric(Metric::EnergySavingPct), 16);
-    let reference = search_campaign(&spec, &anneal, &config(1), None).expect("reference");
-    let reference_bytes = search_json(&reference.report).expect("render");
-    let outcomes = coordinated_pair(&spec, |config, archive| {
-        let out = search_campaign(&spec, &anneal, config, Some(archive)).expect("anneal");
-        (search_json(&out.report).expect("render"), out.stats)
-    });
-    let mut executed = 0;
-    for (bytes, stats) in &outcomes {
-        assert_eq!(bytes, &reference_bytes, "coordinated anneal diverged");
-        executed += stats.executed_cells;
-    }
-    assert_eq!(
-        executed, reference.stats.executed_cells,
-        "coordinated annealers must split the work, not duplicate it"
-    );
-
-    let pareto = ParetoSpec::new(multi(), 16);
-    let reference = pareto_campaign(&spec, &pareto, &config(1), None).expect("reference");
-    let reference_bytes = pareto_json(&reference.report).expect("render");
-    let outcomes = coordinated_pair(&spec, |config, archive| {
-        let out = pareto_campaign(&spec, &pareto, config, Some(archive)).expect("pareto");
-        (pareto_json(&out.report).expect("render"), out.stats)
-    });
-    let mut executed = 0;
-    for (bytes, stats) in &outcomes {
-        assert_eq!(bytes, &reference_bytes, "coordinated pareto diverged");
-        executed += stats.executed_cells;
-    }
-    assert_eq!(executed, reference.stats.executed_cells);
-}
-
-/// The portfolio under `--coordinate`: byte-identical reports from both
-/// searchers, with summed work equal to the single-process run.
-#[test]
-fn portfolio_is_byte_identical_under_coordination() {
-    let spec = grid64();
-    let search = SearchSpec::new(Objective::for_metric(Metric::EnergySavingPct), 16)
-        .with_strategy(StrategyKind::Portfolio);
-    let reference = search_campaign(&spec, &search, &config(1), None).expect("reference");
-    let reference_bytes = search_json(&reference.report).expect("render");
-    let outcomes = coordinated_pair(&spec, |config, archive| {
-        let out = search_campaign(&spec, &search, config, Some(archive)).expect("portfolio");
-        (search_json(&out.report).expect("render"), out.stats)
-    });
-    let mut executed = 0;
-    for (bytes, stats) in &outcomes {
-        assert_eq!(bytes, &reference_bytes, "coordinated portfolio diverged");
-        executed += stats.executed_cells;
-    }
-    assert_eq!(
-        executed, reference.stats.executed_cells,
-        "coordinated portfolios must split the work, not duplicate it"
-    );
 }
 
 /// Re-searching a populated directory performs zero fresh simulations
@@ -720,15 +623,6 @@ proptest! {
             &render(&config(2), Some(&archive)),
             &reference,
             "archived/fresh mix diverged for {:?}", strategy
-        );
-
-        // ... and a lease-coordinated run over the same directory also
-        // reports the identical bytes
-        let coordinated = config(1).with_lease(LeaseConfig::for_process().with_poll_ms(1));
-        prop_assert_eq!(
-            &render(&coordinated, Some(&archive)),
-            &reference,
-            "coordinated run diverged for {:?}", strategy
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
