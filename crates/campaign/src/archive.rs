@@ -594,7 +594,7 @@ impl CampaignArchive {
     ) -> Option<ScenarioResult> {
         {
             let mut state = self.lock_for(fidelity);
-            if let Some(payload) = state.index.read_refreshing(cell.index) {
+            if let Some(payload) = state.index.read_refreshing(cell.index, &mut None) {
                 if let Some(result) = std::str::from_utf8(&payload)
                     .ok()
                     .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
@@ -626,6 +626,10 @@ impl CampaignArchive {
     /// fidelity's segment store; a record of the wrong fidelity that
     /// somehow ended up there counts as `skipped` (its cell runs fresh
     /// at the requested fidelity — never served across the boundary).
+    ///
+    /// The segment index is refreshed only when some requested cell is
+    /// not indexed, and the batch's reads reuse one open handle per
+    /// segment; no handle outlives the call.
     pub fn load_as(
         &self,
         spec: &CampaignSpec,
@@ -636,14 +640,19 @@ impl CampaignArchive {
         let mut loaded = 0;
         let mut skipped = 0;
         {
-            // one refresh for the whole batch, then index-served reads
+            // refresh only on a miss, which may be a record another
+            // handle appended since (a hit whose segment vanished heals
+            // in `read_refreshing`); the reads share one handle per segment
             let mut state = self.lock_for(fidelity);
-            let _ = state.index.refresh();
+            if cells.iter().any(|cell| !state.index.contains(cell.index)) {
+                let _ = state.index.refresh();
+            }
+            let mut open = None;
             for (i, cell) in cells.iter().enumerate() {
                 if !state.index.contains(cell.index) {
                     continue;
                 }
-                let Some(payload) = state.index.read_refreshing(cell.index) else {
+                let Some(payload) = state.index.read_refreshing(cell.index, &mut open) else {
                     continue; // segment vanished (compaction race): legacy below
                 };
                 match std::str::from_utf8(&payload)
@@ -865,17 +874,20 @@ impl CampaignArchive {
         for path in old_segments.values() {
             report.bytes_before += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         }
-        // full-validation pass: canonical record text per live cell
+        // full-validation pass: canonical record text per live cell;
+        // consecutive reads from one segment share one open handle,
+        // dropped before any old segment is removed
         let mut records: std::collections::BTreeMap<usize, String> =
             std::collections::BTreeMap::new();
         let mut indices: Vec<usize> = state.index.indices().collect();
         indices.sort_unstable();
+        let mut open = None;
         for index in indices {
             if index >= n {
                 continue;
             }
             let cell = spec.cell_at(index);
-            let Some(payload) = state.index.read(index) else {
+            let Some(payload) = state.index.read(index, &mut open) else {
                 continue;
             };
             if let Some(rec) = std::str::from_utf8(&payload)
@@ -886,6 +898,7 @@ impl CampaignArchive {
                 records.insert(index, text);
             }
         }
+        drop(open);
         // migrate legacy records (valid ones; corrupt files are gc's
         // business, not compaction's)
         let mut migrated: Vec<PathBuf> = Vec::new();
@@ -1151,13 +1164,13 @@ impl CampaignArchive {
     /// The lifecycle state of every grid cell: its record, else its
     /// group's lease, else pending.
     ///
-    /// Segment-archived cells are judged by index membership plus a
-    /// byte scan of the payload for the coarse fidelity tag — every
-    /// indexed frame already passed the checksum, fingerprint and
-    /// version checks during the scan, so no JSON is parsed here. That
-    /// keeps a full-status sweep sub-second at 10^5 cells while still
-    /// telling coarse screens ([`CellState::Screened`]) apart from
-    /// completed fine cells.
+    /// Segment-archived cells are judged by index membership alone:
+    /// a cell in the `segments/` index is archived, and one only in the
+    /// separate `segments-coarse/` index is a coarse screen
+    /// ([`CellState::Screened`]). Every indexed frame already passed the
+    /// checksum, fingerprint and version checks during the scan, so no
+    /// segment payload is read or parsed here, which keeps a full-status
+    /// sweep sub-second at 10^5 cells.
     pub fn cell_states(&self, spec: &CampaignSpec, ttl_ms: u64) -> Vec<CellState> {
         let cells = spec.expand();
         let mut archived: Vec<bool> = vec![false; cells.len()];

@@ -44,6 +44,7 @@
 //! byte-identical by construction, so first-frame-wins is safe.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -103,7 +104,7 @@ pub(crate) fn encode_frame(index: u64, fingerprint: u64, version: u32, payload: 
 /// checksum mismatch, truncated read): everything past it is a torn
 /// tail to retry on the next refresh.
 pub(crate) fn scan_segment(path: &Path, from: u64) -> std::io::Result<(Vec<Frame>, u64)> {
-    let mut file = std::fs::File::open(path)?;
+    let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(from))?;
     let mut reader = std::io::BufReader::new(file);
     let mut frames = Vec::new();
@@ -336,27 +337,41 @@ impl SegmentIndex {
         self.entries.entry(index).or_insert(entry);
     }
 
-    /// Reads one indexed payload. `None` when the cell is not indexed
-    /// or its segment vanished under us (compaction in another
+    /// Reads one indexed payload through `open`, the caller's handle on
+    /// the segment it read last: a read from the same segment reuses
+    /// it, one from another segment replaces it. Callers start a batch
+    /// (one archive load, one compaction pass) with `None` and drop the
+    /// handle when the batch ends, so no handle outlives it to pin a
+    /// segment that compaction deleted. `None` when the cell is not
+    /// indexed or its segment vanished under us (compaction in another
     /// process) — the caller treats that as a miss and may refresh.
-    pub(crate) fn read(&self, index: usize) -> Option<Vec<u8>> {
+    pub(crate) fn read(&self, index: usize, open: &mut Option<(u64, File)>) -> Option<Vec<u8>> {
         let entry = self.entries.get(&index)?;
-        let file = self.files.get(&entry.segment)?;
-        let mut f = std::fs::File::open(&file.path).ok()?;
-        f.seek(SeekFrom::Start(entry.payload_offset)).ok()?;
+        if !matches!(open, Some((segment, _)) if *segment == entry.segment) {
+            let path = &self.files.get(&entry.segment)?.path;
+            *open = Some((entry.segment, File::open(path).ok()?));
+        }
+        let (_, file) = open.as_mut()?;
+        file.seek(SeekFrom::Start(entry.payload_offset)).ok()?;
         let mut payload = vec![0u8; entry.payload_len as usize];
-        f.read_exact(&mut payload).ok()?;
+        file.read_exact(&mut payload).ok()?;
         Some(payload)
     }
 
     /// [`read`](Self::read), retrying once through a refresh — heals a
-    /// lookup that raced a compaction in another process.
-    pub(crate) fn read_refreshing(&mut self, index: usize) -> Option<Vec<u8>> {
-        if let Some(payload) = self.read(index) {
+    /// lookup that raced a compaction in another process. The retry
+    /// drops `open` and reopens its segment by path.
+    pub(crate) fn read_refreshing(
+        &mut self,
+        index: usize,
+        open: &mut Option<(u64, File)>,
+    ) -> Option<Vec<u8>> {
+        if let Some(payload) = self.read(index, open) {
             return Some(payload);
         }
+        *open = None;
         self.refresh().ok()?;
-        self.read(index)
+        self.read(index, open)
     }
 
     /// Drops every entry and cursor; the next refresh rebuilds from the
@@ -380,7 +395,7 @@ pub(crate) struct SegmentWriter {
 struct OpenSegment {
     number: u64,
     path: PathBuf,
-    file: std::fs::File,
+    file: File,
     /// Bytes written so far (== file length; this writer is the only
     /// appender).
     end: u64,
@@ -539,7 +554,7 @@ mod tests {
         let mut index = SegmentIndex::new(dir.clone(), 42, 1);
         index.refresh().unwrap();
         assert_eq!(index.len(), 1);
-        assert_eq!(index.read(0).unwrap(), b"ours");
+        assert_eq!(index.read(0, &mut None).unwrap(), b"ours");
         assert!(!index.contains(1));
         assert!(!index.contains(2));
         let _ = std::fs::remove_dir_all(&dir);
@@ -569,8 +584,34 @@ mod tests {
         assert_ne!(wa.segment, wb.segment);
         let mut index = SegmentIndex::new(dir.clone(), 1, 1);
         index.refresh().unwrap();
-        assert_eq!(index.read(0).unwrap(), b"a");
-        assert_eq!(index.read(1).unwrap(), b"b");
+        assert_eq!(index.read(0, &mut None).unwrap(), b"a");
+        assert_eq!(index.read(1, &mut None).unwrap(), b"b");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_handle_follows_a_batch_across_segments() {
+        let dir = tmp_dir("handle");
+        let mut a = SegmentWriter::default();
+        let mut b = SegmentWriter::default();
+        for i in 0..6 {
+            let writer = if i % 2 == 0 { &mut a } else { &mut b };
+            writer
+                .append(&dir, i, 1, 1, format!("cell {i}").as_bytes())
+                .unwrap();
+        }
+        let mut index = SegmentIndex::new(dir.clone(), 1, 1);
+        index.refresh().unwrap();
+        let mut open = None;
+        for i in [0, 2, 4, 1, 3, 5, 0, 1, 2, 3] {
+            let payload = index.read(i, &mut open).unwrap();
+            assert_eq!(payload, format!("cell {i}").as_bytes());
+            let expected = if i % 2 == 0 { 0 } else { 1 };
+            assert_eq!(open.as_ref().map(|(segment, _)| *segment), Some(expected));
+        }
+        // a miss leaves the handle as it was
+        assert!(index.read(99, &mut open).is_none());
+        assert_eq!(open.as_ref().map(|(segment, _)| *segment), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

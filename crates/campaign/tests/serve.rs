@@ -324,10 +324,11 @@ fn concurrent_submissions_dedup_into_one_campaign() {
 }
 
 /// Every failure mode answers structured JSON: malformed TOML and JSON
-/// specs are 400s carrying the parser's message, unknown campaigns are
-/// 404s, wrong methods are 405s, and reading an **incomplete** campaign
-/// is the 409 completeness gate (the response carries progress, and no
-/// simulation ever starts on a `GET`).
+/// specs (hostile nesting included) are 400s carrying the parser's
+/// message and leave the daemon up, unknown campaigns are 404s, wrong
+/// methods are 405s, and reading an **incomplete** campaign is the 409
+/// completeness gate (the response carries progress, and no simulation
+/// ever starts on a `GET`).
 #[test]
 fn errors_are_structured_json_and_reads_never_simulate() {
     let root = scratch_dir();
@@ -348,6 +349,15 @@ fn errors_are_structured_json_and_reads_never_simulate() {
     let bad_json = http(addr, "POST", "/campaigns", Some("{\"name\": 12"));
     assert_eq!(bad_json.status, 400, "{}", bad_json.body);
     assert!(bad_json.body.contains("\"error\""), "{}", bad_json.body);
+
+    // hostile nesting (~200 KB, under the body limit) is a 400 too, not
+    // a stack overflow that takes the daemon down
+    let nested = format!("{{\"name\":{}", "[".repeat(200_000));
+    let deep = http(addr, "POST", "/campaigns", Some(&nested));
+    assert_eq!(deep.status, 400, "{}", deep.body);
+    assert!(deep.body.contains("nesting deeper"), "{}", deep.body);
+    let health = http(addr, "GET", "/healthz", None);
+    assert_eq!(health.status, 200, "{}", health.body);
 
     // a spec that parses but fails validation is also a 400
     let empty_axis = http(

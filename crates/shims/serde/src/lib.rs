@@ -8,6 +8,11 @@
 //! value), serialization to a JSON [`Value`] tree, and deserialization
 //! back from it. There is no zero-copy layer, no visitor machinery and no
 //! attribute zoo — just enough for trace persistence and report export.
+//!
+//! [`Value::parse`] reads untrusted text (archive records, leases, HTTP
+//! request bodies) in time linear in its length, and rejects documents
+//! nested deeper than 128 arrays/objects with an [`Error`] instead of
+//! recursing until the stack overflows.
 
 #![forbid(unsafe_code)]
 

@@ -222,6 +222,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -276,9 +277,18 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document (a
+/// request body of nothing but `[`) would overflow the stack. The
+/// deepest document this workspace writes, a `--per-scenario` campaign
+/// report, nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -323,11 +333,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error::msg(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object a nesting level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -385,15 +410,30 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // copy the whole run up to the next quote or backslash at
+            // once, validating only that run: every byte is scanned once,
+            // so parsing stays linear in the input
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(
+                core::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| Error::msg("invalid UTF-8 in string"))?,
+            );
             match self.peek() {
                 None => return Err(Error::msg("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // a backslash: one escape sequence
                     self.pos += 1;
                     match self.peek() {
+                        None => return Err(Error::msg("unterminated string")),
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -422,15 +462,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(Error::msg("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest)
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -579,5 +610,89 @@ mod tests {
     fn pretty_output_reparses() {
         let v = Value::parse(r#"[{"k": [true, false]}, "s"]"#).unwrap();
         assert_eq!(Value::parse(&v.to_json_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_round_trip_around_escapes_and_multibyte_text() {
+        // (JSON escape, the text it decodes to); `\/` and `\u00e9` are
+        // read but never written
+        let escapes = [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\n", "\n"),
+            (r"\/", "/"),
+            (r"\u00e9", "é"),
+        ];
+        // raw control characters parse as they stand; written, they go
+        // out escaped
+        let controls: String = (0u8..0x20).chain([0x7f]).map(char::from).collect();
+        let mut table: Vec<(String, String)> =
+            vec![(String::new(), String::new()), (controls.clone(), controls)];
+        for (escape, decoded) in escapes {
+            table.push((escape.into(), decoded.into()));
+            table.push((format!("{escape}x{escape}"), format!("{decoded}x{decoded}")));
+            for wide in ["é", "中", "🙂"] {
+                table.push((format!("{wide}{escape}"), format!("{wide}{decoded}")));
+                table.push((format!("{escape}{wide}"), format!("{decoded}{wide}")));
+                table.push((
+                    format!("a{wide}{escape}{wide}{escape}{wide}b"),
+                    format!("a{wide}{decoded}{wide}{decoded}{wide}b"),
+                ));
+            }
+        }
+        for (json, text) in &table {
+            let parsed = Value::parse(&format!("\"{json}\"")).unwrap();
+            assert_eq!(parsed, Value::String(text.clone()), "{json}");
+            let mut written = String::new();
+            write_string(&mut written, text);
+            let back = Value::parse(&written).unwrap();
+            assert_eq!(back, Value::String(text.clone()), "{written}");
+        }
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for text in [
+            r#"""#,
+            r#""abc"#,
+            r#""中🙂"#,
+            r#""abc\"#,
+            r#""\""#,
+            r#"["a\"#,
+        ] {
+            assert!(Value::parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // one pass per byte parses 1 MiB far inside the bound even in a
+        // debug build; a parse quadratic in the string length overshoots
+        // it by more than ten times
+        let unit = r#"abcdefghijklmné中🙂\""#;
+        let repeats = (1 << 20) / unit.len() + 1;
+        let text = format!("{{\"k\": \"{}\"}}", unit.repeat(repeats));
+        let started = std::time::Instant::now();
+        let v = Value::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(v["k"], "abcdefghijklmné中🙂\"".repeat(repeats));
+        assert!(elapsed.as_secs_f64() < 2.0, "1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Value::parse(&objects).is_err());
+        // a body of nothing but `[` returns an error instead of
+        // overflowing the stack of the thread that parses it
+        let hostile = std::thread::spawn(|| Value::parse(&"[".repeat(100_000)).is_err());
+        assert!(hostile.join().unwrap());
     }
 }
