@@ -14,7 +14,7 @@
 //! other entry point, the batches of [`crate::search::drive_strategy`]
 //! included, runs in this process alone.
 //!
-//! Two optimizations sit on top of that plan, both result-preserving:
+//! Three optimizations sit on top of that plan, all result-preserving:
 //!
 //! * **Baseline dedup** (on by default): cells differing only in
 //!   controller/tuning share one always-`ON1` baseline run. The SoC
@@ -24,6 +24,17 @@
 //! * **Archives** ([`crate::archive`]): completed cells persisted to a
 //!   campaign directory prefill their result slots on resume and are not
 //!   re-executed.
+//! * **Trace-skeleton reuse**, only when the caller holds a
+//!   [`BaselineCache`] (the search driver across its rounds, the leased
+//!   path across the chunks of a group): each (workload, seed, IP count)
+//!   generates its traces once, and every config is a clone of that
+//!   skeleton with the cell's own settings applied — equal to what
+//!   [`ScenarioSpec::build_config`] builds. A coarse evaluation takes
+//!   about as long as generating its cell's traces, so without this a
+//!   search spends about half of each evaluation on set-up. One-shot
+//!   runs build every config from scratch: holding every trace set of
+//!   the call raised the benchmark sweep's (80 cells, 200 ms) peak RSS
+//!   from 6.6 to 7.9 MiB, and its fine simulations dwarf the build.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::IsTerminal;
@@ -39,7 +50,7 @@ use dpm_units::SimTime;
 use crate::archive::{CampaignArchive, LeaseConfig};
 use crate::executor::{map_units, ThreadPool};
 use crate::spec::{
-    BatteryAxis, CampaignSpec, ControllerAxis, ScenarioSpec, ThermalAxis, WorkloadAxis,
+    BatteryAxis, CampaignSpec, ControllerAxis, ScenarioSpec, ThermalAxis, TraceKey, WorkloadAxis,
 };
 
 /// How a cell's metrics are produced.
@@ -316,18 +327,25 @@ impl RunStats {
 }
 
 /// Cross-run cache of shared always-`ON1` baseline results, keyed by the
-/// axes a baseline depends on (everything but controller/tuning).
+/// axes a baseline depends on (everything but controller/tuning), and of
+/// trace skeletons, keyed by the axes traces depend on (workload, seed,
+/// IP count).
 ///
 /// One exhaustive sweep computes each baseline group exactly once; a
 /// *sequence* of partial runs over the same spec — the adaptive search
 /// evaluating one batch of cells per round — would recompute a group
 /// every time a batch touches it. Threading one `BaselineCache` through
 /// the sequence restores the exhaustive sharing: a group simulates on
-/// first use and is served from memory afterwards. Results are
-/// deterministic, so serving from the cache never changes any metric.
+/// first use and is served from memory afterwards. Likewise each trace
+/// set is generated once, and every later config is a clone of its
+/// skeleton with the cell's settings applied. Results are deterministic,
+/// so serving from the cache never changes any metric. A cache belongs
+/// to one spec.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     map: HashMap<BaselineKey, Result<SocMetrics, String>>,
+    /// Each skeleton, or the panic message of its build.
+    skeletons: HashMap<TraceKey, Result<SocConfig, String>>,
 }
 
 impl BaselineCache {
@@ -372,6 +390,44 @@ fn run_to_metrics(cfg: &SocConfig, horizon: SimTime, fidelity: Fidelity) -> SocM
             collect_metrics(&mut sim, &handles, horizon)
         }
         Fidelity::Coarse => dpm_soc::run_config_coarse(cfg, horizon),
+    }
+}
+
+/// Where one run's SoC configs come from: built from scratch per cell,
+/// or cloned from the caller's cached skeleton of the cell's trace key
+/// with the cell's own settings applied.
+struct Configs<'a> {
+    spec: &'a CampaignSpec,
+    skeletons: Option<&'a HashMap<TraceKey, Result<SocConfig, String>>>,
+}
+
+impl Configs<'_> {
+    /// `cell`'s config; a panic while building it is the error, with the
+    /// message a per-cell [`ScenarioSpec::build_config`] would give.
+    fn build(&self, cell: &ScenarioSpec) -> Result<SocConfig, String> {
+        let Some(skeletons) = self.skeletons else {
+            return caught(|| cell.build_config(self.spec));
+        };
+        let skeleton = skeletons[&cell.trace_key()]
+            .as_ref()
+            .map_err(Clone::clone)?;
+        caught(|| cell.configure(self.spec, skeleton.clone()))
+    }
+
+    /// Evaluates `cell`, or its always-`ON1` baseline when `baseline`.
+    fn run(
+        &self,
+        cell: &ScenarioSpec,
+        baseline: bool,
+        fidelity: Fidelity,
+    ) -> Result<SocMetrics, String> {
+        let cfg = self.build(cell)?;
+        let cfg = if baseline {
+            cfg.with_controller(ControllerKind::AlwaysOn)
+        } else {
+            cfg
+        };
+        caught(|| run_to_metrics(&cfg, self.spec.horizon(), fidelity))
     }
 }
 
@@ -457,32 +513,24 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// Error precedence mirrors the non-dedup path (scenario run first, then
 /// baseline), so dedup on/off produce identical results even on panics.
 fn execute_cell(
-    spec: &CampaignSpec,
+    configs: &Configs<'_>,
     cell: &ScenarioSpec,
     shared_baseline: Option<&Result<SocMetrics, String>>,
     fidelity: Fidelity,
     sims: &AtomicUsize,
     reused: &AtomicUsize,
 ) -> ScenarioResult {
-    let horizon = spec.horizon();
+    let horizon = configs.spec.horizon();
     let outcome = match shared_baseline {
         None => {
             // count each run as it starts: a panicking scenario run
             // never reaches its baseline run
             sims.fetch_add(1, Ordering::Relaxed);
-            caught(|| {
-                let cfg = cell.build_config(spec);
-                run_to_metrics(&cfg, horizon, fidelity)
-            })
-            .and_then(|dpm| {
+            configs.run(cell, false, fidelity).and_then(|dpm| {
                 sims.fetch_add(1, Ordering::Relaxed);
-                caught(|| {
-                    let baseline_cfg = cell
-                        .build_config(spec)
-                        .with_controller(ControllerKind::AlwaysOn);
-                    run_to_metrics(&baseline_cfg, horizon, fidelity)
-                })
-                .map(|baseline| ScenarioMetrics::from_runs(&dpm, &baseline, horizon))
+                configs
+                    .run(cell, true, fidelity)
+                    .map(|baseline| ScenarioMetrics::from_runs(&dpm, &baseline, horizon))
             })
         }
         Some(Ok(baseline)) if cell.controller == ControllerAxis::AlwaysOn => {
@@ -493,11 +541,9 @@ fn execute_cell(
         }
         Some(Ok(baseline)) => {
             sims.fetch_add(1, Ordering::Relaxed);
-            caught(|| {
-                let cfg = cell.build_config(spec);
-                run_to_metrics(&cfg, horizon, fidelity)
-            })
-            .map(|dpm| ScenarioMetrics::from_runs(&dpm, baseline, horizon))
+            configs
+                .run(cell, false, fidelity)
+                .map(|dpm| ScenarioMetrics::from_runs(&dpm, baseline, horizon))
         }
         Some(Err(baseline_err)) => {
             // the baseline panicked; without dedup the scenario run would
@@ -508,13 +554,9 @@ fn execute_cell(
                 Err(baseline_err.clone())
             } else {
                 sims.fetch_add(1, Ordering::Relaxed);
-                match caught(|| {
-                    let cfg = cell.build_config(spec);
-                    run_to_metrics(&cfg, horizon, fidelity)
-                }) {
-                    Ok(_) => Err(baseline_err.clone()),
-                    Err(scenario_err) => Err(scenario_err),
-                }
+                configs
+                    .run(cell, false, fidelity)
+                    .and_then(|_| Err(baseline_err.clone()))
             }
         }
     };
@@ -561,10 +603,11 @@ pub fn run_campaign_with(
 /// **grid** index, so batches and exhaustive sweeps share one cache.
 ///
 /// An optional [`BaselineCache`] carries shared always-`ON1` baselines
-/// across calls: groups already cached are served from memory instead of
-/// re-simulating, which restores exhaustive-sweep sharing to a sequence
-/// of batches. All determinism guarantees of [`run_campaign_with`] hold
-/// per batch.
+/// and trace skeletons across calls: groups already cached are served
+/// from memory instead of re-simulating, which restores exhaustive-sweep
+/// sharing to a sequence of batches, and each trace set is generated
+/// once. All determinism guarantees of [`run_campaign_with`] hold per
+/// batch.
 ///
 /// # Errors
 ///
@@ -624,7 +667,7 @@ fn run_cells_local(
     cells: &[ScenarioSpec],
     config: &RunnerConfig,
     archive: Option<&CampaignArchive>,
-    cache: Option<&mut BaselineCache>,
+    mut cache: Option<&mut BaselineCache>,
     on_unit: UnitHook<'_>,
 ) -> Result<CampaignRun, String> {
     let total = cells.len();
@@ -680,6 +723,21 @@ fn run_cells_local(
         .filter(|&g| baselines[g].is_none())
         .collect();
 
+    // with a cross-call cache, each trace key generates its traces once
+    // and configs clone them; one-shot runs build per cell, so a sweep
+    // never holds every trace set in memory at once
+    if let Some(c) = cache.as_deref_mut() {
+        for &i in &missing {
+            c.skeletons
+                .entry(cells[i].trace_key())
+                .or_insert_with(|| caught(|| cells[i].build_skeleton(spec)));
+        }
+    }
+    let configs = Configs {
+        spec,
+        skeletons: cache.as_deref().map(|c| &c.skeletons),
+    };
+
     let work = to_run.len() + missing.len();
     let pool = ThreadPool::new(config.threads);
     let progress = Progress::new(config.progress, work);
@@ -698,8 +756,8 @@ fn run_cells_local(
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let archive_broken = std::sync::atomic::AtomicBool::new(false);
 
-    // phase A: shared baselines (build_config inside the catch — a
-    // panicking trace generator must fail the group's cells, not the
+    // phase A: shared baselines (the config is built inside the catch —
+    // a panicking trace generator must fail the group's cells, not the
     // whole campaign, exactly as it would without dedup)
     let fresh_baselines: Vec<Result<SocMetrics, String>> = map_units(&pool, to_run.len(), |k| {
         let counter = if group_spec[to_run[k]] {
@@ -708,12 +766,7 @@ fn run_cells_local(
             sims
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let out = caught(|| {
-            let cfg = groups[to_run[k]]
-                .build_config(spec)
-                .with_controller(ControllerKind::AlwaysOn);
-            run_to_metrics(&cfg, spec.horizon(), config.fidelity)
-        });
+        let out = configs.run(&groups[to_run[k]], true, config.fidelity);
         progress.tick();
         if let Some(hook) = on_unit {
             hook();
@@ -727,14 +780,6 @@ fn run_cells_local(
         .into_iter()
         .map(|b| b.expect("every baseline group is resolved"))
         .collect();
-    if let Some(c) = cache {
-        for &g in &to_run {
-            c.map.insert(
-                baseline_key(&groups[g], config.fidelity),
-                baselines[g].clone(),
-            );
-        }
-    }
 
     // phase B: the cells themselves (storing fresh results as they land,
     // so a killed sweep keeps everything finished so far)
@@ -742,7 +787,7 @@ fn run_cells_local(
         let cell = &cells[missing[k]];
         let baseline = config.dedup_baselines.then(|| &baselines[cell_group[k]]);
         let counter = if is_spec[missing[k]] { spec_sims } else { sims };
-        let result = execute_cell(spec, cell, baseline, config.fidelity, counter, &reused);
+        let result = execute_cell(&configs, cell, baseline, config.fidelity, counter, &reused);
         if let Some(a) = archive {
             if !archive_broken.load(Ordering::Relaxed) {
                 if let Err(e) = a.store_as(spec, &result, config.fidelity) {
@@ -764,6 +809,15 @@ fn run_cells_local(
     let archive_errors = store_errors
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
+
+    if let Some(c) = cache {
+        for &g in &to_run {
+            c.map.insert(
+                baseline_key(&groups[g], config.fidelity),
+                baselines[g].clone(),
+            );
+        }
+    }
 
     for (k, result) in fresh.into_iter().enumerate() {
         slots[missing[k]] = Some(result);
@@ -842,10 +896,6 @@ fn run_cells_leased(
         ..RunStats::default()
     };
     let mut archive_errors = Vec::new();
-
-    // one baseline cache across the thread-sized chunks of a claimed
-    // group, so the group's baseline simulates once, as in a sweep
-    let mut cache = BaselineCache::new();
     let mut backoff = crate::worker::PollBackoff::new(lease_cfg.poll_ms);
 
     loop {
@@ -914,6 +964,11 @@ fn run_cells_leased(
                         let _ = archive.refresh(&lease, lease_cfg);
                     }
                 };
+                // one cache across the chunks of this group, so its
+                // baseline simulates and its traces generate once, as in
+                // a sweep; a run never claims a group twice, so the cache
+                // goes with the group
+                let mut cache = BaselineCache::new();
                 let chunk_size = config.effective_threads().max(1);
                 for (k, chunk) in fresh.chunks(chunk_size).enumerate() {
                     if k > 0 {

@@ -398,6 +398,12 @@ impl CampaignSpec {
         if self.horizon_ms == 0 {
             return Err("horizon_ms must be positive".into());
         }
+        if SimTime::checked_from_millis(self.horizon_ms).is_none() {
+            return Err(format!(
+                "horizon_ms must be at most {} (the simulation clock's range)",
+                SimTime::MAX.as_ps() / SimTime::from_millis(1).as_ps()
+            ));
+        }
         // the TOML writer quotes the name verbatim, so characters the
         // parser cannot re-read would break the to_toml round-trip
         if self.name.contains(['"', '\n', '\r']) {
@@ -597,16 +603,31 @@ impl ScenarioSpec {
         )
     }
 
-    /// Builds the concrete [`SocConfig`] for this cell.
+    /// Builds the concrete [`SocConfig`] for this cell: its trace
+    /// skeleton with its own settings applied.
+    pub fn build_config(&self, spec: &CampaignSpec) -> SocConfig {
+        self.configure(spec, self.build_skeleton(spec))
+    }
+
+    /// The axes this cell's traces depend on. Cells with equal keys in
+    /// one campaign share a [`Self::build_skeleton`], because the
+    /// spec-wide master seed and horizon are its only other inputs.
+    pub(crate) fn trace_key(&self) -> TraceKey {
+        (self.workload, self.seed, self.ip_count)
+    }
+
+    /// The trace skeleton of this cell: the IPs with their generated
+    /// traces, plus the GEM flag. Every other setting keeps the
+    /// [`SocConfig`] default until [`Self::configure`] applies the cell's.
     ///
     /// Trace seeds derive from `(master_seed, logical seed, ip index)`
     /// through [`SeedSequence`], so the same cell always replays the same
     /// arrivals no matter which thread builds it.
-    pub fn build_config(&self, spec: &CampaignSpec) -> SocConfig {
+    pub(crate) fn build_skeleton(&self, spec: &CampaignSpec) -> SocConfig {
         let horizon = spec.horizon();
         let generator = self.workload.generator();
         let seeds = SeedSequence::new(spec.master_seed).derive(self.seed);
-        let mut cfg = if self.ip_count == 1 {
+        if self.ip_count == 1 {
             SocConfig::single_ip(generator.generate(horizon, seeds.stream(0)))
         } else {
             let ips = (0..self.ip_count)
@@ -619,15 +640,25 @@ impl ScenarioSpec {
                 })
                 .collect();
             SocConfig::multi_ip(ips)
-        };
-        cfg.controller = self.controller.to_controller();
-        cfg.lem = self.tuning.to_tuning();
-        cfg.battery = self.battery.to_battery();
-        cfg.thermal = self.thermal.to_thermal();
-        cfg.initial_soc = dpm_units::Ratio::new(spec.initial_soc);
-        cfg
+        }
+    }
+
+    /// Applies this cell's own settings — controller, tuning, battery,
+    /// thermal and initial state of charge — to a skeleton built for any
+    /// cell with the same [`Self::trace_key`].
+    pub(crate) fn configure(&self, spec: &CampaignSpec, mut skeleton: SocConfig) -> SocConfig {
+        skeleton.controller = self.controller.to_controller();
+        skeleton.lem = self.tuning.to_tuning();
+        skeleton.battery = self.battery.to_battery();
+        skeleton.thermal = self.thermal.to_thermal();
+        skeleton.initial_soc = dpm_units::Ratio::new(spec.initial_soc);
+        skeleton
     }
 }
+
+/// What a cell's traces depend on within one campaign: workload shape,
+/// logical seed and IP count (see [`ScenarioSpec::trace_key`]).
+pub(crate) type TraceKey = (WorkloadAxis, u64, usize);
 
 impl fmt::Display for ScenarioSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -645,6 +676,64 @@ mod tests {
         spec.validate().unwrap();
         assert_eq!(spec.scenario_count(), 2 * 2 * 2 * 2 * 2);
         assert_eq!(spec.expand().len(), spec.scenario_count());
+    }
+
+    #[test]
+    fn horizon_validates_up_to_the_clock_limit() {
+        let mut spec = CampaignSpec::default_sweep();
+        spec.horizon_ms = 18_446_744_073;
+        spec.validate().unwrap();
+        spec.horizon_ms += 1;
+        let err = spec.validate().unwrap_err();
+        assert!(
+            err.contains("horizon_ms must be at most 18446744073"),
+            "{err}"
+        );
+    }
+
+    /// Two values on every axis, at least one of them not the
+    /// `SocConfig` default for its setting.
+    fn two_per_axis() -> CampaignSpec {
+        CampaignSpec {
+            name: "two_per_axis".into(),
+            horizon_ms: 6,
+            master_seed: 11,
+            initial_soc: 0.6,
+            controllers: vec![ControllerAxis::AlwaysOn, ControllerAxis::Timeout2ms],
+            tunings: vec![TuningAxis::Paper, TuningAxis::Eager],
+            workloads: vec![WorkloadAxis::Low, WorkloadAxis::PaperBusy],
+            seeds: vec![1, 2],
+            batteries: vec![BatteryAxis::RateCapacity, BatteryAxis::Kibam],
+            thermals: vec![ThermalAxis::Hot, ThermalAxis::Cool],
+            ip_counts: vec![1, 3],
+        }
+    }
+
+    #[test]
+    fn any_skeleton_of_a_trace_key_configures_into_build_config() {
+        let spec = two_per_axis();
+        let cells = spec.expand();
+        let skeletons: Vec<SocConfig> = cells.iter().map(|c| c.build_skeleton(&spec)).collect();
+        let keys: std::collections::HashSet<TraceKey> =
+            cells.iter().map(ScenarioSpec::trace_key).collect();
+        assert_eq!(keys.len(), 8, "workloads x seeds x ip counts");
+        for c in &cells {
+            let built = c.build_config(&spec);
+            assert_eq!(built.controller, c.controller.to_controller());
+            assert_eq!(built.lem, c.tuning.to_tuning());
+            assert_eq!(built.battery, c.battery.to_battery());
+            assert_eq!(built.thermal, c.thermal.to_thermal());
+            assert_eq!(built.initial_soc, dpm_units::Ratio::new(spec.initial_soc));
+            for (o, skeleton) in cells.iter().zip(&skeletons) {
+                if o.trace_key() == c.trace_key() {
+                    assert_eq!(
+                        c.configure(&spec, skeleton.clone()),
+                        built,
+                        "{c} configured from the skeleton of {o}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

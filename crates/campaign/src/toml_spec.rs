@@ -182,6 +182,11 @@ fn parse_value(s: &str) -> Result<TomlValue, String> {
             if part.is_empty() {
                 continue;
             }
+            // no spec key takes one, and refusing them keeps the
+            // recursion one level deep whatever the input nests
+            if part.starts_with('[') {
+                return Err("nested arrays are not supported".into());
+            }
             items.push(parse_value(part)?);
         }
         return Ok(TomlValue::Array(items));
@@ -638,6 +643,33 @@ ip_counts = [1]
     fn empty_axis_fails_validation() {
         let err = CampaignSpec::from_toml("[axes]\nseeds = []\n").unwrap_err();
         assert!(err.contains("axis 'seeds' is empty"), "{err}");
+    }
+
+    #[test]
+    fn horizon_past_the_picosecond_clock_fails_validation() {
+        let longest = CampaignSpec::from_toml("horizon_ms = 18446744073\n").unwrap();
+        assert_eq!(longest.horizon_ms, 18_446_744_073);
+        let err = CampaignSpec::from_toml("horizon_ms = 18446744074\n").unwrap_err();
+        assert!(err.contains("horizon_ms"), "{err}");
+    }
+
+    #[test]
+    fn nested_arrays_are_an_error_not_a_stack_overflow() {
+        // a spawned thread has a small stack; one frame per `[` used to
+        // overflow it and abort the process
+        let deep = format!(
+            "[axes]\nip_counts = {}1{}\n",
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        );
+        let parsed = std::thread::spawn(move || parse_campaign_toml(&deep).map(|_| ()))
+            .join()
+            .expect("the parser must not overflow its stack");
+        let err = parsed.unwrap_err();
+        assert!(err.contains("nested arrays are not supported"), "{err}");
+        // shallow nesting gets the same message, not "unterminated array"
+        let err = TomlDoc::parse("[axes]\nseeds = [[1, 2], [3]]\n").unwrap_err();
+        assert_eq!(err, "line 2: nested arrays are not supported");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! [`RunStats`] hook).
 
 use dpm_campaign::{
-    campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignRun, CampaignSpec,
-    ControllerAxis, RunnerConfig, ThermalAxis, TuningAxis, WorkloadAxis,
+    campaign_json, run_campaign_with, run_cells_with, summarize, BaselineCache, BatteryAxis,
+    CampaignRun, CampaignSpec, ControllerAxis, Fidelity, RunnerConfig, ScenarioSpec, ThermalAxis,
+    TuningAxis, WorkloadAxis,
 };
 
 /// A controller×tuning-heavy grid: 4 controllers × 2 tunings over a
@@ -98,4 +99,59 @@ fn multi_ip_groups_dedup_too() {
     assert_eq!(with.stats.baseline_groups, 2);
     assert_eq!(with.stats.simulations, 2 + 2);
     assert_eq!(without.stats.simulations, 8);
+}
+
+/// Two values on every axis, so every baseline group and every trace set
+/// recurs across cells that differ in their per-cell settings.
+fn two_per_axis() -> CampaignSpec {
+    CampaignSpec {
+        name: "two_per_axis".into(),
+        horizon_ms: 6,
+        master_seed: 0xDED0_0002,
+        initial_soc: 0.6,
+        controllers: vec![ControllerAxis::Dpm, ControllerAxis::AlwaysOn],
+        tunings: vec![TuningAxis::Paper, TuningAxis::Eager],
+        workloads: vec![WorkloadAxis::Low, WorkloadAxis::PaperBusy],
+        seeds: vec![1, 2],
+        batteries: vec![BatteryAxis::Linear, BatteryAxis::Kibam],
+        thermals: vec![ThermalAxis::Cool, ThermalAxis::Hot],
+        ip_counts: vec![1, 3],
+    }
+}
+
+/// A search-shaped sequence of small batches sharing one
+/// [`BaselineCache`] (so later batches take baselines and trace
+/// skeletons from it) gives exactly the results and the work of one run.
+#[test]
+fn batches_sharing_a_cache_equal_one_run() {
+    let spec = two_per_axis();
+    let n = spec.scenario_count();
+    // a stride coprime with the grid size visits every cell once and
+    // splits every group and trace set across batches
+    let order: Vec<ScenarioSpec> = (0..n).map(|k| spec.cell_at(k * 37 % n)).collect();
+    for fidelity in [Fidelity::Coarse, Fidelity::Fine] {
+        let config = RunnerConfig {
+            threads: 2,
+            ..RunnerConfig::default()
+        }
+        .with_fidelity(fidelity);
+        let whole = run_campaign_with(&spec, &config, None).expect("valid spec");
+
+        let mut cache = BaselineCache::new();
+        let mut results = Vec::new();
+        let (mut simulations, mut coarse) = (0, 0);
+        for batch in order.chunks(5) {
+            let run =
+                run_cells_with(&spec, batch, &config, None, Some(&mut cache)).expect("valid spec");
+            simulations += run.stats.simulations;
+            coarse += run.stats.coarse_simulations;
+            results.extend(run.result.results);
+        }
+        results.sort_by_key(|r| r.scenario.index);
+
+        assert_eq!(results, whole.result.results, "{fidelity:?}");
+        assert_eq!(simulations, whole.stats.simulations, "{fidelity:?}");
+        assert_eq!(coarse, whole.stats.coarse_simulations, "{fidelity:?}");
+        assert_eq!(cache.len(), spec.group_count(), "{fidelity:?}");
+    }
 }

@@ -324,8 +324,9 @@ fn concurrent_submissions_dedup_into_one_campaign() {
 }
 
 /// Every failure mode answers structured JSON: malformed TOML and JSON
-/// specs (hostile nesting included) are 400s carrying the parser's
-/// message and leave the daemon up, unknown campaigns are 404s, wrong
+/// specs (hostile nesting in either included) and horizons past the
+/// simulation clock are 400s carrying the parser's message and leave
+/// the daemon up, unknown campaigns are 404s, wrong
 /// methods are 405s, and reading an **incomplete** campaign is the 409
 /// completeness gate (the response carries progress, and no simulation
 /// ever starts on a `GET`).
@@ -358,6 +359,29 @@ fn errors_are_structured_json_and_reads_never_simulate() {
     assert!(deep.body.contains("nesting deeper"), "{}", deep.body);
     let health = http(addr, "GET", "/healthz", None);
     assert_eq!(health.status, 200, "{}", health.body);
+
+    // ... and so is the TOML twin: arrays nested 20 000 deep (~40 KB)
+    let nested = format!(
+        "name = \"x\"\n[axes]\nip_counts = {}1{}\n",
+        "[".repeat(20_000),
+        "]".repeat(20_000)
+    );
+    let deep = http(addr, "POST", "/campaigns", Some(&nested));
+    assert_eq!(deep.status, 400, "{}", deep.body);
+    assert!(deep.body.contains("nested arrays"), "{}", deep.body);
+    let health = http(addr, "GET", "/healthz", None);
+    assert_eq!(health.status, 200, "{}", health.body);
+
+    // a horizon whose picoseconds overflow the clock is refused, not
+    // wrapped into a run a fraction of a millisecond long
+    let endless = http(
+        addr,
+        "POST",
+        "/campaigns",
+        Some(&SPEC_TOML.replace("horizon_ms = 5", "horizon_ms = 18446744074")),
+    );
+    assert_eq!(endless.status, 400, "{}", endless.body);
+    assert!(endless.body.contains("horizon_ms"), "{}", endless.body);
 
     // a spec that parses but fails validation is also a 400
     let empty_axis = http(

@@ -30,6 +30,8 @@
 //! tolerance band, preserved ranking across a corpus — not exact values.
 //! See `tests/fidelity.rs` for the pinned validation bounds.
 
+use std::sync::OnceLock;
+
 use dpm_battery::PowerSource;
 use dpm_core::policy::table1;
 use dpm_core::{EndOfTaskEstimator, PolicyInputs, PolicyTable, SleepSelection};
@@ -522,6 +524,14 @@ fn step_task(
     }
 }
 
+/// The Table 1 lookup every coarse walk selects execution states from,
+/// built once per process: the rules are fixed, and rebuilding the
+/// 120-entry table cost about a third of a coarse walk.
+fn table1_lookup() -> &'static PolicyTable {
+    static TABLE: OnceLock<PolicyTable> = OnceLock::new();
+    TABLE.get_or_init(|| PolicyTable::new(&table1()))
+}
+
 /// Evaluates `cfg` analytically over `[0, horizon]` — the coarse
 /// counterpart of building the SoC and running the event kernel.
 ///
@@ -537,7 +547,7 @@ pub fn run_config_coarse(cfg: &SocConfig, horizon: SimTime) -> SocMetrics {
     cfg.validate();
     let mut shared = SharedState::new(cfg);
     let mut walks: Vec<IpWalk> = cfg.ips.iter().map(|ip| IpWalk::new(ip, horizon)).collect();
-    let policy = PolicyTable::new(&table1());
+    let policy = table1_lookup();
     let mut estimator = EndOfTaskEstimator::new(cfg.battery_capacity);
     estimator.ambient = cfg.thermal.ambient;
 
@@ -571,7 +581,7 @@ pub fn run_config_coarse(cfg: &SocConfig, horizon: SimTime) -> SocMetrics {
             &mut walks[i],
             &mut shared,
             cfg,
-            &policy,
+            policy,
             &estimator,
             others,
             &task,

@@ -82,6 +82,16 @@ impl SimTime {
         Self(ms * PS_PER_MS)
     }
 
+    /// Instant `ms` milliseconds after simulation start, or `None` when
+    /// it lies past [`Self::MAX`].
+    #[inline]
+    pub const fn checked_from_millis(ms: u64) -> Option<Self> {
+        match ms.checked_mul(PS_PER_MS) {
+            Some(ps) => Some(Self(ps)),
+            None => None,
+        }
+    }
+
     /// Instant `s` seconds after simulation start.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
@@ -396,6 +406,17 @@ mod tests {
         assert_eq!(SimTime::from_millis(1).as_ps(), 1_000_000_000);
         assert_eq!(SimTime::from_secs(1).as_ps(), 1_000_000_000_000);
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2000));
+    }
+
+    #[test]
+    fn checked_from_millis_stops_at_the_clock_limit() {
+        let longest = 18_446_744_073;
+        assert_eq!(
+            SimTime::checked_from_millis(longest),
+            Some(SimTime::from_millis(longest))
+        );
+        assert_eq!(SimTime::checked_from_millis(longest + 1), None);
+        assert_eq!(SimTime::checked_from_millis(u64::MAX), None);
     }
 
     #[test]
