@@ -1,10 +1,10 @@
-//! Per-scenario campaign archives: resumable sweeps **and** the
-//! coordination medium for multi-process execution.
+//! Per-scenario campaign archives: resumable sweeps, plus the work
+//! leases through which `dpm serve` executor slots claim cells.
 //!
 //! A campaign directory holds the spec that produced it, one versioned
 //! record per completed grid cell — appended as a checksummed `DPS1`
 //! frame to a segment file — and the work leases of any in-flight
-//! workers:
+//! leased run:
 //!
 //! ```text
 //! <dir>/
@@ -45,24 +45,25 @@
 //!
 //! # Work leases
 //!
-//! Any number of independently launched processes can drain one campaign
-//! directory; the only coordination primitive is the **lease record**: a
-//! claim file created with `O_EXCL` semantics (`create_new`), carrying
-//! the holder id, the spec fingerprint and a heartbeat timestamp. The
-//! claim unit is a whole **baseline group** ([`CampaignSpec::group_of`]:
-//! the cells sharing every axis an always-`ON1` baseline depends on), so
-//! a group's shared baseline simulates in exactly one process and the
-//! summed work across workers equals a single-process run.
+//! Campaigns run in one process. A `dpm serve` executor slot drains its
+//! campaign through [`crate::runner::run_campaign_leased`], which claims
+//! work through **lease records**: claim files created with `O_EXCL`
+//! semantics (`create_new`), carrying the holder id, the spec
+//! fingerprint and a heartbeat timestamp. The claim unit is a whole
+//! **baseline group** ([`CampaignSpec::group_of`]: the cells sharing
+//! every axis an always-`ON1` baseline depends on), so any number of
+//! leased runs over one directory simulate each group's shared baseline
+//! exactly once, and their summed work equals a single run.
 //!
 //! Failure semantics, in order of importance:
 //!
 //! * **Results are never corrupted.** Cell records are appended as
-//!   length-prefixed, checksummed frames: a worker killed mid-append
+//!   length-prefixed, checksummed frames: a process killed mid-append
 //!   leaves a torn tail that every scan skips (that cell simply re-runs),
-//!   so no reader ever loads a truncated record, and a worker dying
+//!   so no reader ever loads a truncated record, and a holder dying
 //!   mid-cell leaves a reclaimable lease.
 //! * **Work is never lost.** A lease whose heartbeat is older than the
-//!   TTL is *stale*: any worker may take it over (atomic rename to a
+//!   TTL is *stale*: any leased run may take it over (atomic rename to a
 //!   per-claimant tombstone, then a fresh `create_new`) and re-run the
 //!   group's missing cells.
 //! * **Duplication is bounded, not impossible.** Staleness is judged
@@ -96,7 +97,7 @@ pub const LEASE_VERSION: u32 = 1;
 pub const DEFAULT_LEASE_TTL_MS: u64 = 60_000;
 
 /// Default interval between archive polls while waiting for cells that
-/// other workers hold.
+/// another holder claimed.
 pub const DEFAULT_LEASE_POLL_MS: u64 = 20;
 
 /// Milliseconds since the Unix epoch (the lease heartbeat clock).
@@ -161,7 +162,7 @@ pub struct LeaseRecord {
     pub heartbeat_ms: u64,
 }
 
-/// Cross-process coordination parameters (see the module docs).
+/// Lease parameters of one leased run (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseConfig {
     /// Unique id of this worker (holder of its leases).
@@ -187,18 +188,6 @@ impl LeaseConfig {
             ttl_ms: DEFAULT_LEASE_TTL_MS,
             poll_ms: DEFAULT_LEASE_POLL_MS,
         }
-    }
-
-    /// This config with a different TTL.
-    pub fn with_ttl_ms(mut self, ttl_ms: u64) -> Self {
-        self.ttl_ms = ttl_ms;
-        self
-    }
-
-    /// This config with a different poll interval.
-    pub fn with_poll_ms(mut self, poll_ms: u64) -> Self {
-        self.poll_ms = poll_ms;
-        self
     }
 }
 
@@ -403,8 +392,9 @@ impl CampaignArchive {
     }
 
     /// Opens a campaign directory that already exists, recovering the
-    /// spec from its `campaign.toml` — the entry point for worker
-    /// processes, which receive only the directory.
+    /// spec from its `campaign.toml` — the entry point for `campaign
+    /// list`, `gc` and `compact` and for the daemon's store, which
+    /// receive only the directory.
     ///
     /// # Errors
     ///
@@ -1494,9 +1484,11 @@ mod tests {
     }
 
     fn test_lease() -> LeaseConfig {
-        LeaseConfig::for_process()
-            .with_ttl_ms(60_000)
-            .with_poll_ms(1)
+        LeaseConfig {
+            ttl_ms: 60_000,
+            poll_ms: 1,
+            ..LeaseConfig::for_process()
+        }
     }
 
     #[test]
@@ -1560,7 +1552,10 @@ mod tests {
         .unwrap();
         drop(lease); // never released
         assert_eq!(archive.lease_state(0, 1_000), LeaseState::Stale);
-        let survivor = LeaseConfig::for_process().with_ttl_ms(1_000);
+        let survivor = LeaseConfig {
+            ttl_ms: 1_000,
+            ..LeaseConfig::for_process()
+        };
         let reclaimed = archive
             .try_claim(0, &survivor)
             .unwrap()
@@ -1616,10 +1611,10 @@ mod tests {
         };
         std::fs::create_dir_all(dir.join("leases")).unwrap();
         std::fs::write(archive.lease_path(0), serde_json::to_string(&dead).unwrap()).unwrap();
-        let hostile = LeaseConfig::for_process().with_ttl_ms(1_000);
         let hostile = LeaseConfig {
             holder: "host/worker\\1".into(),
-            ..hostile
+            ttl_ms: 1_000,
+            ..LeaseConfig::for_process()
         };
         let lease = archive.try_claim(0, &hostile).unwrap();
         assert!(lease.is_some(), "sanitized tombstone must allow takeover");
@@ -1873,7 +1868,10 @@ mod tests {
             },
             "a future heartbeat must never be judged stale",
         );
-        let claimant = LeaseConfig::for_process().with_ttl_ms(1);
+        let claimant = LeaseConfig {
+            ttl_ms: 1,
+            ..LeaseConfig::for_process()
+        };
         assert!(
             archive.try_claim(0, &claimant).unwrap().is_none(),
             "a future-dated lease must not be taken over",

@@ -1,19 +1,17 @@
 //! `dpm` — the dpmsim command line.
 //!
 //! ```text
-//! dpm campaign run <spec.toml | --builtin> [--threads N] [--workers N] [--format F]
-//!                  [--per-scenario] [--out FILE] [--resume DIR] [--no-dedup] [--ttl-ms N]
+//! dpm campaign run <spec.toml | --builtin> [--threads N] [--format F]
+//!                  [--per-scenario] [--out FILE] [--resume DIR] [--no-dedup]
 //! dpm campaign list <spec.toml | DIR | --builtin> [--format F]
 //! dpm campaign gc <DIR> [--ttl-ms N]
 //! dpm campaign compact <DIR>
-//! dpm worker <DIR> [--threads N] [--ttl-ms N] [--poll-ms N] [--holder ID] [--no-dedup]
 //! dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
 //!            [--objective O] [--constraint C] [--fidelity fine|coarse|multi]
 //!            [--budget N] [--start-points N] [--threads N] [--prefetch]
 //!            [--initial-temp T] [--cooling F] [--anneal-seed N]
 //!            [--format F] [--out FILE] [--resume DIR] [--no-dedup]
-//! dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
-//!           [--ttl-ms N] [--poll-ms N] [--no-dedup]
+//! dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N] [--no-dedup]
 //! dpm table2 [--format F]
 //! dpm quickstart
 //! ```
@@ -21,16 +19,15 @@
 //! Formats: `ascii` (default), `markdown`, `json`.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use dpm_campaign::{
     campaign_ascii, campaign_json, campaign_markdown, grid_json, pareto_ascii, pareto_campaign,
-    pareto_json, pareto_markdown, parse_campaign_toml, run_stats_line, run_worker, search_ascii,
-    search_campaign, search_json, search_markdown, spawn_server, summarize, CampaignArchive,
-    CampaignExecutor, CampaignSpec, Constraint, LeaseConfig, MultiObjective, Objective, ParetoSpec,
-    RunnerConfig, SearchDefaults, SearchFidelity, SearchSpec, ServeOptions, StrategyKind,
-    ThreadPool, WorkerOptions, WorkerPool, DEFAULT_LEASE_POLL_MS, DEFAULT_LEASE_TTL_MS,
+    pareto_json, pareto_markdown, parse_campaign_toml, run_campaign_with, run_stats_line,
+    search_ascii, search_campaign, search_json, search_markdown, spawn_server, summarize,
+    CampaignArchive, CampaignSpec, Constraint, MultiObjective, Objective, ParetoSpec, RunnerConfig,
+    SearchDefaults, SearchFidelity, SearchSpec, ServeOptions, StrategyKind, DEFAULT_LEASE_TTL_MS,
 };
 use dpm_soc::experiment::{run_scenario, ScenarioId};
 use dpm_soc::report::{table2_ascii, table2_json, table2_markdown};
@@ -39,13 +36,12 @@ const USAGE: &str = "\
 dpm — DATE'05 dynamic power management simulator
 
 USAGE:
-    dpm campaign run  <spec.toml | --builtin> [--threads N] [--workers N]
+    dpm campaign run  <spec.toml | --builtin> [--threads N]
                       [--format ascii|markdown|json] [--per-scenario] [--out FILE]
-                      [--resume DIR] [--no-dedup] [--ttl-ms N]
+                      [--resume DIR] [--no-dedup]
     dpm campaign list <spec.toml | DIR | --builtin> [--format ascii|json]
     dpm campaign gc   <DIR> [--ttl-ms N]
     dpm campaign compact <DIR>
-    dpm worker <DIR> [--threads N] [--ttl-ms N] [--poll-ms N] [--holder ID] [--no-dedup]
     dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
                [--objective METRIC[,METRIC...]] [--constraint METRIC<=X]
                [--fidelity fine|coarse|multi]
@@ -53,8 +49,7 @@ USAGE:
                [--initial-temp T] [--cooling F] [--anneal-seed N]
                [--format ascii|markdown|json] [--out FILE] [--resume DIR]
                [--no-dedup]
-    dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
-              [--ttl-ms N] [--poll-ms N] [--no-dedup]
+    dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N] [--no-dedup]
     dpm table2 [--format ascii|markdown|json]
     dpm quickstart
     dpm help
@@ -63,14 +58,10 @@ A campaign spec is a TOML grid over six axes; see `dpm campaign list
 --builtin` for the built-in sweep and the README for the format.
 `--resume DIR` persists per-cell archives into DIR and skips cells
 already completed there; the aggregate report is byte-identical to a
-cold run. `--no-dedup` disables shared always-ON1 baseline runs.
+cold run. `--no-dedup` disables shared always-ON1 baseline runs. A
+campaign runs in this process on --threads threads; the report is
+byte-identical for any thread count.
 
-`--workers N` executes the campaign on N child worker processes that
-coordinate purely through the campaign directory (atomic work leases;
-a killed worker's cells are reclaimed by the survivors), then
-aggregates when the grid drains — the report is byte-identical to the
-single-process run. `dpm worker DIR` joins a campaign directory by
-hand; launch as many as you like, on any host sharing the filesystem.
 `dpm campaign gc DIR` removes unloadable records, expired leases and
 orphaned temp files. `dpm campaign compact DIR` rewrites all live cell
 records (segment frames and legacy per-cell JSON alike) into a single
@@ -84,9 +75,9 @@ fingerprint) with an HTTP/JSON API — POST /campaigns submits a TOML or
 JSON spec (idempotent: equal specs dedup into one campaign), GET
 /campaigns[/{id}] reports status, /report /best /pareto answer from
 the archive with zero fresh simulations once complete, /events streams
-cell completions, POST /shutdown drains gracefully. --workers N sets
-in-daemon executor slots (0 = coordinate only); external `dpm worker`
-processes may attach to any campaign directory under DIR at any time.
+cell completions, POST /shutdown drains gracefully. --workers N
+(default 1, at least 1) sets how many campaigns run at once, each in
+the daemon on --threads threads.
 
 `dpm search` explores the grid adaptively instead of sweeping it: pass
 an objective (metric label or alias, optional min:/max: prefix, e.g.
@@ -142,7 +133,6 @@ fn out(text: impl std::fmt::Display) {
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("campaign") => campaign(&args[1..]),
-        Some("worker") => worker(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("search") => search(&args[1..]),
         Some("table2") => table2(&args[1..]),
@@ -155,18 +145,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    }
-}
-
-/// Removes an ephemeral campaign directory on drop — success *and*
-/// error paths alike, so a failed `--workers` run leaves no litter.
-struct EphemeralDir(Option<PathBuf>);
-
-impl Drop for EphemeralDir {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.0 {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 }
 
@@ -330,20 +308,6 @@ fn parse_ms_flag(opts: &Opts, name: &str, default: u64) -> Result<u64, String> {
     Ok(parse_usize_flag(opts, name)?.map_or(default, |n| n as u64))
 }
 
-/// The lease config for this process, with CLI overrides applied.
-fn lease_from_flags(opts: &Opts) -> Result<LeaseConfig, String> {
-    let mut lease = LeaseConfig::for_process();
-    lease.ttl_ms = parse_ms_flag(opts, "ttl-ms", lease.ttl_ms)?;
-    lease.poll_ms = parse_ms_flag(opts, "poll-ms", lease.poll_ms)?;
-    if let Some(holder) = opts.value("holder") {
-        if holder.is_empty() || holder.contains(['/', '\\']) {
-            return Err("--holder must be a non-empty name without path separators".into());
-        }
-        lease.holder = holder.to_string();
-    }
-    Ok(lease)
-}
-
 fn campaign(args: &[String]) -> Result<(), String> {
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
@@ -360,99 +324,33 @@ fn campaign(args: &[String]) -> Result<(), String> {
 fn campaign_run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &["threads", "workers", "format", "out", "resume", "ttl-ms"],
+        &["threads", "format", "out", "resume"],
         &["builtin", "per-scenario", "no-dedup"],
     )?;
     let format = output_format(&opts)?;
     let spec = load_spec(&opts)?;
-    let threads = parse_usize_flag(&opts, "threads")?.unwrap_or(0);
-    let workers = parse_positive_flag(&opts, "workers")?;
-    if workers.is_none() && opts.value("ttl-ms").is_some() {
-        return Err("--ttl-ms only applies with --workers (leases exist \
-                    only on the multi-process backend)"
-            .into());
-    }
     let config = RunnerConfig {
-        threads,
+        threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
         progress: true,
         dedup_baselines: !opts.has("no-dedup"),
         ..RunnerConfig::default()
     };
-
-    // the multi-process backend needs a directory to coordinate through;
-    // without --resume it gets an ephemeral one — uniquely named (pid
-    // reuse must not collide with a leftover) and removed on *every*
-    // exit path by the guard's Drop
-    let resume_dir = opts.value("resume").map(PathBuf::from);
-    let ephemeral = workers.is_some() && resume_dir.is_none();
-    let dir = resume_dir.or_else(|| {
-        ephemeral.then(|| {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0, |d| d.as_nanos());
-            std::env::temp_dir().join(format!("dpm-campaign-{}-{nanos}", std::process::id()))
-        })
-    });
-    let _ephemeral_guard = ephemeral.then(|| EphemeralDir(dir.clone()));
-    let archive = match &dir {
-        Some(d) => Some(CampaignArchive::open(d, &spec)?),
+    let archive = match opts.value("resume") {
+        Some(dir) => Some(CampaignArchive::open(Path::new(dir), &spec)?),
         None => None,
     };
-
-    let executor = match workers {
-        None => CampaignExecutor::Threads(ThreadPool::new(threads)),
-        Some(n) => {
-            let mut pool = WorkerPool::new(n);
-            pool.threads_per_worker = threads;
-            pool.ttl_ms = parse_ms_flag(&opts, "ttl-ms", DEFAULT_LEASE_TTL_MS)?;
-            pool.no_dedup = opts.has("no-dedup");
-            CampaignExecutor::Workers(pool)
-        }
-    };
-    match &executor {
-        CampaignExecutor::Threads(pool) => eprintln!(
-            "campaign '{}': {} scenarios on {} threads (horizon {} ms, master seed {})",
-            spec.name,
-            spec.scenario_count(),
-            pool.parallelism().min(spec.scenario_count().max(1)),
-            spec.horizon_ms,
-            spec.master_seed,
-        ),
-        CampaignExecutor::Workers(pool) => eprintln!(
-            "campaign '{}': {} scenarios on {} worker processes × {} threads \
-             (horizon {} ms, master seed {})",
-            spec.name,
-            spec.scenario_count(),
-            pool.workers,
-            pool.effective_child_threads(),
-            spec.horizon_ms,
-            spec.master_seed,
-        ),
-    }
+    eprintln!(
+        "campaign '{}': {} scenarios on {} threads (horizon {} ms, master seed {})",
+        spec.name,
+        spec.scenario_count(),
+        config.effective_threads().min(spec.scenario_count().max(1)),
+        spec.horizon_ms,
+        spec.master_seed,
+    );
 
     let started = std::time::Instant::now();
-    let executed = executor.run(&spec, &config, archive.as_ref())?;
+    let run = run_campaign_with(&spec, &config, archive.as_ref())?;
     let wall = started.elapsed();
-    for summary in &executed.workers {
-        eprintln!(
-            "  worker {}: {}",
-            summary.holder,
-            run_stats_line(&summary.stats)
-        );
-    }
-    for failure in &executed.worker_failures {
-        eprintln!("  warning: {failure}");
-    }
-    if !executed.worker_failures.is_empty() {
-        // honest accounting: the aggregation pass below back-fills any
-        // cell no worker completed, in *this* process — the stats line
-        // shows how much distributed execution actually degraded
-        eprintln!(
-            "  warning: cells left behind by failed workers (if any) \
-             were executed by the aggregation pass in this process"
-        );
-    }
-    let run = executed.run;
     let result = run.result;
     eprintln!(
         "  {} scenarios in {:.2?} ({:.1} scenarios/s)",
@@ -558,53 +456,17 @@ fn campaign_compact(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn worker(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(
-        args,
-        &["threads", "ttl-ms", "poll-ms", "holder"],
-        &["no-dedup"],
-    )?;
-    let dir = opts
-        .positionals
-        .first()
-        .ok_or("expected a campaign directory (created by 'campaign run --resume DIR')")?;
-    let options = WorkerOptions {
-        threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
-        dedup_baselines: !opts.has("no-dedup"),
-        lease: lease_from_flags(&opts)?,
-    };
-    eprintln!(
-        "worker {} joining campaign directory {dir}",
-        options.lease.holder
-    );
-    let outcome = run_worker(Path::new(dir), &options)?;
-    eprintln!(
-        "  campaign '{}' drained: {}",
-        outcome.spec.name,
-        run_stats_line(&outcome.summary.stats),
-    );
-    warn_archive_errors(&outcome.run.archive_errors);
-    out(serde_json::to_string_pretty(&outcome.summary).map_err(|e| e.to_string())?);
-    Ok(())
-}
-
 fn serve(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(
-        args,
-        &["addr", "workers", "threads", "ttl-ms", "poll-ms"],
-        &["no-dedup"],
-    )?;
+    let opts = Opts::parse(args, &["addr", "workers", "threads"], &["no-dedup"])?;
     let dir = opts
         .positionals
         .first()
         .ok_or("expected a store directory (it will hold one subdirectory per campaign)")?;
     let options = ServeOptions {
         addr: opts.value("addr").unwrap_or("127.0.0.1:0").to_string(),
-        job_slots: parse_usize_flag(&opts, "workers")?.unwrap_or(1),
+        job_slots: parse_positive_flag(&opts, "workers")?.unwrap_or(1),
         threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
         dedup_baselines: !opts.has("no-dedup"),
-        ttl_ms: parse_ms_flag(&opts, "ttl-ms", DEFAULT_LEASE_TTL_MS)?,
-        poll_ms: parse_ms_flag(&opts, "poll-ms", DEFAULT_LEASE_POLL_MS)?,
     };
     let slots = options.job_slots;
     let server = spawn_server(Path::new(dir), options)?;
@@ -1129,24 +991,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_and_gc_need_a_campaign_directory() {
-        let err = run(&args(&["worker"])).unwrap_err();
-        assert!(err.contains("expected a campaign directory"), "{err}");
+    fn gc_needs_a_campaign_directory() {
         let dir = tmp_path("not-a-campaign");
         std::fs::create_dir_all(&dir).unwrap();
-        let err = run(&args(&["worker", dir.to_str().unwrap()])).unwrap_err();
-        assert!(err.contains("not a campaign directory"), "{err}");
         let err = run(&args(&["campaign", "gc", dir.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("not a campaign directory"), "{err}");
         let err = run(&args(&["campaign", "gc"])).unwrap_err();
         assert!(err.contains("expected a campaign directory"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn worker_rejects_holders_that_break_lease_filenames() {
-        let err = run(&args(&["worker", "/tmp/x", "--holder", "a/b"])).unwrap_err();
-        assert!(err.contains("path separators"), "{err}");
     }
 
     #[test]
@@ -1170,9 +1022,28 @@ mod tests {
     }
 
     #[test]
-    fn workers_flag_rejects_zero() {
-        let err = run(&args(&["campaign", "run", "--builtin", "--workers", "0"])).unwrap_err();
+    fn campaigns_have_no_process_fan_out() {
+        for extra in [&["--workers", "2"][..], &["--ttl-ms", "5"]] {
+            let mut argv = vec!["campaign", "run", "--builtin"];
+            argv.extend_from_slice(extra);
+            let err = run(&args(&argv)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag '{}'", extra[0])),
+                "{extra:?}: {err}"
+            );
+        }
+        let dir = tmp_path("no-fan-out-store");
+        let err = run(&args(&["worker", dir.to_str().unwrap()])).unwrap_err();
+        assert!(err.contains("unknown command 'worker'"), "{err}");
+        for flag in ["--ttl-ms", "--poll-ms"] {
+            let err = run(&args(&["serve", dir.to_str().unwrap(), flag, "5"])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
+        // a daemon that could run nothing is refused before it binds or
+        // creates its store
+        let err = run(&args(&["serve", dir.to_str().unwrap(), "--workers", "0"])).unwrap_err();
         assert!(err.contains("--workers must be positive"), "{err}");
+        assert!(!dir.exists(), "a refused daemon must not create its store");
     }
 
     #[test]

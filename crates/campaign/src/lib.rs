@@ -10,10 +10,9 @@
 //! | layer | module | contents |
 //! |-------|--------|----------|
 //! | spec | [`spec`] | [`CampaignSpec`] grid, named axes, cartesian expansion |
-//! | executor | [`executor`] | execution backends: in-process thread pool, multi-process worker pool |
+//! | executor | [`executor`] | the in-process scoped-thread pool |
 //! | runner | [`runner`] | work-unit dispatch, baseline dedup, panic isolation, lease loop |
-//! | worker | [`worker`] | the `dpm worker` loop: claim, simulate, store, reclaim |
-//! | archive | [`archive`] | cell records, work leases, gc/compaction — the coordination medium |
+//! | archive | [`archive`] | cell records, work leases, gc/compaction |
 //! | segments | `segment` | append-only segment files: checksummed frames + in-memory index |
 //! | objective | [`objective`] | search objectives: metric, direction, constraints, Pareto dominance |
 //! | search | [`search`] | pluggable budgeted strategies: climb, simulated annealing, Pareto fronts |
@@ -29,8 +28,7 @@
 //! derive from `(master_seed, logical seed, ip index)`, and aggregation
 //! folds results in index order — so the same spec produces
 //! **byte-identical** reports on 1 thread or 64, with baseline dedup on
-//! or off, when resumed from any mix of archived and fresh cells, and
-//! across execution backends (1 or N worker processes).
+//! or off, and when resumed from any mix of archived and fresh cells.
 //!
 //! # Execution layers
 //!
@@ -44,19 +42,12 @@
 //!    shared-baseline dedup and panic isolation around a set of cells —
 //!    the per-round primitive of [`search::drive_strategy`], always in
 //!    one process.
-//!    [`runner::run_campaign_leased`] runs a whole campaign as one of
-//!    several processes: it claims whole baseline groups through atomic
-//!    lease records ([`archive::LeaseConfig`]) and polls the archive for
-//!    cells other processes hold.
-//! 3. **Campaigns** ([`executor::CampaignExecutor`]): one entry point,
-//!    two backends — run every cell in-process, or spawn a
-//!    [`executor::WorkerPool`] of `dpm worker` processes that coordinate
-//!    purely through the campaign directory and aggregate when the grid
-//!    drains.
-//!
-//! The archive directory is the only shared medium: cell records are the
-//! results, lease records are the scheduler, and crash recovery is
-//! staleness-based reclaim ([`archive`] has the failure semantics).
+//! 3. **Campaigns**, always in one process: `campaign run` calls
+//!    [`runner::run_campaign_with`] directly, and each `dpm serve`
+//!    executor slot calls [`runner::run_campaign_leased`], which claims
+//!    whole baseline groups through atomic lease records
+//!    ([`archive::LeaseConfig`]) and polls the archive for cells another
+//!    holder claimed ([`archive`] has the failure semantics).
 //!
 //! # Quickstart
 //!
@@ -92,7 +83,6 @@ pub mod server;
 pub mod spec;
 pub mod store;
 pub mod toml_spec;
-pub mod worker;
 
 pub use aggregate::{
     metric_stat_where, summarize, CampaignSummary, Metric, MetricSummary, StreamingStat,
@@ -102,7 +92,7 @@ pub use archive::{
     LeaseConfig, LeaseRecord, LeaseState, WorkLease, ARCHIVE_VERSION, DEFAULT_LEASE_POLL_MS,
     DEFAULT_LEASE_TTL_MS, LEASE_VERSION,
 };
-pub use executor::{map_units, CampaignExecutor, ExecutedCampaign, ThreadPool, WorkerPool};
+pub use executor::{map_units, ThreadPool};
 pub use objective::{
     parse_metric, CellScore, Constraint, ConstraintOp, Direction, MultiObjective, MultiScore,
     Objective,
@@ -131,4 +121,3 @@ pub use store::{
     CampaignStore, Submission, DEFAULT_STORE_TTL_MS,
 };
 pub use toml_spec::{parse_campaign_toml, SearchDefaults};
-pub use worker::{run_worker, PollBackoff, WorkerOptions, WorkerOutcome, WorkerSummary};

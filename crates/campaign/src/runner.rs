@@ -1,18 +1,18 @@
 //! Parallel campaign execution.
 //!
-//! Work units are dispatched through the [`crate::executor`] layer (the
-//! runner no longer owns a thread loop): simulations run with panic
+//! Work units are dispatched through the [`crate::executor`] thread pool
+//! (the runner owns no thread loop): simulations run with panic
 //! isolation and are written back into an index-addressed slot table —
 //! so the result order, and everything aggregated from it, is
-//! **identical for any thread count, worker count or backend**.
+//! **identical for any thread count**.
 //!
-//! [`run_campaign_leased`] is the cross-process path (`dpm worker` and
-//! the `dpm serve` executor slots): whole baseline groups are claimed
-//! via atomic lease records in the campaign directory, foreign cells are
-//! polled from the archive, and stale leases (dead workers) are
-//! reclaimed — see [`crate::archive`] for the failure semantics. Every
-//! other entry point, the batches of [`crate::search::drive_strategy`]
-//! included, runs in this process alone.
+//! [`run_campaign_leased`] is the path of the `dpm serve` executor
+//! slots: whole baseline groups are claimed via atomic lease records in
+//! the campaign directory, cells another holder claimed are polled from
+//! the archive, and stale leases (dead holders) are reclaimed — see
+//! [`crate::archive`] for the failure semantics. Every other entry
+//! point, `campaign run` and the batches of
+//! [`crate::search::drive_strategy`] included, claims nothing.
 //!
 //! Three optimizations sit on top of that plan, all result-preserving:
 //!
@@ -273,9 +273,8 @@ impl CampaignResult {
 
 /// Work accounting for one campaign execution. Deliberately *not* part of
 /// [`CampaignResult`]: reports must stay byte-identical between cold and
-/// resumed runs, and these counts differ by construction. Serializable so
-/// `dpm worker` can hand its accounting back to the spawning pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+/// resumed runs, and these counts differ by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Cells in the grid.
     pub total_cells: usize,
@@ -626,12 +625,12 @@ pub fn run_cells_with(
 }
 
 /// Runs the whole campaign as one of any number of lease-coordinated
-/// processes sharing `archive`'s directory (`dpm worker`, and each
-/// `dpm serve` executor slot): claim whole baseline groups through
-/// lease records, run the claimed cells here, and take every other cell
-/// from the archive once its holder stores it. Returns only when every
-/// cell has a result, so the run is complete and byte-identical to
-/// [`run_campaign_with`] whichever process simulated which group.
+/// runs sharing `archive`'s directory (each `dpm serve` executor slot
+/// runs one): claim whole baseline groups through lease records, run the
+/// claimed cells here, and take every other cell from the archive once
+/// its holder stores it. Returns only when every cell has a result, so
+/// the run is complete and byte-identical to [`run_campaign_with`]
+/// whichever run simulated which group.
 ///
 /// `cancel`, checked between baseline groups, stops the run gracefully
 /// when it flips: the in-flight group drains, its lease is released and
@@ -860,22 +859,82 @@ fn speculative_flags(cells: &[ScenarioSpec], config: &RunnerConfig) -> Vec<bool>
     cells.iter().map(|c| set.contains(&c.index)).collect()
 }
 
-/// The cross-process execution path behind [`run_campaign_leased`]:
-/// claim whole baseline groups via archive leases, run the claimed
-/// cells locally, and poll the archive for cells other workers hold —
+/// Capped exponential backoff for the leased runner's idle polling: the
+/// wait starts at the lease's `poll_ms`, doubles on every consecutive
+/// idle tick, and is capped at `max(poll_ms, 1000)` ms — so a run
+/// waiting on another holder's group backs off to ~1 Hz instead of
+/// spinning at the poll rate against a (possibly networked) filesystem,
+/// yet notices progress within a second.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PollBackoff {
+    base_ms: u64,
+    idle_ticks: u32,
+}
+
+impl PollBackoff {
+    /// Doubling stops after this many idle ticks (32 × base before the
+    /// absolute cap applies).
+    const MAX_DOUBLINGS: u32 = 5;
+    /// Absolute ceiling on one wait, regardless of base.
+    const CAP_MS: u64 = 1_000;
+
+    /// A fresh (non-idle) policy over a poll interval in milliseconds
+    /// (clamped to at least 1).
+    fn new(poll_ms: u64) -> Self {
+        Self {
+            base_ms: poll_ms.max(1),
+            idle_ticks: 0,
+        }
+    }
+
+    /// Records one idle tick and returns the wait before the next poll.
+    fn next_wait_ms(&mut self) -> u64 {
+        let wait = self
+            .base_ms
+            .saturating_mul(1 << self.idle_ticks.min(Self::MAX_DOUBLINGS))
+            .min(self.base_ms.max(Self::CAP_MS));
+        self.idle_ticks += 1;
+        wait
+    }
+
+    /// Forgets accumulated idleness — call whenever work was found.
+    fn reset(&mut self) {
+        self.idle_ticks = 0;
+    }
+
+    /// Sleeps out one idle tick in short slices, returning early (and
+    /// reporting `true`) as soon as `cancel` flips — a shutting-down
+    /// daemon never waits out a full backed-off tick.
+    fn sleep(&mut self, cancel: Option<&AtomicBool>) -> bool {
+        let mut remaining = self.next_wait_ms();
+        while remaining > 0 {
+            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                return true;
+            }
+            let slice = remaining.min(50);
+            std::thread::sleep(std::time::Duration::from_millis(slice));
+            remaining -= slice;
+        }
+        cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// The leased execution path behind [`run_campaign_leased`]: claim
+/// whole baseline groups via archive leases, run the claimed cells
+/// locally, and poll the archive for cells other runs hold —
 /// reclaiming any group whose lease goes stale. Returns only when every
-/// requested cell has a result, so any surviving worker can complete a
-/// campaign its peers abandoned.
+/// requested cell has a result, so any surviving run can complete a
+/// campaign a dead holder abandoned.
 ///
-/// Work accounting semantics across workers: `executed_cells`,
+/// Work accounting semantics across runs: `executed_cells`,
 /// `simulations`, `baseline_groups` and `reused_baselines` sum to the
-/// single-process totals (each group runs in exactly one worker, which
+/// single-run totals (each group runs in exactly one holder, which
 /// simulates its shared baseline once); `archived_cells` counts the
-/// cells this worker received from the archive, whether they predate
-/// the run or were stored by a peer.
+/// cells this run received from the archive, whether they predate the
+/// run or were stored by a peer.
 ///
 /// One asymmetry with the local path: *failed* (panicked) cells are
-/// never archived, so every waiting worker eventually claims and re-runs
+/// never archived, so every waiting run eventually claims and re-runs
 /// them itself — duplicated work, but identical error results. A group
 /// reclaimed from a crashed holder likewise re-simulates its baseline.
 fn run_cells_leased(
@@ -896,7 +955,7 @@ fn run_cells_leased(
         ..RunStats::default()
     };
     let mut archive_errors = Vec::new();
-    let mut backoff = crate::worker::PollBackoff::new(lease_cfg.poll_ms);
+    let mut backoff = PollBackoff::new(lease_cfg.poll_ms);
 
     loop {
         if cancelled() {
@@ -997,7 +1056,7 @@ fn run_cells_leased(
             archive.release(lease);
         }
 
-        // whatever is still missing is held by other workers: absorb
+        // whatever is still missing is held by another run: absorb
         // their stored records — one bulk load per poll tick, which
         // costs a single segment-index refresh however many cells are
         // outstanding — and wait before re-trying claims (their leases
@@ -1206,6 +1265,41 @@ mod tests {
             progress_text(3, 3, false).as_deref(),
             Some("  [3/3] runs done\n")
         );
+    }
+
+    #[test]
+    fn backoff_doubles_caps_and_resets() {
+        let mut b = PollBackoff::new(5);
+        let waits: Vec<u64> = (0..9).map(|_| b.next_wait_ms()).collect();
+        // 5 → 10 → 20 → … doubling, then pinned at the 1 s cap
+        assert_eq!(waits, vec![5, 10, 20, 40, 80, 160, 160, 160, 160]);
+        b.reset();
+        assert_eq!(b.next_wait_ms(), 5);
+
+        // a base above the cap is honoured as-is (never shortened)
+        let mut slow = PollBackoff::new(2_000);
+        assert_eq!(slow.next_wait_ms(), 2_000);
+        assert_eq!(slow.next_wait_ms(), 2_000);
+
+        // a zero poll interval still makes progress
+        let mut zero = PollBackoff::new(0);
+        assert_eq!(zero.next_wait_ms(), 1);
+        assert_eq!(zero.next_wait_ms(), 2);
+    }
+
+    #[test]
+    fn backoff_sleep_honours_cancellation_immediately() {
+        let cancel = AtomicBool::new(true);
+        let mut b = PollBackoff::new(60_000);
+        let started = std::time::Instant::now();
+        assert!(b.sleep(Some(&cancel)));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "a pre-set cancel flag must short-circuit the whole wait"
+        );
+        // and an un-cancelled sleep of a tiny tick completes normally
+        let mut quick = PollBackoff::new(1);
+        assert!(!quick.sleep(None));
     }
 
     #[test]

@@ -23,15 +23,17 @@
 //! * **Submission is idempotent.** A campaign's id is its spec
 //!   fingerprint, so resubmitting — from any number of clients,
 //!   concurrently — resolves to the same campaign directory and never
-//!   duplicates work (leases partition the grid regardless).
+//!   duplicates work.
 //! * **Completed campaigns are served, never re-run.** `/report`,
 //!   `/best` and `/pareto` answer straight from the archive with zero
 //!   fresh simulations — a `GET` cannot start a simulation — and the
 //!   report bytes are identical to `dpm campaign run` on the same spec.
-//! * **The lease protocol is the only coordination.** The daemon's own
-//!   job executor claims work exactly like an external `dpm worker DIR`
-//!   attached to the campaign directory; both kinds of worker can drain
-//!   one grid together.
+//! * **A campaign runs on one slot at a time.** `enqueue` refuses a
+//!   campaign that is already queued or running, and the slot drains it
+//!   through [`run_campaign_leased`] in this process, so a slot never
+//!   waits on another party's lease. The daemon runs only campaigns
+//!   POSTed to it; a campaign left in the store by anyone else stays as
+//!   it is until submitted.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -39,7 +41,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::archive::{GcReport, LeaseConfig, DEFAULT_LEASE_POLL_MS, DEFAULT_LEASE_TTL_MS};
+use crate::archive::{GcReport, LeaseConfig, DEFAULT_LEASE_TTL_MS};
 use crate::http::{
     error_body, read_request, write_error, write_json, BoundedPool, ChunkedWriter, HttpError,
     Request,
@@ -68,19 +70,15 @@ pub struct ServeOptions {
     /// Bind address, `HOST:PORT` (`:0` picks a free port; the bound
     /// address is printed and returned).
     pub addr: String,
-    /// In-daemon campaign executor slots: how many submitted campaigns
-    /// run concurrently inside the daemon. `0` disables in-daemon
-    /// execution entirely — the daemon only coordinates, and attached
-    /// `dpm worker DIR` processes do all simulation.
+    /// Campaign executor slots: how many submitted campaigns run
+    /// concurrently inside the daemon (at least 1). The daemon runs only
+    /// campaigns POSTed to it, and resubmitting an incomplete campaign
+    /// resumes it from its archive.
     pub job_slots: usize,
     /// Simulation threads per executor slot; `0` = machine parallelism.
     pub threads: usize,
     /// Share always-`ON1` baselines within each job (default on).
     pub dedup_baselines: bool,
-    /// Lease TTL for the daemon's own claims and for liveness judgement.
-    pub ttl_ms: u64,
-    /// Archive poll interval for the daemon's executor.
-    pub poll_ms: u64,
 }
 
 impl Default for ServeOptions {
@@ -90,8 +88,6 @@ impl Default for ServeOptions {
             job_slots: 1,
             threads: 0,
             dedup_baselines: true,
-            ttl_ms: DEFAULT_LEASE_TTL_MS,
-            poll_ms: DEFAULT_LEASE_POLL_MS,
         }
     }
 }
@@ -105,8 +101,8 @@ enum JobStatus {
     Running,
     /// Every cell archived.
     Complete,
-    /// Stopped by graceful shutdown; resubmission (or any worker)
-    /// resumes from the archive.
+    /// Stopped by graceful shutdown; resubmission resumes from the
+    /// archive.
     Cancelled,
     /// The run returned an error.
     Failed(String),
@@ -133,10 +129,8 @@ struct JobBoard {
 }
 
 /// Per-campaign event history: NDJSON lines appended as cells are
-/// discovered archived (whoever archived them — this daemon's executor
-/// or an attached external worker), closed by one terminal `complete`
-/// event. Streams replay from any cursor, so late or reconnecting
-/// clients miss nothing.
+/// discovered archived, closed by one terminal `complete` event. Streams
+/// replay from any cursor, so late or reconnecting clients miss nothing.
 #[derive(Debug, Default)]
 struct EventLog {
     lines: Vec<String>,
@@ -177,19 +171,14 @@ impl ServerState {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Queues a campaign for the in-daemon executor unless it is already
-    /// queued, running, or has no executor to run on. Returns the status
-    /// label after the attempt.
+    /// Queues a campaign for the executor slots unless it is already
+    /// queued or running. Returns the status label after the attempt.
     fn enqueue(&self, id: &str) -> &'static str {
         let mut jobs = self.jobs.lock().expect("job board poisoned");
         match jobs.status.get(id) {
             Some(JobStatus::Queued) => return JobStatus::Queued.label(),
             Some(JobStatus::Running) => return JobStatus::Running.label(),
             _ => {}
-        }
-        if self.options.job_slots == 0 {
-            // coordination-only daemon: external workers drain the grid
-            return "external";
         }
         jobs.status.insert(id.to_string(), JobStatus::Queued);
         jobs.queue.push_back(id.to_string());
@@ -212,7 +201,7 @@ impl ServerState {
     /// drains. Safe to call from any thread, any number of times.
     fn refresh_events(&self, id: &str) -> Result<(), String> {
         let (archive, spec) = self.store.open_campaign(id)?;
-        let states = archive.cell_states(&spec, self.options.ttl_ms);
+        let states = archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS);
         let cells = spec.expand();
         let mut logs = self.events.lock().expect("event log poisoned");
         let log = logs.entry(id.to_string()).or_default();
@@ -296,9 +285,12 @@ impl RunningServer {
 ///
 /// # Errors
 ///
-/// Returns a description when the store root cannot be opened or the
-/// address cannot be bound.
+/// Returns a description when `job_slots` is 0, the store root cannot be
+/// opened or the address cannot be bound.
 pub fn spawn(root: &Path, options: ServeOptions) -> Result<RunningServer, String> {
+    if options.job_slots == 0 {
+        return Err("a daemon needs at least one executor slot".into());
+    }
     let store = CampaignStore::open(root)?;
     let listener = TcpListener::bind(&options.addr)
         .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
@@ -369,7 +361,7 @@ pub fn spawn(root: &Path, options: ServeOptions) -> Result<RunningServer, String
 }
 
 /// One executor slot: wait for a queued campaign, drive the leased
-/// runner on it (exactly like an attached worker), record the outcome.
+/// runner on it, record the outcome.
 fn executor_loop(state: &ServerState) {
     loop {
         let id = {
@@ -410,9 +402,7 @@ fn run_one(state: &ServerState, id: &str) -> Result<(), String> {
         dedup_baselines: o.dedup_baselines,
         ..RunnerConfig::default()
     };
-    let lease = LeaseConfig::for_process()
-        .with_ttl_ms(o.ttl_ms)
-        .with_poll_ms(o.poll_ms);
+    let lease = LeaseConfig::for_process();
     let run = run_campaign_leased(&spec, &config, &archive, &lease, Some(&state.cancel))?;
     println!(
         "dpm serve: campaign {id} complete; {}",
@@ -525,7 +515,7 @@ fn submit(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std
         &submission.id,
         &submission.archive,
         &submission.spec,
-        state.options.ttl_ms,
+        DEFAULT_LEASE_TTL_MS,
     );
     let job = if status.complete() {
         state.set_status(&submission.id, JobStatus::Complete);
@@ -553,7 +543,7 @@ fn submit(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std
 
 /// `GET /campaigns`: every campaign in the store, with job status.
 fn list(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<()> {
-    let statuses = match state.store.list(state.options.ttl_ms) {
+    let statuses = match state.store.list(DEFAULT_LEASE_TTL_MS) {
         Ok(s) => s,
         Err(e) => return write_error(stream, 500, &e),
     };
@@ -585,7 +575,7 @@ fn campaign_grid(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::
         Ok(pair) => pair,
         Err(e) => return write_error(stream, 404, &e),
     };
-    let states = archive.cell_states(&spec, state.options.ttl_ms);
+    let states = archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS);
     write_json(stream, 200, &grid_json(&spec, Some(&states)))
 }
 
@@ -802,7 +792,7 @@ fn events(
 
 /// `POST /campaigns/{id}/gc`: archive hygiene, reported as JSON.
 fn gc(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<()> {
-    match state.store.gc(id, state.options.ttl_ms) {
+    match state.store.gc(id, DEFAULT_LEASE_TTL_MS) {
         Ok(report) => {
             let body = serde_json::to_string_pretty::<GcReport>(&report)
                 .expect("shim serializer never fails");
@@ -814,8 +804,8 @@ fn gc(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<
 
 /// `POST /campaigns/{id}/compact`: rewrite the archive into a single
 /// fresh segment, reported as JSON. A campaign with unexpired work
-/// leases refuses with 409 (workers may still be appending; the client
-/// retries once they finish) rather than silently dropping their
+/// leases refuses with 409 (a holder may still be appending; the client
+/// retries once it finishes) rather than silently dropping its
 /// concurrent appends.
 fn compact(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<()> {
     match state.store.compact(id) {

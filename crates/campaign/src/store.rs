@@ -1,10 +1,10 @@
 //! The campaign **store**: a service API over one or more campaign
 //! directories.
 //!
-//! PRs 2–4 made the campaign directory the coordination medium; this
-//! module makes it a *serving* medium. A [`CampaignStore`] owns a root
-//! directory holding any number of campaign directories, one per
-//! submitted spec, keyed by the spec's fingerprint:
+//! This module makes the campaign directory a *serving* medium. A
+//! [`CampaignStore`] owns a root directory holding any number of
+//! campaign directories, one per submitted spec, keyed by the spec's
+//! fingerprint:
 //!
 //! ```text
 //! <root>/

@@ -40,6 +40,8 @@
 //! fingerprint): editing the objective or budget keeps a campaign
 //! directory's cached cells valid.
 
+use std::collections::HashSet;
+
 use crate::objective::{Constraint, Objective};
 use crate::search::{SearchFidelity, StrategyKind};
 use crate::spec::{
@@ -87,6 +89,9 @@ impl TomlDoc {
     /// Returns `line N: message` on the first syntax error.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut doc = TomlDoc::default();
+        // beside `pairs`, so a duplicate check costs O(1), not a scan of
+        // every earlier key
+        let mut seen: HashSet<String> = HashSet::new();
         let mut section = String::new();
         let mut lines = text.lines().enumerate().peekable();
         while let Some((lineno, raw)) = lines.next() {
@@ -113,11 +118,20 @@ impl TomlDoc {
             if key.is_empty() {
                 return Err(err("empty key"));
             }
-            // multi-line arrays: keep consuming lines until brackets close
-            while rest.starts_with('[') && !brackets_close(&rest) {
-                let (_, next) = lines.next().ok_or_else(|| err("unterminated array"))?;
-                rest.push(' ');
-                rest.push_str(strip_comment(next).trim());
+            // multi-line arrays: keep consuming lines until brackets
+            // close, scanning only each appended line (the depth and the
+            // in-string flag carry over), so an array that never closes
+            // costs linear time
+            if rest.starts_with('[') {
+                let mut brackets = Brackets::default();
+                brackets.scan(&rest);
+                while !brackets.closed() {
+                    let (_, next) = lines.next().ok_or_else(|| err("unterminated array"))?;
+                    let next = strip_comment(next).trim();
+                    rest.push(' ');
+                    rest.push_str(next);
+                    brackets.scan(next);
+                }
             }
             let value = parse_value(rest.trim()).map_err(|m| err(&m))?;
             let full_key = if section.is_empty() {
@@ -125,7 +139,7 @@ impl TomlDoc {
             } else {
                 format!("{section}.{key}")
             };
-            if doc.pairs.iter().any(|(k, _)| *k == full_key) {
+            if !seen.insert(full_key.clone()) {
                 return Err(err(&format!("duplicate key '{full_key}'")));
             }
             doc.pairs.push((full_key, value));
@@ -157,18 +171,30 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn brackets_close(s: &str) -> bool {
-    let mut depth = 0i32;
-    let mut in_string = false;
-    for c in s.chars() {
-        match c {
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => depth -= 1,
-            _ => {}
+/// Bracket depth and in-string state of an array value read so far.
+/// Scanning a value in pieces ends in the same state as scanning it
+/// whole, so a multi-line array is scanned one appended line at a time.
+#[derive(Debug, Default)]
+struct Brackets {
+    depth: i32,
+    in_string: bool,
+}
+
+impl Brackets {
+    fn scan(&mut self, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => self.in_string = !self.in_string,
+                '[' if !self.in_string => self.depth += 1,
+                ']' if !self.in_string => self.depth -= 1,
+                _ => {}
+            }
         }
     }
-    depth <= 0
+
+    fn closed(&self) -> bool {
+        self.depth <= 0
+    }
 }
 
 fn parse_value(s: &str) -> Result<TomlValue, String> {
@@ -783,6 +809,91 @@ ip_counts = [1]
         assert!(err.contains("must look like"), "{err}");
         let err = parse_campaign_toml("[search]\nbudget = \"lots\"\n").unwrap_err();
         assert!(err.contains("search.budget"), "{err}");
+    }
+
+    #[test]
+    fn an_unclosed_multiline_array_fails_in_linear_time() {
+        let text = format!("ip_counts = [\n{}", "[\n".repeat(200_000));
+        let started = std::time::Instant::now();
+        let err = TomlDoc::parse(&text).unwrap_err();
+        let took = started.elapsed();
+        assert!(err.contains("unterminated array"), "{err}");
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    #[test]
+    fn a_multiline_array_parses_like_its_one_line_form() {
+        let multi = "names = [\n  \"a]b\",   # a trailing comment\n  \"c#d\",\n  \"e\"\n]\n";
+        let single = "names = [\"a]b\", \"c#d\", \"e\"]\n";
+        let multi = TomlDoc::parse(multi).unwrap();
+        let single = TomlDoc::parse(single).unwrap();
+        assert_eq!(multi.get("names"), single.get("names"));
+        assert_eq!(
+            multi.get("names"),
+            Some(&TomlValue::Array(
+                ["a]b", "c#d", "e"]
+                    .map(|s| TomlValue::String(s.into()))
+                    .to_vec()
+            ))
+        );
+    }
+
+    #[test]
+    fn scanning_brackets_line_by_line_matches_a_whole_value_scan() {
+        // reference: the whole-value scan the parser used to re-run
+        // after every appended line
+        fn brackets_close(s: &str) -> bool {
+            let mut depth = 0i32;
+            let mut in_string = false;
+            for c in s.chars() {
+                match c {
+                    '"' => in_string = !in_string,
+                    '[' if !in_string => depth += 1,
+                    ']' if !in_string => depth -= 1,
+                    _ => {}
+                }
+            }
+            depth <= 0
+        }
+        for value in [
+            "[1, [2]",
+            "[\"]\", 1]",
+            "[\"[\"]",
+            "[[]]]",
+            "[ \"a\"\"b\" ]",
+        ] {
+            for cut in 0..=value.len() {
+                let mut pieces = Brackets::default();
+                pieces.scan(&value[..cut]);
+                pieces.scan(&value[cut..]);
+                assert_eq!(
+                    pieces.closed(),
+                    brackets_close(value),
+                    "{value:?} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn many_distinct_keys_parse_in_linear_time() {
+        let text: String = (0..100_000).map(|i| format!("k{i} = 1\n")).collect();
+        let started = std::time::Instant::now();
+        let doc = TomlDoc::parse(&text).unwrap();
+        let took = started.elapsed();
+        assert_eq!(doc.keys().count(), 100_000);
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    #[test]
+    fn a_repeated_key_is_a_duplicate_at_top_level_and_in_a_section() {
+        let err = TomlDoc::parse("name = \"a\"\nname = \"b\"\n").unwrap_err();
+        assert_eq!(err, "line 2: duplicate key 'name'");
+        let err = TomlDoc::parse("[axes]\nseeds = [1]\n\nseeds = [2]\n").unwrap_err();
+        assert_eq!(err, "line 4: duplicate key 'axes.seeds'");
+        // the same key in two sections is two keys
+        let doc = TomlDoc::parse("seeds = 1\n[axes]\nseeds = [1]\n").unwrap();
+        assert_eq!(doc.keys().collect::<Vec<_>>(), ["seeds", "axes.seeds"]);
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Distributed-execution contract: any number of lease-coordinated
-//! workers over one campaign directory produce the **byte-identical**
-//! report of a single-process run, with the **same total work** (no cell
-//! and no shared baseline simulated twice), and a worker dying
-//! mid-campaign never loses a cell — survivors reclaim its stale lease
-//! and complete it.
+//! Lease-coordinated runs over one campaign directory — the path every
+//! `dpm serve` executor slot takes ([`run_campaign_leased`]): any number
+//! of them produce the **byte-identical** report of a plain run, with
+//! the **same total work** (no cell and no shared baseline simulated
+//! twice), and a holder dying mid-campaign never loses a cell —
+//! survivors reclaim its stale lease and complete it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dpm_campaign::{
-    campaign_json, run_campaign_leased, run_campaign_with, run_cells_with, run_worker, summarize,
-    BatteryAxis, CampaignArchive, CampaignResult, CampaignSpec, ControllerAxis, LeaseConfig,
-    LeaseRecord, RunStats, RunnerConfig, ScenarioSpec, ThermalAxis, TuningAxis, WorkerOptions,
-    WorkloadAxis, LEASE_VERSION, RUN_CANCELLED,
+    campaign_json, run_campaign_leased, run_campaign_with, run_cells_with, summarize, BatteryAxis,
+    CampaignArchive, CampaignResult, CampaignSpec, ControllerAxis, LeaseConfig, LeaseRecord,
+    RunStats, RunnerConfig, ScenarioSpec, ThermalAxis, TuningAxis, WorkloadAxis, LEASE_VERSION,
+    RUN_CANCELLED,
 };
 use proptest::prelude::*;
 
@@ -53,7 +53,10 @@ fn serial() -> RunnerConfig {
 }
 
 fn fast_lease() -> LeaseConfig {
-    LeaseConfig::for_process().with_poll_ms(1)
+    LeaseConfig {
+        poll_ms: 1,
+        ..LeaseConfig::for_process()
+    }
 }
 
 fn report_bytes(result: &CampaignResult) -> String {
@@ -85,17 +88,16 @@ fn two_workers_split_the_grid_and_match_single_process_bytes() {
 
     let dir = scratch_dir();
     let _ = CampaignArchive::open(&dir, &spec).expect("create campaign dir");
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
+    let runs: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                let dir = dir.clone();
+                let (dir, spec) = (&dir, &spec);
                 scope.spawn(move || {
-                    let options = WorkerOptions {
-                        threads: 1,
-                        dedup_baselines: true,
-                        lease: fast_lease(),
-                    };
-                    run_worker(&dir, &options).expect("worker")
+                    // each run holds its own handle, so each appends to
+                    // its own segment
+                    let (archive, _) = CampaignArchive::open_existing(dir).expect("open dir");
+                    run_campaign_leased(spec, &serial(), &archive, &fast_lease(), None)
+                        .expect("leased run")
                 })
             })
             .collect();
@@ -105,15 +107,15 @@ fn two_workers_split_the_grid_and_match_single_process_bytes() {
             .collect()
     });
 
-    // every worker ends holding the complete, byte-identical campaign
-    for outcome in &outcomes {
-        assert_eq!(report_bytes(&outcome.run.result), reference);
+    // every run ends holding the complete, byte-identical campaign
+    for run in &runs {
+        assert_eq!(report_bytes(&run.result), reference);
     }
     // ... and the work sums to exactly the single-process totals: the
     // grid partitioned by baseline group, nothing simulated twice
     let mut sum = RunStats::default();
-    for outcome in &outcomes {
-        sum.absorb(&outcome.summary.stats);
+    for run in &runs {
+        sum.absorb(&run.stats);
     }
     assert_eq!(sum.executed_cells, spec.scenario_count());
     assert_eq!(sum.simulations, cold.stats.simulations);
@@ -145,20 +147,17 @@ fn a_killed_workers_group_is_reclaimed_and_completed() {
     kill_holder(&archive, lease.group(), &doomed.holder);
     drop(lease); // never released — the process is gone
 
-    // a surviving worker must reclaim the stale lease and finish
-    let survivor = WorkerOptions {
-        threads: 1,
-        dedup_baselines: true,
-        lease: fast_lease(),
-    };
-    let outcome = run_worker(&dir, &survivor).expect("survivor drains the grid");
-    assert_eq!(report_bytes(&outcome.run.result), reference);
-    assert_eq!(outcome.summary.stats.executed_cells, spec.scenario_count());
+    // a surviving run must reclaim the stale lease and finish
+    let survivor = fast_lease();
+    let run = run_campaign_leased(&spec, &serial(), &archive, &survivor, None)
+        .expect("survivor drains the grid");
+    assert_eq!(report_bytes(&run.result), reference);
+    assert_eq!(run.stats.executed_cells, spec.scenario_count());
 
     // the grid is fully archived and no lease (stale or live) remains
     let load = archive.load(&spec, &spec.expand());
     assert_eq!(load.loaded, spec.scenario_count());
-    let gc = archive.gc(&spec, survivor.lease.ttl_ms).expect("gc");
+    let gc = archive.gc(&spec, survivor.ttl_ms).expect("gc");
     assert_eq!(gc.leases_active, 0);
     assert_eq!(gc.records_removed, 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -219,9 +218,11 @@ fn slow_group_under_short_ttl_is_never_reclaimed_from_a_live_worker() {
                         threads: 2,
                         ..RunnerConfig::default()
                     };
-                    let lease = LeaseConfig::for_process()
-                        .with_ttl_ms(ttl_ms)
-                        .with_poll_ms(5);
+                    let lease = LeaseConfig {
+                        ttl_ms,
+                        poll_ms: 5,
+                        ..LeaseConfig::for_process()
+                    };
                     let started = std::time::Instant::now();
                     let run = run_campaign_leased(spec, &config, archive, &lease, None)
                         .expect("leased run");
@@ -392,21 +393,17 @@ proptest! {
             }
         }
 
-        // a final worker drains whatever the interleaving left behind
-        let drain = WorkerOptions {
-            threads: 1,
-            dedup_baselines: true,
-            lease: fast_lease(),
-        };
-        let outcome = run_worker(&dir, &drain).expect("drain");
-        executed_total += outcome.summary.stats.executed_cells;
+        // a final leased run drains whatever the interleaving left behind
+        let drain = run_campaign_leased(&spec, &serial(), &archive, &fast_lease(), None)
+            .expect("drain");
+        executed_total += drain.stats.executed_cells;
 
         // no cell lost, none double-counted, bytes identical
         prop_assert_eq!(executed_total, spec.scenario_count());
         let load = archive.load(&spec, &cells);
         prop_assert_eq!(load.loaded, spec.scenario_count());
         prop_assert_eq!(load.skipped, 0);
-        prop_assert_eq!(report_bytes(&outcome.run.result), reference);
+        prop_assert_eq!(report_bytes(&drain.result), reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

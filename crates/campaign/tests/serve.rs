@@ -53,9 +53,20 @@ fn serve_options(job_slots: usize) -> ServeOptions {
     ServeOptions {
         job_slots,
         threads: 1,
-        poll_ms: 1,
         ..ServeOptions::default()
     }
+}
+
+/// Creates SPEC_TOML's campaign in the store at `root` without
+/// submitting it to any daemon: a daemon runs only what is POSTed to it,
+/// so this campaign stays incomplete and nothing simulates. Returns its
+/// id.
+fn unsubmitted_campaign(root: &std::path::Path) -> String {
+    CampaignStore::open(root)
+        .expect("open store")
+        .submit_toml(SPEC_TOML)
+        .expect("create campaign")
+        .id
 }
 
 /// One parsed HTTP response (chunked bodies already decoded).
@@ -282,8 +293,7 @@ fn submit_stream_and_report_match_the_cli_byte_for_byte() {
 #[test]
 fn concurrent_submissions_dedup_into_one_campaign() {
     let root = scratch_dir();
-    // coordination-only daemon: no executor, so nothing simulates here
-    let server = spawn_server(&root, serve_options(0)).expect("spawn daemon");
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
 
     let responses: Vec<Response> = std::thread::scope(|scope| {
@@ -307,10 +317,16 @@ fn concurrent_submissions_dedup_into_one_campaign() {
     let created = responses.iter().filter(|r| r.status == 201).count();
     assert_eq!(created, 1, "exactly one submission creates the campaign");
     assert!(responses.iter().all(|r| matches!(r.status, 200 | 201)));
-    // with no executor slots the job is the external workers' business
-    assert!(responses
-        .iter()
-        .all(|r| json_str(&r.body, "job") == Some("external")));
+    // every response names the one job: the first submission queues it
+    // and later ones find it queued, running or already complete
+    assert!(
+        responses.iter().all(|r| matches!(
+            json_str(&r.body, "job"),
+            Some("queued" | "running" | "complete")
+        )),
+        "{:?}",
+        responses.iter().map(|r| &r.body).collect::<Vec<_>>()
+    );
 
     let campaign_dirs = std::fs::read_dir(&root)
         .expect("list root")
@@ -333,7 +349,8 @@ fn concurrent_submissions_dedup_into_one_campaign() {
 #[test]
 fn errors_are_structured_json_and_reads_never_simulate() {
     let root = scratch_dir();
-    let server = spawn_server(&root, serve_options(0)).expect("spawn daemon");
+    let id = unsubmitted_campaign(&root);
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
 
     // malformed TOML spec
@@ -409,11 +426,8 @@ fn errors_are_structured_json_and_reads_never_simulate() {
     let hostile = http(addr, "GET", "/campaigns/%2e%2e/report", None);
     assert_eq!(hostile.status, 404, "{}", hostile.body);
 
-    // submit a real spec on the no-executor daemon: it stays incomplete,
-    // so every result read hits the 409 completeness gate with progress
-    let submitted = http(addr, "POST", "/campaigns", Some(SPEC_TOML));
-    assert_eq!(submitted.status, 201, "{}", submitted.body);
-    let id = json_str(&submitted.body, "id").expect("id").to_string();
+    // a campaign the daemon was never asked to run stays incomplete, so
+    // every result read hits the 409 completeness gate with progress
     for endpoint in ["report", "best", "pareto"] {
         let gated = http(addr, "GET", &format!("/campaigns/{id}/{endpoint}"), None);
         assert_eq!(gated.status, 409, "{endpoint}: {}", gated.body);
@@ -445,12 +459,9 @@ fn errors_are_structured_json_and_reads_never_simulate() {
 #[test]
 fn event_cursor_rejects_garbage_and_longpolls_past_the_tail() {
     let root = scratch_dir();
-    let server = spawn_server(&root, serve_options(0)).expect("spawn daemon");
+    let id = unsubmitted_campaign(&root);
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
-
-    let submitted = http(addr, "POST", "/campaigns", Some(SPEC_TOML));
-    assert_eq!(submitted.status, 201, "{}", submitted.body);
-    let id = json_str(&submitted.body, "id").expect("id").to_string();
 
     // non-numeric cursors are client bugs and must fail loudly
     for bad in ["abc", "-1", "1.5", "0x10", ""] {
@@ -497,12 +508,9 @@ fn event_cursor_rejects_garbage_and_longpolls_past_the_tail() {
 #[test]
 fn events_longpoll_releases_promptly_on_shutdown() {
     let root = scratch_dir();
-    let server = spawn_server(&root, serve_options(0)).expect("spawn daemon");
+    let id = unsubmitted_campaign(&root);
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
-
-    let submitted = http(addr, "POST", "/campaigns", Some(SPEC_TOML));
-    assert_eq!(submitted.status, 201, "{}", submitted.body);
-    let id = json_str(&submitted.body, "id").expect("id").to_string();
 
     // park a poller far past the tail with a long deadline, give it a
     // moment to reach the wait loop, then shut the daemon down
@@ -538,14 +546,11 @@ fn events_longpoll_releases_promptly_on_shutdown() {
 #[test]
 fn compact_conflicts_while_a_worker_holds_a_lease() {
     let root = scratch_dir();
-    let server = spawn_server(&root, serve_options(0)).expect("spawn daemon");
+    let id = unsubmitted_campaign(&root);
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
 
-    let submitted = http(addr, "POST", "/campaigns", Some(SPEC_TOML));
-    assert_eq!(submitted.status, 201, "{}", submitted.body);
-    let id = json_str(&submitted.body, "id").expect("id").to_string();
-
-    // an external worker claims a group, as `dpm campaign worker` would
+    // another holder claims a group, as a leased run does
     let store = CampaignStore::open(&root).expect("open store");
     let (archive, _) = store.open_campaign(&id).expect("open campaign");
     let lease = archive
@@ -571,7 +576,7 @@ fn compact_conflicts_while_a_worker_holds_a_lease() {
 #[test]
 fn shutdown_drains_and_closes_the_listener() {
     let root = scratch_dir();
-    let server = spawn_server(&root, serve_options(0)).expect("spawn daemon");
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
 
     let bye = http(addr, "POST", "/shutdown", None);
@@ -581,4 +586,12 @@ fn shutdown_drains_and_closes_the_listener() {
     // the socket is gone once the daemon drains
     assert!(TcpStream::connect(addr).is_err(), "daemon still listening");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A daemon with no executor slot could run nothing: `spawn` refuses it.
+#[test]
+fn a_daemon_without_executor_slots_is_refused() {
+    let root = scratch_dir();
+    let err = spawn_server(&root, serve_options(0)).expect_err("zero slots must be refused");
+    assert!(err.contains("at least one executor slot"), "{err}");
 }
