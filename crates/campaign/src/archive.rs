@@ -721,7 +721,12 @@ impl CampaignArchive {
         let Some(json) = self.encode_record(spec, result, fidelity)? else {
             return Ok(());
         };
-        let index = result.scenario.index;
+        self.append_record(result.scenario.index, fidelity, &json)
+    }
+
+    /// Appends one record's text to `fidelity`'s segment store under
+    /// grid `index`, and indexes it.
+    fn append_record(&self, index: usize, fidelity: Fidelity, json: &str) -> Result<(), String> {
         let dir = self.segments_dir_for(fidelity);
         let mut state = self.lock_for(fidelity);
         let appended = state.writer.append(
@@ -1779,6 +1784,46 @@ mod tests {
         assert_eq!(screen.loaded, spec.scenario_count());
         for (slot, want) in screen.slots.iter().zip(&coarse.results) {
             assert_eq!(slot.as_ref().unwrap(), want);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_without_a_fidelity_tag_read_as_fine() {
+        // records written before the fidelity tag existed carry no
+        // "fidelity" key; a missing tag decodes as fine, so such a record
+        // satisfies a fine read and is skipped by a coarse one
+        let spec = tiny_spec();
+        let dir = tmp_dir("fidelity-untagged");
+        let archive = CampaignArchive::open(&dir, &spec).unwrap();
+        let coarse = run_campaign(
+            &spec,
+            &RunnerConfig::serial().with_fidelity(Fidelity::Coarse),
+        );
+        let result = &coarse.results[0];
+        let tagged = archive
+            .encode_record(&spec, result, Fidelity::Coarse)
+            .unwrap()
+            .unwrap();
+        let untagged = tagged.replace(",\"fidelity\":\"coarse\"", "");
+        assert!(!untagged.contains("fidelity"), "{untagged}");
+        for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
+            archive
+                .append_record(result.scenario.index, fidelity, &untagged)
+                .unwrap();
+        }
+        let cells = [spec.cell_at(0)];
+        // the appending handle, and a reopened one whose index comes from
+        // the segment scan alone, answer alike
+        for handle in [archive, CampaignArchive::open(&dir, &spec).unwrap()] {
+            let fine = handle.load(&spec, &cells);
+            assert_eq!((fine.loaded, fine.skipped), (1, 0));
+            assert_eq!(fine.slots[0].as_ref(), Some(result));
+            let screen = handle.load_as(&spec, &cells, Fidelity::Coarse);
+            assert_eq!((screen.loaded, screen.skipped), (0, 1));
+            assert!(handle
+                .load_cell_as(&spec, &cells[0], Fidelity::Coarse)
+                .is_none());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -75,8 +75,9 @@ pub enum Fidelity {
 
 // Serde impls are hand-written (the in-tree shim has no attribute
 // support): the tag serializes as its lowercase label, and a *missing*
-// field — which the shim surfaces as `Null` — reads as `Fine`, so every
-// pre-tag archive record keeps deserializing as the fine record it is.
+// field — which the shim decodes as a literal `null` — reads as `Fine`,
+// so every pre-tag archive record keeps deserializing as the fine record
+// it is.
 impl serde::Serialize for Fidelity {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.label().to_string())
@@ -84,12 +85,15 @@ impl serde::Serialize for Fidelity {
 }
 
 impl serde::Deserialize for Fidelity {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Null => Ok(Fidelity::Fine),
-            serde::Value::String(s) if s == "fine" => Ok(Fidelity::Fine),
-            serde::Value::String(s) if s == "coarse" => Ok(Fidelity::Coarse),
-            other => Err(serde::Error::type_mismatch("\"fine\" or \"coarse\"", other)),
+    fn deserialize(d: &mut serde::Decoder<'_>) -> Result<Self, serde::Error> {
+        const EXPECTED: &str = "\"fine\" or \"coarse\"";
+        if d.null()? {
+            return Ok(Fidelity::Fine);
+        }
+        match &*d.string(EXPECTED)? {
+            "fine" => Ok(Fidelity::Fine),
+            "coarse" => Ok(Fidelity::Coarse),
+            _ => Err(serde::Error::type_mismatch(EXPECTED, "string")),
         }
     }
 }

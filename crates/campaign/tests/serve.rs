@@ -287,6 +287,44 @@ fn submit_stream_and_report_match_the_cli_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A JSON spec as Python's `json.dumps` writes it by default, with a
+/// character outside the Basic Multilingual Plane escaped as a
+/// surrogate pair, is accepted and keeps its name.
+#[test]
+fn json_specs_decode_surrogate_pair_escapes() {
+    let root = scratch_dir();
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
+    let addr = server.addr();
+    let (mut spec, _) = dpm_campaign::parse_campaign_toml(SPEC_TOML).expect("parse spec");
+    spec.name = "quick 🙂".into();
+    let body = serde_json::to_string(&spec)
+        .expect("render spec")
+        .replace('🙂', "\\ud83d\\ude42");
+    assert!(body.is_ascii() && body.contains("\\ud83d\\ude42"), "{body}");
+
+    let created = http(addr, "POST", "/campaigns", Some(&body));
+    assert_eq!(created.status, 201, "{}", created.body);
+    assert_eq!(json_str(&created.body, "name"), Some("quick 🙂"));
+    let id = json_str(&created.body, "id").expect("submission has an id");
+
+    // let the campaign finish so shutdown finds an idle daemon
+    let events = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/events?wait_ms=60000"),
+        None,
+    );
+    assert!(
+        events.body.contains("\"event\":\"complete\""),
+        "{}",
+        events.body
+    );
+    let bye = http(addr, "POST", "/shutdown", None);
+    assert_eq!(bye.status, 200);
+    server.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Submission is idempotent under concurrency: N clients racing the
 /// same new spec all land on one campaign id, exactly one directory is
 /// created, and exactly one response is `201 Created`.

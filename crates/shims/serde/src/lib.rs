@@ -6,13 +6,16 @@
 //! Deserialize)]` on plain structs and enums (externally tagged, with
 //! newtype/`#[serde(transparent)]` structs collapsing to their inner
 //! value), serialization to a JSON [`Value`] tree, and deserialization
-//! back from it. There is no zero-copy layer, no visitor machinery and no
-//! attribute zoo — just enough for trace persistence and report export.
+//! straight from JSON text. There is no visitor machinery and no
+//! attribute zoo — just enough for trace persistence, archive records
+//! and report export.
 //!
-//! [`Value::parse`] reads untrusted text (archive records, leases, HTTP
-//! request bodies) in time linear in its length, and rejects documents
-//! nested deeper than 128 arrays/objects with an [`Error`] instead of
-//! recursing until the stack overflows.
+//! [`Deserialize`] impls read their value from a [`Decoder`], a cursor
+//! over the text, without building a tree first; only a [`Value`] target
+//! builds one. The decoder reads untrusted text (archive records, leases,
+//! HTTP request bodies) in time linear in its length, and rejects
+//! documents nested deeper than 128 arrays/objects with an [`Error`]
+//! instead of recursing until the stack overflows.
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +23,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 mod value;
 
-pub use value::{Error, Number, Value};
+pub use value::{Decoder, Error, Number, Value};
 
 /// Conversion into the JSON [`Value`] tree.
 pub trait Serialize {
@@ -28,10 +31,29 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Conversion back from a JSON [`Value`] tree.
+/// Decoding from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self`, reporting shape mismatches as [`Error`]s.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Reads one value at the decoder's position, reporting shape
+    /// mismatches as [`Error`]s.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] on malformed input or a shape mismatch.
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error>;
+}
+
+/// A struct field's decoded value, or — when the field was missing from
+/// its object — whatever a literal `null` decodes to: `None` for an
+/// `Option`, an error for most other types.
+///
+/// # Errors
+///
+/// Returns an [`Error`] when the field is missing and `T` rejects `null`.
+pub fn or_null<T: Deserialize>(field: Option<T>) -> Result<T, Error> {
+    match field {
+        Some(v) => Ok(v),
+        None => T::deserialize(&mut Decoder::new("null")),
+    }
 }
 
 // ---- primitive impls -------------------------------------------------
@@ -44,8 +66,9 @@ macro_rules! ser_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_u64().ok_or_else(|| Error::type_mismatch("unsigned integer", v))?;
+            fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+                let n = d.number("unsigned integer")?;
+                let n = n.as_u64().ok_or_else(|| Error::type_mismatch("unsigned integer", "number"))?;
                 <$t>::try_from(n).map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t))))
             }
         }
@@ -61,8 +84,9 @@ macro_rules! ser_signed {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| Error::type_mismatch("integer", v))?;
+            fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+                let n = d.number("integer")?;
+                let n = n.as_i64().ok_or_else(|| Error::type_mismatch("integer", "number"))?;
                 <$t>::try_from(n).map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t))))
             }
         }
@@ -76,8 +100,8 @@ impl Serialize for f64 {
     }
 }
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64().ok_or_else(|| Error::type_mismatch("number", v))
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        d.number("number").map(Number::as_f64)
     }
 }
 
@@ -87,8 +111,8 @@ impl Serialize for f32 {
     }
 }
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(f64::from_value(v)? as f32)
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        Ok(f64::deserialize(d)? as f32)
     }
 }
 
@@ -98,11 +122,8 @@ impl Serialize for bool {
     }
 }
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::type_mismatch("bool", other)),
-        }
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        d.boolean()
     }
 }
 
@@ -112,11 +133,8 @@ impl Serialize for String {
     }
 }
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::type_mismatch("string", other)),
-        }
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        d.string("string").map(std::borrow::Cow::into_owned)
     }
 }
 
@@ -141,10 +159,11 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        if d.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(d).map(Some)
         }
     }
 }
@@ -155,11 +174,13 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::type_mismatch("array", other)),
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        d.begin_array()?;
+        let mut items = Vec::new();
+        while d.next_element()? {
+            items.push(T::deserialize(d)?);
         }
+        Ok(items)
     }
 }
 
@@ -175,8 +196,8 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = Vec::<T>::from_value(v)?;
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        let items = Vec::<T>::deserialize(d)?;
         let n = items.len();
         items
             .try_into()
@@ -192,20 +213,15 @@ macro_rules! tuple_impls {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Array(items) => {
-                        let expected = [$($idx),+].len();
-                        if items.len() != expected {
-                            return Err(Error::msg(format!(
-                                "expected array of {expected} elements, found {}",
-                                items.len()
-                            )));
-                        }
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(Error::type_mismatch("array", other)),
-                }
+            fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+                let arity = [$($idx),+].len();
+                d.begin_array()?;
+                let v = ($({
+                    d.element(arity)?;
+                    $name::deserialize(d)?
+                },)+);
+                d.end_tuple(arity)?;
+                Ok(v)
             }
         }
     )*};
@@ -223,7 +239,7 @@ impl Serialize for Value {
     }
 }
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, Error> {
+        d.value()
     }
 }

@@ -1,4 +1,7 @@
-//! The JSON value tree, its text form, and the shared error type.
+//! The JSON value tree, its text form, the decoder that reads text both
+//! into typed values and into trees, and the shared error type.
+
+use std::borrow::Cow;
 
 use core::fmt;
 use core::ops::Index;
@@ -104,15 +107,6 @@ impl Value {
         }
     }
 
-    /// Member lookup that reports a useful [`Error`] (missing members act
-    /// as `null` so optional fields deserialize to `None`).
-    pub fn expect_field(&self, key: &str) -> Result<&Value, Error> {
-        match self {
-            Value::Object(_) => Ok(self.get(key).unwrap_or(&NULL)),
-            other => Err(Error::type_mismatch("object", other)),
-        }
-    }
-
     /// The string contents, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -142,18 +136,6 @@ impl Value {
         match self {
             Value::Number(n) => n.as_i64(),
             _ => None,
-        }
-    }
-
-    /// A one-word description used in error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
         }
     }
 
@@ -217,19 +199,15 @@ impl Value {
         }
     }
 
-    /// Parses JSON text.
+    /// Parses JSON text into a tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] on malformed or too deeply nested input.
     pub fn parse(text: &str) -> Result<Value, Error> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(Error::msg(format!("trailing input at byte {}", p.pos)));
-        }
+        let mut decoder = Decoder::new(text);
+        let v = decoder.value()?;
+        decoder.end()?;
         Ok(v)
     }
 }
@@ -277,203 +255,413 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// Deepest array/object nesting a [`Decoder`] accepts. Decoding
 /// recurses once per level, so without a bound a hostile document (a
 /// request body of nothing but `[`) would overflow the stack. The
 /// deepest document this workspace writes, a `--per-scenario` campaign
 /// report, nests 5 levels.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over JSON text that typed decoding and the tree parser
+/// share: [`Deserialize`](crate::Deserialize) impls read their values
+/// straight from it, [`Decoder::value`] builds a [`Value`] tree from it,
+/// and both accept exactly the same grammar.
+///
+/// Every read skips the whitespace before its token. Keys, and strings
+/// without escapes, borrow from the text instead of allocating. Nesting
+/// deeper than 128 arrays/objects is an error wherever it occurs,
+/// skipped values included.
+///
+/// Every method fails with an [`Error`] on malformed input or on a
+/// value of the wrong shape, and leaves the decoder mid-document:
+/// callers stop at the first error.
+pub struct Decoder<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects open around the current position.
     depth: usize,
+    /// Set right after a `[` or `{`: the first element or key needs no
+    /// comma before it. Every other token clears it.
+    opened: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl<'a> Decoder<'a> {
+    /// A decoder at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+            opened: false,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Checks that nothing but whitespace follows the decoded value.
+    pub fn end(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error_at("trailing input")),
+        }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Consumes a `null` if one comes next, returning whether it did.
+    pub fn null(&mut self) -> Result<bool, Error> {
+        if self.peek() == Some(b'n') {
+            self.literal("null")?;
+            Ok(true)
+        } else {
+            Ok(false)
+        }
+    }
+
+    /// Reads a boolean.
+    pub fn boolean(&mut self) -> Result<bool, Error> {
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(self.mismatch("bool")),
+        }
+    }
+
+    /// Reads a number, keeping integers at full 64-bit precision;
+    /// `expected` names the wanted type in a mismatch error.
+    pub fn number(&mut self, expected: &str) -> Result<Number, Error> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.number_token(),
+            _ => Err(self.mismatch(expected)),
+        }
+    }
+
+    /// Reads a string, borrowed from the text when it has no escapes;
+    /// `expected` names the wanted type in a mismatch error.
+    pub fn string(&mut self, expected: &str) -> Result<Cow<'a, str>, Error> {
+        match self.peek() {
+            Some(b'"') => self.string_token(),
+            _ => Err(self.mismatch(expected)),
+        }
+    }
+
+    /// Opens an array; read its elements with
+    /// [`next_element`](Self::next_element).
+    pub fn begin_array(&mut self) -> Result<(), Error> {
+        self.open(b'[', "array")
+    }
+
+    /// Steps to the next element of the innermost open array: `true`
+    /// when one follows (the decoder then sits at it), `false` once the
+    /// closing `]` is consumed.
+    pub fn next_element(&mut self) -> Result<bool, Error> {
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            _ if self.opened => {
+                self.opened = false;
+                Ok(true)
+            }
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.error_at("bad array")),
+        }
+    }
+
+    /// Steps to the next element of a tuple of `arity` elements, opened
+    /// with [`begin_array`](Self::begin_array) and closed with
+    /// [`end_tuple`](Self::end_tuple).
+    pub fn element(&mut self, arity: usize) -> Result<(), Error> {
+        if self.next_element()? {
             Ok(())
         } else {
-            Err(Error::msg(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
+            Err(Error(format!(
+                "expected array of {arity} elements, found fewer"
             )))
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
+    /// Closes a tuple of `arity` elements.
+    pub fn end_tuple(&mut self, arity: usize) -> Result<(), Error> {
+        if self.next_element()? {
+            Err(Error(format!(
+                "expected array of {arity} elements, found more"
+            )))
         } else {
-            Err(Error::msg(format!("invalid literal at byte {}", self.pos)))
+            Ok(())
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Opens an object; read its members with
+    /// [`next_key`](Self::next_key).
+    pub fn begin_object(&mut self) -> Result<(), Error> {
+        self.open(b'{', "object")
+    }
+
+    /// Steps to the next member of the innermost open object: its key,
+    /// with the decoder at the member's value, or `None` once the
+    /// closing `}` is consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(Error::msg(format!("unexpected input at byte {}", self.pos))),
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            _ if self.opened => {}
+            Some(b',') => self.pos += 1,
+            _ => return Err(self.error_at("bad object")),
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.error_at("expected '\"'"));
+        }
+        let key = self.string_token()?;
+        if self.peek() != Some(b':') {
+            return Err(self.error_at("expected ':'"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Reads an externally tagged enum's tag: a string names a unit
+    /// variant (`true`); an object names any other variant by its one
+    /// key, and the decoder then sits at the payload, to be closed with
+    /// [`end_variant`](Self::end_variant).
+    pub fn variant(&mut self, enum_name: &str) -> Result<(Cow<'a, str>, bool), Error> {
+        match self.peek() {
+            Some(b'"') => Ok((self.string_token()?, true)),
+            Some(b'{') => {
+                self.begin_object()?;
+                match self.next_key()? {
+                    Some(tag) => Ok((tag, false)),
+                    None => Err(no_variant(enum_name, "object")),
+                }
+            }
+            _ => Err(no_variant(enum_name, self.kind())),
         }
     }
 
-    /// Parses one array or object a nesting level deeper, failing past
-    /// [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+    /// Closes a tagged variant's object.
+    pub fn end_variant(&mut self, enum_name: &str) -> Result<(), Error> {
+        match self.next_key()? {
+            None => Ok(()),
+            Some(_) => Err(no_variant(enum_name, "object")),
+        }
+    }
+
+    /// Validates and discards one value of any shape.
+    pub fn skip(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'"') => self.string_token().map(drop),
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Builds the [`Value`] tree of the value at the current position.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| Value::Null),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
+            Some(b'"') => Ok(Value::String(self.string_token()?.into_owned())),
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let v = self.value()?;
+                    pairs.push((key.into_owned(), v));
+                }
+                Ok(Value::Object(pairs))
+            }
+            Some(b'-' | b'0'..=b'9') => Ok(Value::Number(self.number_token()?)),
+            _ => Err(self.error_at("unexpected input")),
+        }
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos += 1;
+            } else {
+                return Some(b);
+            }
+        }
+        None
+    }
+
+    /// A one-word description of the next value, for error messages.
+    fn kind(&mut self) -> &'static str {
+        match self.peek() {
+            Some(b'n') => "null",
+            Some(b't' | b'f') => "bool",
+            Some(b'-' | b'0'..=b'9') => "number",
+            Some(b'"') => "string",
+            Some(b'[') => "array",
+            Some(b'{') => "object",
+            _ => "invalid input",
+        }
+    }
+
+    fn mismatch(&mut self, expected: &str) -> Error {
+        let found = self.kind();
+        Error::type_mismatch(expected, found)
+    }
+
+    fn error_at(&self, what: &str) -> Error {
+        Error(format!("{what} at byte {}", self.pos))
+    }
+
+    /// Consumes the opening bracket of an array or object one nesting
+    /// level deeper, failing past [`MAX_DEPTH`].
+    fn open(&mut self, bracket: u8, kind: &str) -> Result<(), Error> {
+        if self.peek() != Some(bracket) {
+            return Err(self.mismatch(kind));
+        }
         if self.depth == MAX_DEPTH {
-            return Err(Error::msg(format!(
-                "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                self.pos
-            )));
+            return Err(self.error_at(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
         self.depth += 1;
-        let v = parse(self);
+        self.pos += 1;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Consumes the closing bracket at the current position.
+    fn close(&mut self) {
         self.depth -= 1;
-        v
+        self.pos += 1;
+        self.opened = false;
     }
 
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::msg(format!("bad array at byte {}", self.pos))),
-            }
+    fn literal(&mut self, word: &str) -> Result<(), Error> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            self.opened = false;
+            Ok(())
+        } else {
+            Err(self.error_at("invalid literal"))
         }
     }
 
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
+    /// The string starting at the current `"`.
+    fn string_token(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.opened = false;
+        let bytes = self.text.as_bytes();
+        self.pos += 1;
+        let mut out: Option<String> = None;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            pairs.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(Error::msg(format!("bad object at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // copy the whole run up to the next quote or backslash at
-            // once, validating only that run: every byte is scanned once,
-            // so parsing stays linear in the input
+            // take the whole run up to the next quote or backslash at
+            // once: every byte is scanned once, so decoding stays linear
+            // in the input. Both delimiters are ASCII, so the run ends on
+            // a character boundary.
             let start = self.pos;
-            let run = self.bytes[start..]
+            let run = bytes[start..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(self.bytes.len() - start);
+                .unwrap_or(bytes.len() - start);
             self.pos += run;
-            out.push_str(
-                core::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::msg("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
+            let text = &self.text[start..self.pos];
+            match bytes.get(self.pos) {
                 None => return Err(Error::msg("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(text),
+                        Some(mut owned) => {
+                            owned.push_str(text);
+                            Cow::Owned(owned)
+                        }
+                    });
                 }
                 Some(_) => {
                     // a backslash: one escape sequence
+                    let owned = out.get_or_insert_with(String::new);
+                    owned.push_str(text);
                     self.pos += 1;
-                    match self.peek() {
+                    let c = match bytes.get(self.pos) {
                         None => return Err(Error::msg("unterminated string")),
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                core::str::from_utf8(hex)
-                                    .map_err(|_| Error::msg("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::msg("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => self.unicode_escape()?,
                         _ => return Err(Error::msg("bad escape")),
-                    }
+                    };
+                    owned.push(c);
                     self.pos += 1;
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
+    /// The character of the `\u` escape whose `u` is at the current
+    /// position, leaving the position on its last hex digit. A
+    /// character outside the Basic Multilingual Plane arrives as a
+    /// high surrogate escape followed by a low one; a surrogate in any
+    /// other arrangement is an error.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let code = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        let code = match code {
+            0xD800..=0xDBFF if self.text.as_bytes()[self.pos + 1..].starts_with(b"\\u") => {
+                let low = self.hex4(self.pos + 3)?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(Error::msg("bad \\u code point"));
+                }
+                self.pos += 6;
+                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+            }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| Error::msg("bad \\u code point"))
+    }
+
+    /// The four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, Error> {
+        let hex = self
+            .text
+            .get(at..at + 4)
+            .ok_or_else(|| Error::msg("truncated \\u escape"))?;
+        u32::from_str_radix(hex, 16).map_err(|_| Error::msg("bad \\u escape"))
+    }
+
+    /// The number token at the current position.
+    fn number_token(&mut self) -> Result<Number, Error> {
+        self.opened = false;
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
+        while let Some(&b) = bytes.get(self.pos) {
             match b {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -483,27 +671,34 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = core::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         // integers keep exact 64-bit precision; anything with a fraction,
         // an exponent, or too many digits (f64 Display never uses
         // scientific notation, so huge floats print as long integers)
-        // falls back to f64
+        // falls back to f64, and so does `-0`, which is how the writer
+        // prints a negative zero
         let n = if is_float {
             None
         } else if text.starts_with('-') {
-            text.parse::<i64>().ok().map(Number::I64)
+            match text.parse::<i64>() {
+                Ok(0) => Some(Number::F64(-0.0)),
+                n => n.ok().map(Number::I64),
+            }
         } else {
             text.parse::<u64>().ok().map(Number::U64)
         };
-        let n = match n {
-            Some(n) => n,
-            None => Number::F64(
-                text.parse::<f64>()
-                    .map_err(|_| Error::msg(format!("bad number '{text}'")))?,
-            ),
-        };
-        Ok(Value::Number(n))
+        match n {
+            Some(n) => Ok(n),
+            None => text
+                .parse::<f64>()
+                .map(Number::F64)
+                .map_err(|_| Error::msg(format!("bad number '{text}'"))),
+        }
     }
+}
+
+fn no_variant(enum_name: &str, found: &str) -> Error {
+    Error(format!("no variant of {enum_name} matches {found}"))
 }
 
 // ---- indexing and comparisons (serde_json ergonomics) ----------------
@@ -568,9 +763,10 @@ impl Error {
         Error(m.into())
     }
 
-    /// The standard shape-mismatch error.
-    pub fn type_mismatch(expected: &str, found: &Value) -> Self {
-        Error(format!("expected {expected}, found {}", found.kind()))
+    /// The standard shape-mismatch error: `found` describes the value
+    /// met instead (`"null"`, `"string"`, ...).
+    pub fn type_mismatch(expected: &str, found: &str) -> Self {
+        Error(format!("expected {expected}, found {found}"))
     }
 }
 
@@ -588,7 +784,7 @@ mod tests {
 
     #[test]
     fn round_trips_shortest_f64() {
-        for x in [0.1, 1.0 / 3.0, 39.0, -2.5e-11, f64::MAX] {
+        for x in [0.1, 1.0 / 3.0, 39.0, -2.5e-11, f64::MAX, -0.0, 5e-324] {
             let v = Value::Number(Number::F64(x));
             let text = v.to_json();
             let back = Value::parse(&text).unwrap();
@@ -614,14 +810,15 @@ mod tests {
 
     #[test]
     fn strings_round_trip_around_escapes_and_multibyte_text() {
-        // (JSON escape, the text it decodes to); `\/` and `\u00e9` are
-        // read but never written
+        // (JSON escape, the text it decodes to); `\/` and the `\u`
+        // escapes are read but never written
         let escapes = [
             (r#"\""#, "\""),
             (r"\\", "\\"),
             (r"\n", "\n"),
             (r"\/", "/"),
             (r"\u00e9", "é"),
+            (r"\ud83d\ude42", "🙂"),
         ];
         // raw control characters parse as they stand; written, they go
         // out escaped

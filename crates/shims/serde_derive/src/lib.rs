@@ -11,6 +11,12 @@
 //! * enums with unit, newtype, tuple and struct variants (externally
 //!   tagged, like real serde's default).
 //!
+//! `Serialize` builds a `serde::Value` tree; `Deserialize` reads JSON
+//! text straight from a `serde::Decoder`, with no tree in between.
+//! Struct fields may come in any order, unknown fields are validated and
+//! skipped, the first of a repeated key wins, and a missing field
+//! decodes as a literal `null` would (`None` for an `Option`).
+//!
 //! Generics are intentionally unsupported — none of the derived types in
 //! this workspace are generic — and hitting one produces a clear
 //! compile error rather than silently wrong code.
@@ -23,7 +29,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Mode::Serialize)
 }
 
-/// Derives `serde::Deserialize` (shim data model: `fn from_value(&Value)`).
+/// Derives `serde::Deserialize` (shim data model: `fn deserialize(&mut
+/// Decoder)`).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, Mode::Deserialize)
@@ -284,16 +291,13 @@ fn generate(item: &Item, mode: Mode) -> String {
             )
         }
         (Item::Struct { name, shape }, Mode::Deserialize) => {
-            let body = match shape {
-                Shape::Unit => "Ok(Self)".to_string(),
-                Shape::Tuple(1) => "Ok(Self(::serde::Deserialize::from_value(v)?))".to_string(),
-                Shape::Tuple(n) => tuple_from_array_on("v", "Self", *n),
-                Shape::Named(fields) => named_from_object_on("v", "Self", fields),
+            let value = match shape {
+                Shape::Unit => "{ __d.skip()?; Self }".to_string(),
+                Shape::Tuple(1) => "Self(::serde::Deserialize::deserialize(__d)?)".to_string(),
+                Shape::Tuple(n) => tuple_from_array("Self", *n),
+                Shape::Named(fields) => named_from_object("Self", fields),
             };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n}}"
-            )
+            deserialize_impl(name, &format!("::std::result::Result::Ok({value})"))
         }
         (Item::Enum { name, variants }, Mode::Serialize) => {
             let arms: Vec<String> = variants
@@ -341,53 +345,45 @@ fn generate(item: &Item, mode: Mode) -> String {
             )
         }
         (Item::Enum { name, variants }, Mode::Deserialize) => {
-            let unit_arms: Vec<String> = variants
+            let arms: Vec<String> = variants
                 .iter()
-                .filter(|v| matches!(v.shape, Shape::Unit))
-                .map(|v| format!("\"{0}\" => return Ok({name}::{0}),", v.name))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|var| {
+                .map(|var| {
                     let v = &var.name;
+                    let ctor = format!("{name}::{v}");
                     match &var.shape {
-                        Shape::Unit => None,
-                        Shape::Tuple(1) => Some(format!(
-                            "\"{v}\" => return Ok({name}::{v}(::serde::Deserialize::from_value(payload)?)),"
-                        )),
+                        Shape::Unit => format!("(\"{v}\", true) => {ctor},"),
+                        Shape::Tuple(1) => format!(
+                            "(\"{v}\", false) => {ctor}(::serde::Deserialize::deserialize(__d)?),"
+                        ),
                         Shape::Tuple(n) => {
-                            let ctor =
-                                tuple_from_array_on("payload", &format!("{name}::{v}"), *n);
-                            Some(format!("\"{v}\" => return {ctor},"))
+                            format!("(\"{v}\", false) => {},", tuple_from_array(&ctor, *n))
                         }
                         Shape::Named(fields) => {
-                            let ctor =
-                                named_from_object_on("payload", &format!("{name}::{v}"), fields);
-                            Some(format!("\"{v}\" => return {ctor},"))
+                            format!("(\"{v}\", false) => {},", named_from_object(&ctor, fields))
                         }
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 if let ::serde::Value::String(s) = v {{\n\
-                 match s.as_str() {{\n{units}\n_ => {{}}\n}}\n\
-                 }}\n\
-                 if let ::serde::Value::Object(pairs) = v {{\n\
-                 if pairs.len() == 1 {{\n\
-                 let (tag, payload) = &pairs[0];\n\
-                 let _ = payload;\n\
-                 match tag.as_str() {{\n{tagged}\n_ => {{}}\n}}\n\
-                 }}\n\
-                 }}\n\
-                 Err(::serde::Error::msg(format!(\"no variant of {name} matches {{}}\", v.kind())))\n\
-                 }}\n}}",
-                units = unit_arms.join("\n"),
-                tagged = tagged_arms.join("\n"),
-            )
+            let body = format!(
+                "let (__tag, __unit) = __d.variant(\"{name}\")?;\n\
+                 let __v = match (&*__tag, __unit) {{\n{arms}\n\
+                 _ => return ::std::result::Result::Err(::serde::Error::msg(::std::format!(\n\
+                 \"no variant of {name} matches {{}}\", if __unit {{ \"string\" }} else {{ \"object\" }}))),\n\
+                 }};\n\
+                 if !__unit {{ __d.end_variant(\"{name}\")?; }}\n\
+                 ::std::result::Result::Ok(__v)",
+                arms = arms.join("\n"),
+            );
+            deserialize_impl(name, &body)
         }
     }
+}
+
+fn deserialize_impl(name: &str, body: &str) -> String {
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize(__d: &mut ::serde::Decoder<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}"
+    )
 }
 
 fn object_literal(fields: &[String], prefix: &str) -> String {
@@ -398,25 +394,43 @@ fn object_literal(fields: &[String], prefix: &str) -> String {
     format!("::serde::Value::Object(vec![{}])", pairs.join(", "))
 }
 
-fn named_from_object_on(scrutinee: &str, ctor: &str, fields: &[String]) -> String {
-    let inits: Vec<String> = fields
+/// Reads a struct (or struct variant) body into `ctor { .. }`: one
+/// slot per field, filled in whatever order the keys come; a repeated
+/// key keeps its first value and an unknown key is skipped.
+fn named_from_object(ctor: &str, fields: &[String]) -> String {
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
         .iter()
-        .map(|f| {
-            format!("{f}: ::serde::Deserialize::from_value({scrutinee}.expect_field(\"{f}\")?)?,")
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "\"{f}\" if __f{i}.is_none() => \
+                 __f{i} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__d)?),\n"
+            )
         })
         .collect();
-    format!("Ok({ctor} {{ {} }})", inits.join(" "))
-}
-
-fn tuple_from_array_on(scrutinee: &str, ctor: &str, arity: usize) -> String {
-    let items: Vec<String> = (0..arity)
-        .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{f}: ::serde::or_null(__f{i})?, "))
         .collect();
     format!(
-        "match {scrutinee} {{\n\
-         ::serde::Value::Array(items) if items.len() == {arity} => Ok({ctor}({})),\n\
-         other => Err(::serde::Error::type_mismatch(\"array of {arity}\", other)),\n\
-         }}",
+        "{{\n{slots}__d.begin_object()?;\n\
+         while let ::std::option::Option::Some(__key) = __d.next_key()? {{\n\
+         match &*__key {{\n{arms}_ => __d.skip()?,\n}}\n}}\n\
+         {ctor} {{ {inits} }}\n}}"
+    )
+}
+
+/// Reads an array of exactly `arity` elements into `ctor(..)`.
+fn tuple_from_array(ctor: &str, arity: usize) -> String {
+    let items: Vec<String> = (0..arity)
+        .map(|_| format!("{{ __d.element({arity})?; ::serde::Deserialize::deserialize(__d)? }}"))
+        .collect();
+    format!(
+        "{{ __d.begin_array()?; let __v = {ctor}({}); __d.end_tuple({arity})?; __v }}",
         items.join(", ")
     )
 }

@@ -1,5 +1,7 @@
-//! Minimal in-tree stand-in for `serde_json`, backed by the value tree in
-//! the `serde` shim.
+//! Minimal in-tree stand-in for `serde_json`, backed by the `serde` shim:
+//! serialization goes through its value tree, and [`from_str`] decodes
+//! text straight into the target type, building a tree only when the
+//! target is [`Value`] itself.
 
 #![forbid(unsafe_code)]
 
@@ -28,9 +30,14 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] on malformed JSON or a shape mismatch.
+/// Returns an [`Error`] on malformed JSON or a shape mismatch. A syntax
+/// error anywhere in the text is reported over a type error met
+/// earlier in it, as if the whole text had been parsed first.
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    T::from_value(&Value::parse(text)?)
+    let mut decoder = serde::Decoder::new(text);
+    T::deserialize(&mut decoder)
+        .and_then(|value| decoder.end().map(|()| value))
+        .map_err(|e| Value::parse(text).err().unwrap_or(e))
 }
 
 #[cfg(test)]
