@@ -15,8 +15,8 @@
 //!
 //! A third summary drives the segment archive at 10^5 synthetic cells:
 //! append throughput, the enforced < 1 s bound on a cold open plus a
-//! full `cell_states` scan, and byte-equivalence of the compacted
-//! segment layout with the legacy per-cell-JSON layout.
+//! full `cell_states` scan, and byte-equivalence of an archive's
+//! aggregate before and after compacting its two segments into one.
 //!
 //! ```sh
 //! cargo bench -p dpm-bench campaign_throughput
@@ -286,32 +286,35 @@ fn print_archive_scale_summary() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    // byte-equivalence with the legacy per-file layout, at a size where
-    // writing thousands of individual JSON files is still tolerable
-    const LEGACY_CELLS: usize = 2_000;
-    let spec = wide_spec("archive_compat", LEGACY_CELLS);
-    let dir = scratch_dir("legacy");
-    let archive = CampaignArchive::open(&dir, &spec).expect("open archive");
-    for i in 0..LEGACY_CELLS {
-        archive
-            .store_legacy(&spec, &synthetic_result(&spec, i))
-            .expect("store legacy cell");
+    // compaction keeps the aggregate bytes: store the cells through two
+    // handles (two segments), then compact them into one
+    const COMPACT_CELLS: usize = 2_000;
+    let spec = wide_spec("archive_compact", COMPACT_CELLS);
+    let dir = scratch_dir("compact");
+    let handles = [
+        CampaignArchive::open(&dir, &spec).expect("open archive"),
+        CampaignArchive::open(&dir, &spec).expect("open second handle"),
+    ];
+    for i in 0..COMPACT_CELLS {
+        handles[i % 2]
+            .store(&spec, &synthetic_result(&spec, i))
+            .expect("store cell");
     }
     let cells = spec.expand();
-    let legacy = archive.load(&spec, &cells);
-    assert_eq!(legacy.loaded, LEGACY_CELLS);
-    let reference = result_bytes(&spec, legacy.slots.into_iter().flatten().collect());
-    let report = archive.compact(&spec).expect("compact");
-    assert_eq!(report.legacy_migrated, LEGACY_CELLS);
+    let before = handles[0].load(&spec, &cells);
+    assert_eq!(before.loaded, COMPACT_CELLS);
+    let reference = result_bytes(&spec, before.slots.into_iter().flatten().collect());
+    let report = handles[0].compact(&spec).expect("compact");
+    assert_eq!(report.segments_removed, 2);
     let compacted = CampaignArchive::open(&dir, &spec).expect("reopen compacted");
     let load = compacted.load(&spec, &cells);
-    assert_eq!(load.loaded, LEGACY_CELLS);
+    assert_eq!(load.loaded, COMPACT_CELLS);
     let bytes = result_bytes(&spec, load.slots.into_iter().flatten().collect());
     assert_eq!(
         bytes, reference,
-        "compaction changed the aggregate bytes vs the per-file-JSON layout"
+        "compacting two segments into one changed the aggregate bytes"
     );
-    println!("  compaction: {LEGACY_CELLS} per-file-JSON cells migrated, aggregate byte-identical");
+    println!("  compaction: {COMPACT_CELLS} cells in 2 segments -> 1, aggregate byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

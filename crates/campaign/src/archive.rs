@@ -13,22 +13,17 @@
 //!     seg-0000.log         # append-only CellRecord frames (see segment.rs)
 //!     seg-0001.log
 //!   segments-coarse/       # the same, for coarse (screening) records
-//!   cells/                 # legacy per-cell records, read-through only
-//!     cell-00000.json
 //!   leases/
 //!     group-00003.lease    # one LeaseRecord per in-flight baseline group
 //! ```
 //!
-//! New records are **appended to segment files** — length-prefixed,
+//! Records are **appended to segment files** — length-prefixed,
 //! checksummed frames in `segments/seg-NNNN.log`, one private segment
 //! per writing process — and located through an in-memory index built
-//! on open (see [`crate::segment`]). Archives written by older versions
-//! store one JSON file per cell under `cells/`; those records are read
-//! transparently wherever the segment index misses, so a legacy archive
-//! resumes without migration. [`CampaignArchive::compact`] rewrites all
-//! live records (segment + legacy) into a single fresh segment via an
-//! atomic tmp+rename, dropping torn tails, duplicates and migrated
-//! legacy files.
+//! on open (see [`crate::segment`]). A segment directory exists once a
+//! record has been stored in it. [`CampaignArchive::compact`] rewrites
+//! each store's live records into a single fresh segment via an atomic
+//! tmp+rename, dropping torn tails and duplicates.
 //!
 //! Records carry the archive format version, a fingerprint of the spec,
 //! and the full seed derivation (`master_seed` + the cell's
@@ -72,7 +67,6 @@
 //!   are deterministic), wasting work but changing nothing. Leases are a
 //!   work-partitioning mechanism; correctness never depends on them.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -137,7 +131,7 @@ pub struct CellRecord {
     /// The fidelity the metrics were evaluated at. Absent in records
     /// written before multi-fidelity search existed, which were all
     /// full-kernel runs — so a missing tag deserializes as
-    /// [`Fidelity::Fine`] and legacy records read through unchanged.
+    /// [`Fidelity::Fine`] and those records read back unchanged.
     /// This is a *tag*, not a layout change: [`ARCHIVE_VERSION`] stays
     /// the same, and a read only accepts records whose tag matches the
     /// requested fidelity (a coarse screen must never be resumed as a
@@ -261,26 +255,23 @@ pub struct GcReport {
     /// Expired, foreign or unreadable leases (and takeover tombstones)
     /// removed.
     pub leases_removed: usize,
-    /// Orphaned temporary files removed: interrupted cell-record,
-    /// compaction and spec writes (`*.tmp`), empty or recordless
-    /// segment files, and heartbeat refresh files (`*.refresh-PID-SEQ`)
-    /// left behind by killed workers.
+    /// Orphaned temporary files removed: interrupted compaction and
+    /// spec writes (`*.tmp`), empty or recordless segment files, and
+    /// heartbeat refresh files (`*.refresh-PID-SEQ`) left behind by
+    /// killed workers.
     pub tmp_removed: usize,
 }
 
-/// What [`CampaignArchive::compact`] rewrote.
+/// What [`CampaignArchive::compact`] rewrote, summed over both stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct CompactReport {
-    /// Live records written into the fresh segment.
+    /// Live records written into the fresh segments.
     pub records: usize,
     /// Old segment files removed after the rewrite.
     pub segments_removed: usize,
-    /// Legacy `cells/cell-*.json` files migrated into the segment and
-    /// removed.
-    pub legacy_migrated: usize,
     /// Total segment bytes before compaction.
     pub bytes_before: u64,
-    /// Segment bytes after compaction (the fresh segment alone).
+    /// Segment bytes after compaction (the fresh segments alone).
     pub bytes_after: u64,
 }
 
@@ -291,7 +282,7 @@ pub struct ArchiveLoad {
     pub slots: Vec<Option<ScenarioResult>>,
     /// Records accepted.
     pub loaded: usize,
-    /// Record files present but rejected (stale version, foreign spec,
+    /// Indexed records rejected (stale version, foreign spec,
     /// mismatched cell, or unparseable JSON); those cells re-run.
     pub skipped: usize,
 }
@@ -319,8 +310,16 @@ struct SegmentState {
 pub struct CampaignArchive {
     dir: PathBuf,
     fingerprint: u64,
-    segments: Arc<Mutex<SegmentState>>,
+    fine: Arc<Mutex<SegmentState>>,
     coarse: Arc<Mutex<SegmentState>>,
+}
+
+/// The segment directory of one fidelity's store under `dir`.
+fn segments_dir(dir: &Path, fidelity: Fidelity) -> PathBuf {
+    dir.join(match fidelity {
+        Fidelity::Fine => "segments",
+        Fidelity::Coarse => "segments-coarse",
+    })
 }
 
 impl CampaignArchive {
@@ -339,9 +338,8 @@ impl CampaignArchive {
         // refuse to create (and fingerprint-lock) a directory for a spec
         // that can never run
         spec.validate()?;
-        let cells = dir.join("cells");
-        std::fs::create_dir_all(&cells)
-            .map_err(|e| format!("cannot create campaign directory {}: {e}", cells.display()))?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create campaign directory {}: {e}", dir.display()))?;
         let spec_path = dir.join("campaign.toml");
         let toml = spec.to_toml();
         match std::fs::read_to_string(&spec_path) {
@@ -370,24 +368,22 @@ impl CampaignArchive {
             Err(e) => return Err(format!("cannot read {}: {e}", spec_path.display())),
         }
         let fingerprint = spec_fingerprint(spec);
-        let mut index = SegmentIndex::new(dir.join("segments"), fingerprint, ARCHIVE_VERSION);
-        // build the index up front: one sequential scan of the segment
+        // build the indexes up front: one sequential scan of the segment
         // files, no JSON parsing — sub-second even at 10^5 cells
-        index.refresh()?;
-        let mut coarse_index =
-            SegmentIndex::new(dir.join("segments-coarse"), fingerprint, ARCHIVE_VERSION);
-        coarse_index.refresh()?;
+        let store = |fidelity| -> Result<Arc<Mutex<SegmentState>>, String> {
+            let mut index =
+                SegmentIndex::new(segments_dir(dir, fidelity), fingerprint, ARCHIVE_VERSION);
+            index.refresh()?;
+            Ok(Arc::new(Mutex::new(SegmentState {
+                index,
+                writer: SegmentWriter::default(),
+            })))
+        };
         Ok(Self {
             dir: dir.to_path_buf(),
             fingerprint,
-            segments: Arc::new(Mutex::new(SegmentState {
-                index,
-                writer: SegmentWriter::default(),
-            })),
-            coarse: Arc::new(Mutex::new(SegmentState {
-                index: coarse_index,
-                writer: SegmentWriter::default(),
-            })),
+            fine: store(Fidelity::Fine)?,
+            coarse: store(Fidelity::Coarse)?,
         })
     }
 
@@ -425,93 +421,17 @@ impl CampaignArchive {
         self.fingerprint
     }
 
-    /// This process's segment-store state (poison-recovering: a worker
-    /// thread panicking mid-store must not wedge every later archive
-    /// access).
-    fn seg_lock(&self) -> MutexGuard<'_, SegmentState> {
-        self.segments
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The segment-store state for one fidelity. Code touching both
-    /// stores must take the fine lock before the coarse one.
-    fn lock_for(&self, fidelity: Fidelity) -> MutexGuard<'_, SegmentState> {
+    /// This process's state of one fidelity's segment store
+    /// (poison-recovering: a worker thread panicking mid-store must not
+    /// wedge every later archive access). Code touching both stores
+    /// must take the fine lock before the coarse one.
+    fn lock(&self, fidelity: Fidelity) -> MutexGuard<'_, SegmentState> {
         match fidelity {
-            Fidelity::Fine => self.seg_lock(),
-            Fidelity::Coarse => self
-                .coarse
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
+            Fidelity::Fine => &self.fine,
+            Fidelity::Coarse => &self.coarse,
         }
-    }
-
-    /// The `segments/` directory.
-    fn segments_dir(&self) -> PathBuf {
-        self.dir.join("segments")
-    }
-
-    /// The segment directory of one fidelity's store.
-    fn segments_dir_for(&self, fidelity: Fidelity) -> PathBuf {
-        match fidelity {
-            Fidelity::Fine => self.dir.join("segments"),
-            Fidelity::Coarse => self.dir.join("segments-coarse"),
-        }
-    }
-
-    /// The legacy-format path of one cell record. New legacy-format
-    /// writes (tests, migrations) use 8-digit padding so names sort
-    /// lexicographically up to 10^8 cells; reads also accept the
-    /// historical 5-digit names.
-    fn cell_path(&self, index: usize) -> PathBuf {
-        self.dir.join("cells").join(format!("cell-{index:08}.json"))
-    }
-
-    /// Every legacy cell record present under `cells/`, keyed by its
-    /// **numerically parsed** index (so 5- and 8-digit names mix
-    /// freely); 8-digit names win when both widths exist.
-    fn legacy_map(&self) -> HashMap<usize, PathBuf> {
-        let mut map: HashMap<usize, (usize, PathBuf)> = HashMap::new();
-        let Ok(entries) = std::fs::read_dir(self.dir.join("cells")) else {
-            return HashMap::new();
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(digits) = name
-                .strip_prefix("cell-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-            else {
-                continue;
-            };
-            let Ok(index) = digits.parse::<usize>() else {
-                continue;
-            };
-            match map.get(&index) {
-                Some((width, _)) if *width >= digits.len() => {}
-                _ => {
-                    map.insert(index, (digits.len(), path));
-                }
-            }
-        }
-        map.into_iter().map(|(i, (_, p))| (i, p)).collect()
-    }
-
-    /// Reads one legacy cell record's text, trying the 8-digit name
-    /// first and falling back to the historical 5-digit one.
-    fn legacy_cell_text(&self, index: usize) -> Option<String> {
-        let cells = self.dir.join("cells");
-        for name in [
-            format!("cell-{index:08}.json"),
-            format!("cell-{index:05}.json"),
-        ] {
-            if let Ok(text) = std::fs::read_to_string(cells.join(name)) {
-                return Some(text);
-            }
-        }
-        None
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The lease file guarding one baseline group (public for
@@ -566,9 +486,9 @@ impl CampaignArchive {
             })
     }
 
-    /// Loads one cell's *fine* record, if a valid one exists: the
-    /// segment index first (refreshing on a miss, so a record another
-    /// process just appended is found), then the legacy per-cell files.
+    /// Loads one cell's *fine* record, if a valid one exists (refreshing
+    /// the segment index on a miss, so a record another process just
+    /// appended is found).
     pub fn load_cell(&self, spec: &CampaignSpec, cell: &ScenarioSpec) -> Option<ScenarioResult> {
         self.load_cell_as(spec, cell, Fidelity::Fine)
     }
@@ -582,24 +502,12 @@ impl CampaignArchive {
         cell: &ScenarioSpec,
         fidelity: Fidelity,
     ) -> Option<ScenarioResult> {
-        {
-            let mut state = self.lock_for(fidelity);
-            if let Some(payload) = state.index.read_refreshing(cell.index, &mut None) {
-                if let Some(result) = std::str::from_utf8(&payload)
-                    .ok()
-                    .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
-                {
-                    return Some(result);
-                }
-            }
-        }
-        // legacy per-cell files predate the coarse evaluator entirely,
-        // so they can only ever satisfy a fine read
-        if fidelity != Fidelity::Fine {
-            return None;
-        }
-        let text = self.legacy_cell_text(cell.index)?;
-        self.record_from(spec, cell, &text, Some(fidelity))
+        let payload = self
+            .lock(fidelity)
+            .index
+            .read_refreshing(cell.index, &mut None)?;
+        let text = std::str::from_utf8(&payload).ok()?;
+        self.record_from(spec, cell, text, Some(fidelity))
     }
 
     /// Loads every valid archived record against the given cells (the
@@ -629,57 +537,30 @@ impl CampaignArchive {
         let mut slots: Vec<Option<ScenarioResult>> = vec![None; cells.len()];
         let mut loaded = 0;
         let mut skipped = 0;
-        {
-            // refresh only on a miss, which may be a record another
-            // handle appended since (a hit whose segment vanished heals
-            // in `read_refreshing`); the reads share one handle per segment
-            let mut state = self.lock_for(fidelity);
-            if cells.iter().any(|cell| !state.index.contains(cell.index)) {
-                let _ = state.index.refresh();
-            }
-            let mut open = None;
-            for (i, cell) in cells.iter().enumerate() {
-                if !state.index.contains(cell.index) {
-                    continue;
-                }
-                let Some(payload) = state.index.read_refreshing(cell.index, &mut open) else {
-                    continue; // segment vanished (compaction race): legacy below
-                };
-                match std::str::from_utf8(&payload)
-                    .ok()
-                    .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
-                {
-                    Some(result) => {
-                        slots[i] = Some(result);
-                        loaded += 1;
-                    }
-                    None => skipped += 1,
-                }
-            }
+        // refresh only on a miss, which may be a record another handle
+        // appended since (a hit whose segment vanished heals in
+        // `read_refreshing`); the reads share one handle per segment
+        let mut state = self.lock(fidelity);
+        if cells.iter().any(|cell| !state.index.contains(cell.index)) {
+            let _ = state.index.refresh();
         }
-        // legacy read-through for whatever the segments didn't cover
-        // (legacy files predate the coarse evaluator: fine reads only)
-        if fidelity == Fidelity::Fine && slots.iter().any(Option::is_none) {
-            let legacy = self.legacy_map();
-            if !legacy.is_empty() {
-                for (i, cell) in cells.iter().enumerate() {
-                    if slots[i].is_some() {
-                        continue;
-                    }
-                    let Some(path) = legacy.get(&cell.index) else {
-                        continue;
-                    };
-                    let Ok(text) = std::fs::read_to_string(path) else {
-                        continue;
-                    };
-                    match self.record_from(spec, cell, &text, Some(fidelity)) {
-                        Some(result) => {
-                            slots[i] = Some(result);
-                            loaded += 1;
-                        }
-                        None => skipped += 1,
-                    }
+        let mut open = None;
+        for (i, cell) in cells.iter().enumerate() {
+            if !state.index.contains(cell.index) {
+                continue;
+            }
+            let Some(payload) = state.index.read_refreshing(cell.index, &mut open) else {
+                continue; // segment vanished (compaction race): the cell re-runs
+            };
+            match std::str::from_utf8(&payload)
+                .ok()
+                .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
+            {
+                Some(result) => {
+                    slots[i] = Some(result);
+                    loaded += 1;
                 }
+                None => skipped += 1,
             }
         }
         ArchiveLoad {
@@ -727,8 +608,8 @@ impl CampaignArchive {
     /// Appends one record's text to `fidelity`'s segment store under
     /// grid `index`, and indexes it.
     fn append_record(&self, index: usize, fidelity: Fidelity, json: &str) -> Result<(), String> {
-        let dir = self.segments_dir_for(fidelity);
-        let mut state = self.lock_for(fidelity);
+        let dir = segments_dir(&self.dir, fidelity);
+        let mut state = self.lock(fidelity);
         let appended = state.writer.append(
             &dir,
             index,
@@ -775,40 +656,12 @@ impl CampaignArchive {
             .map_err(|e| e.to_string())
     }
 
-    /// Persists one finished cell in the **legacy** per-cell-JSON-file
-    /// format (tmp + rename at `cells/cell-<index>.json`). Only here so
-    /// tests and benchmarks can fabricate the archives old binaries
-    /// wrote; new code stores through [`store`](Self::store).
-    #[doc(hidden)]
-    pub fn store_legacy(&self, spec: &CampaignSpec, result: &ScenarioResult) -> Result<(), String> {
-        let Some(metrics) = result.metrics.as_ref() else {
-            return Ok(());
-        };
-        let record = CellRecord {
-            archive_version: ARCHIVE_VERSION,
-            spec_fingerprint: self.fingerprint,
-            master_seed: spec.master_seed,
-            horizon_ms: spec.horizon_ms,
-            scenario: result.scenario,
-            metrics: metrics.clone(),
-            fidelity: Fidelity::Fine,
-        };
-        let json = serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?;
-        let path = self.cell_path(result.scenario.index);
-        std::fs::create_dir_all(self.dir.join("cells"))
-            .map_err(|e| format!("cannot create {}: {e}", self.dir.join("cells").display()))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, &json).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("cannot finalize {}: {e}", path.display()))
-    }
-
-    /// Rewrites every live record — segment frames and legacy per-cell
-    /// files alike — into a single fresh segment file, dropping torn
-    /// tails, duplicate frames, foreign/corrupt records and the
-    /// migrated legacy files. The new segment is written to a temporary
-    /// file and renamed into place, so a kill mid-compaction never
-    /// loses a record: the old files are only removed after the rename
-    /// lands.
+    /// Rewrites every live record of each segment store into a single
+    /// fresh segment file, dropping torn tails, duplicate frames and
+    /// foreign/corrupt records. The new segment is written to a
+    /// temporary file and renamed into place, so a kill mid-compaction
+    /// never loses a record: the old files are only removed after the
+    /// rename lands.
     ///
     /// Refused while any unexpired work lease exists: a live lease means
     /// a worker may append records during the compaction window, and
@@ -818,9 +671,7 @@ impl CampaignArchive {
     /// back). Wait for the leases to expire or be released (or clear
     /// stale ones with `campaign gc`) and retry.
     ///
-    /// Both segment stores are compacted: the fine store (which also
-    /// absorbs legacy per-cell files) and the coarse store. The report
-    /// totals cover the two combined.
+    /// The report totals cover the fine and the coarse store combined.
     ///
     /// # Errors
     ///
@@ -836,31 +687,23 @@ impl CampaignArchive {
             ));
         }
         let mut report = CompactReport::default();
-        {
-            let mut state = self.seg_lock();
-            self.compact_store(spec, &mut state, &self.segments_dir(), true, &mut report)?;
-        }
-        {
-            let mut state = self.lock_for(Fidelity::Coarse);
-            let dir = self.segments_dir_for(Fidelity::Coarse);
-            self.compact_store(spec, &mut state, &dir, false, &mut report)?;
+        for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
+            self.compact_store(spec, fidelity, &mut report)?;
         }
         Ok(report)
     }
 
-    /// Compacts one segment store in place; `migrate_legacy` also
-    /// folds valid legacy per-cell files into the fresh segment (the
-    /// fine store only — legacy records predate the coarse evaluator).
+    /// Compacts one fidelity's segment store in place.
     fn compact_store(
         &self,
         spec: &CampaignSpec,
-        state: &mut SegmentState,
-        dir: &Path,
-        migrate_legacy: bool,
+        fidelity: Fidelity,
         report: &mut CompactReport,
     ) -> Result<(), String> {
         use std::io::Write as _;
         let n = spec.scenario_count();
+        let dir = &segments_dir(&self.dir, fidelity);
+        let mut state = self.lock(fidelity);
         // our own open segment is rewritten like any other
         state.writer.close();
         state.index.reset();
@@ -894,29 +737,6 @@ impl CampaignArchive {
             }
         }
         drop(open);
-        // migrate legacy records (valid ones; corrupt files are gc's
-        // business, not compaction's)
-        let mut migrated: Vec<PathBuf> = Vec::new();
-        if migrate_legacy {
-            for (index, path) in self.legacy_map() {
-                if index >= n {
-                    continue;
-                }
-                if records.contains_key(&index) {
-                    migrated.push(path); // duplicate of a segment record
-                    continue;
-                }
-                let cell = spec.cell_at(index);
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    continue;
-                };
-                if let Some(rec) = self.valid_record(spec, &cell, &text, None) {
-                    let canonical = serde_json::to_string(&rec).map_err(|e| e.to_string())?;
-                    records.insert(index, canonical);
-                    migrated.push(path);
-                }
-            }
-        }
         if !records.is_empty() {
             // reserve the target number with create_new (concurrent
             // writers allocate past it), build the segment in a temp
@@ -961,11 +781,6 @@ impl CampaignArchive {
         for path in old_segments.values() {
             if std::fs::remove_file(path).is_ok() {
                 report.segments_removed += 1;
-            }
-        }
-        for path in &migrated {
-            if std::fs::remove_file(path).is_ok() {
-                report.legacy_migrated += 1;
             }
         }
         state.index.reset();
@@ -1167,57 +982,26 @@ impl CampaignArchive {
     /// segment payload is read or parsed here, which keeps a full-status
     /// sweep sub-second at 10^5 cells.
     pub fn cell_states(&self, spec: &CampaignSpec, ttl_ms: u64) -> Vec<CellState> {
-        let cells = spec.expand();
-        let mut archived: Vec<bool> = vec![false; cells.len()];
-        {
-            let mut state = self.seg_lock();
+        let n = spec.scenario_count();
+        let indexed = |fidelity| -> Vec<bool> {
+            let mut state = self.lock(fidelity);
             let _ = state.index.refresh();
-            for (i, cell) in cells.iter().enumerate() {
-                archived[i] = state.index.contains(cell.index);
-            }
-        }
-        if archived.iter().any(|&a| !a) {
-            let legacy = self.legacy_map();
-            if !legacy.is_empty() {
-                for (i, cell) in cells.iter().enumerate() {
-                    if archived[i] {
-                        continue;
-                    }
-                    let Some(path) = legacy.get(&cell.index) else {
-                        continue;
-                    };
-                    if std::fs::read_to_string(path)
-                        .ok()
-                        .and_then(|text| self.record_from(spec, cell, &text, None))
-                        .is_some()
-                    {
-                        archived[i] = true;
-                    }
-                }
-            }
-        }
+            (0..n).map(|i| state.index.contains(i)).collect()
+        };
+        let archived = indexed(Fidelity::Fine);
         // a cell with only a coarse record is *screened*: ranked by the
         // fast path, but still pending as far as fine results go
-        let mut screened: Vec<bool> = vec![false; cells.len()];
-        {
-            let mut state = self.lock_for(Fidelity::Coarse);
-            let _ = state.index.refresh();
-            for (i, cell) in cells.iter().enumerate() {
-                screened[i] = !archived[i] && state.index.contains(cell.index);
-            }
-        }
+        let screened = indexed(Fidelity::Coarse);
         let lease_live: Vec<bool> = (0..spec.group_count())
             .map(|g| matches!(self.lease_state(g, ttl_ms), LeaseState::Held { .. }))
             .collect();
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| {
+        (0..n)
+            .map(|i| {
                 if archived[i] {
                     CellState::Archived
                 } else if screened[i] {
                     CellState::Screened
-                } else if lease_live[spec.group_of(cell.index)] {
+                } else if lease_live[spec.group_of(i)] {
                     CellState::Leased
                 } else {
                     CellState::Pending
@@ -1239,8 +1023,7 @@ impl CampaignArchive {
     /// # Errors
     ///
     /// Returns a description when a directory listing or a removal
-    /// fails (a missing `segments/`, `cells/` or `leases/` directory is
-    /// fine).
+    /// fails (a missing segment or `leases/` directory is fine).
     pub fn gc(&self, spec: &CampaignSpec, ttl_ms: u64) -> Result<GcReport, String> {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let mut report = GcReport::default();
@@ -1249,8 +1032,7 @@ impl CampaignArchive {
         };
         let n = spec.scenario_count();
         for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-            let segdir = self.segments_dir_for(fidelity);
-            for entry in read_dir_or_empty(&segdir)? {
+            for entry in read_dir_or_empty(&segments_dir(&self.dir, fidelity))? {
                 let path = entry?;
                 let name = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
                 if name.ends_with(".tmp") {
@@ -1306,36 +1088,9 @@ impl CampaignArchive {
         // them; the next refresh rebuilds
         if report.records_removed > 0 || report.tmp_removed > 0 {
             for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-                let mut state = self.lock_for(fidelity);
+                let mut state = self.lock(fidelity);
                 state.index.reset();
                 let _ = state.index.refresh();
-            }
-        }
-        for entry in read_dir_or_empty(&self.dir.join("cells"))? {
-            let path = entry?;
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.ends_with(".tmp") {
-                remove(&path)?;
-                report.tmp_removed += 1;
-                continue;
-            }
-            let Some(index) = name
-                .strip_prefix("cell-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|digits| digits.parse::<usize>().ok())
-            else {
-                continue; // not ours; leave unknown files alone
-            };
-            let valid = index < n
-                && std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|text| self.record_from(spec, &spec.cell_at(index), &text, None))
-                    .is_some();
-            if valid {
-                report.records_kept += 1;
-            } else {
-                remove(&path)?;
-                report.records_removed += 1;
             }
         }
         for entry in read_dir_or_empty(&self.dir.join("leases"))? {
@@ -1445,6 +1200,13 @@ mod tests {
         for (slot, fresh) in load.slots.iter().zip(&result.results) {
             assert_eq!(slot.as_ref().unwrap(), fresh);
         }
+        // the spec plus the one store written to, nothing else
+        let mut entries: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(entries, ["campaign.toml", "segments"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1454,7 +1216,6 @@ mod tests {
         let dir = tmp_dir("foreign");
         let archive = CampaignArchive::open(&dir, &spec).unwrap();
         let result = run_campaign(&spec, &RunnerConfig::serial());
-        archive.store_legacy(&spec, &result.results[0]).unwrap();
 
         // same directory, different grid: open refuses outright
         let mut other = spec.clone();
@@ -1462,13 +1223,14 @@ mod tests {
         let err = CampaignArchive::open(&dir, &other).unwrap_err();
         assert!(err.contains("different grid"), "{err}");
 
-        // a legacy record rewritten with a stale version is skipped,
-        // not loaded
-        let path = archive.cell_path(0);
-        let stale = std::fs::read_to_string(&path)
+        // a record written with a stale version (in an intact frame) is
+        // skipped, not loaded
+        let stale = archive
+            .encode_record(&spec, &result.results[0], Fidelity::Fine)
             .unwrap()
-            .replace("\"archive_version\": 1", "\"archive_version\": 0");
-        std::fs::write(&path, stale).unwrap();
+            .unwrap()
+            .replace("\"archive_version\":1", "\"archive_version\":0");
+        archive.append_record(0, Fidelity::Fine, &stale).unwrap();
         let load = archive.load(&spec, &spec.expand());
         assert_eq!(load.loaded, 0);
         assert_eq!(load.skipped, 1);
@@ -1480,7 +1242,9 @@ mod tests {
         let spec = tiny_spec();
         let dir = tmp_dir("corrupt");
         let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        std::fs::write(archive.cell_path(1), "{ not json").unwrap();
+        archive
+            .append_record(1, Fidelity::Fine, "{ not json")
+            .unwrap();
         let load = archive.load(&spec, &spec.expand());
         assert_eq!(load.loaded, 0);
         assert_eq!(load.skipped, 1);
@@ -1652,9 +1416,13 @@ mod tests {
         for r in &result.results {
             archive.store(&spec, r).unwrap();
         }
-        // garbage: a corrupt record, an orphan tmp, an expired lease
-        std::fs::write(archive.cell_path(1), "{ corrupt").unwrap();
-        std::fs::write(dir.join("cells").join("cell-00000.json.tmp"), "x").unwrap();
+        // garbage: a corrupt record (in a second handle's segment), an
+        // orphan compaction tmp, an expired lease
+        CampaignArchive::open(&dir, &spec)
+            .unwrap()
+            .append_record(1, Fidelity::Fine, "{ corrupt")
+            .unwrap();
+        std::fs::write(dir.join("segments").join("seg-0009.log.tmp"), "x").unwrap();
         let cfg = test_lease();
         let live = archive.try_claim(0, &cfg).unwrap().expect("claimed");
         let expired = LeaseRecord {
@@ -1671,8 +1439,8 @@ mod tests {
         .unwrap();
 
         let report = archive.gc(&spec, cfg.ttl_ms).unwrap();
-        // every stored cell is a live segment frame; the corrupt legacy
-        // file is the one record removed
+        // every stored cell is a live segment frame; the corrupt record,
+        // alone in its segment, is the one record removed
         assert_eq!(report.records_kept, spec.scenario_count());
         assert_eq!(report.records_removed, 1);
         assert_eq!(report.leases_active, 1);
@@ -1925,52 +1693,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_five_digit_records_are_read_through() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("legacy-5digit");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let result = run_campaign(&spec, &RunnerConfig::serial());
-        // fabricate what an old binary left behind: 5-digit names
-        for r in &result.results {
-            archive.store_legacy(&spec, r).unwrap();
-            let index = r.scenario.index;
-            std::fs::rename(
-                dir.join("cells").join(format!("cell-{index:08}.json")),
-                dir.join("cells").join(format!("cell-{index:05}.json")),
-            )
-            .unwrap();
-        }
-        // a fresh handle (index built on open) loads them all
-        let reopened = CampaignArchive::open(&dir, &spec).unwrap();
-        let load = reopened.load(&spec, &spec.expand());
-        assert_eq!(load.loaded, spec.scenario_count());
-        assert_eq!(load.skipped, 0);
-        assert!(reopened
-            .cell_states(&spec, DEFAULT_LEASE_TTL_MS)
-            .iter()
-            .all(|s| *s == CellState::Archived));
-        let cell = spec.cell_at(1);
-        assert!(reopened.load_cell(&spec, &cell).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_rewrites_segments_and_migrates_legacy() {
+    fn compaction_rewrites_two_segments_into_one() {
         let spec = tiny_spec();
         let dir = tmp_dir("compact");
         let result = run_campaign(&spec, &RunnerConfig::serial());
-        // two writer handles → two segment files, plus one legacy file
+        // two writer handles → two segment files
         let a = CampaignArchive::open(&dir, &spec).unwrap();
         let b = CampaignArchive::open(&dir, &spec).unwrap();
         a.store(&spec, &result.results[0]).unwrap();
         b.store(&spec, &result.results[1]).unwrap();
-        a.store_legacy(&spec, &result.results[1]).unwrap();
         let before = archive_reference(&a, &spec);
 
         let report = a.compact(&spec).unwrap();
         assert_eq!(report.records, spec.scenario_count());
         assert_eq!(report.segments_removed, 2);
-        assert_eq!(report.legacy_migrated, 1);
         assert!(report.bytes_after > 0);
         let segments = std::fs::read_dir(dir.join("segments"))
             .unwrap()
@@ -1978,10 +1714,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".log"))
             .count();
         assert_eq!(segments, 1, "one fresh segment holds everything");
-        assert!(
-            !dir.join("cells").join("cell-00000001.json").exists(),
-            "migrated legacy files are gone"
-        );
 
         // same handle and a fresh one both load identically
         assert_eq!(archive_reference(&a, &spec), before);
@@ -1991,7 +1723,6 @@ mod tests {
         // compaction is idempotent
         let again = reopened.compact(&spec).unwrap();
         assert_eq!(again.records, spec.scenario_count());
-        assert_eq!(again.legacy_migrated, 0);
         assert_eq!(archive_reference(&reopened, &spec), before);
         let _ = std::fs::remove_dir_all(&dir);
     }

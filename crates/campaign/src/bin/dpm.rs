@@ -6,7 +6,7 @@
 //! dpm campaign list <spec.toml | DIR | --builtin> [--format F]
 //! dpm campaign gc <DIR> [--ttl-ms N]
 //! dpm campaign compact <DIR>
-//! dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
+//! dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto]
 //!            [--objective O] [--constraint C] [--fidelity fine|coarse|multi]
 //!            [--budget N] [--start-points N] [--threads N] [--prefetch]
 //!            [--initial-temp T] [--cooling F] [--anneal-seed N]
@@ -42,7 +42,7 @@ USAGE:
     dpm campaign list <spec.toml | DIR | --builtin> [--format ascii|json]
     dpm campaign gc   <DIR> [--ttl-ms N]
     dpm campaign compact <DIR>
-    dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
+    dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto]
                [--objective METRIC[,METRIC...]] [--constraint METRIC<=X]
                [--fidelity fine|coarse|multi]
                [--budget N] [--start-points N] [--threads N] [--prefetch]
@@ -64,10 +64,9 @@ byte-identical for any thread count.
 
 `dpm campaign gc DIR` removes unloadable records, expired leases and
 orphaned temp files. `dpm campaign compact DIR` rewrites all live cell
-records (segment frames and legacy per-cell JSON alike) into a single
-fresh segment file, dropping torn tails and duplicates. `dpm campaign
-list DIR --format json` reports each cell's state (archived / leased /
-pending).
+records into a single fresh segment file, dropping torn tails and
+duplicates. `dpm campaign list DIR --format json` reports each cell's
+state (archived / leased / pending).
 
 `dpm serve DIR` runs the campaign service: a daemon owning DIR as a
 root of campaign directories (one per submitted spec, keyed by spec
@@ -86,14 +85,11 @@ an evaluation budget (default: half the grid). A spec's [search] section
 supplies per-spec defaults; flags override it. --strategy selects the
 exploration: 'climb' (deterministic neighborhood climbing, the
 default), 'anneal' (seeded simulated annealing; tune --initial-temp,
---cooling and --anneal-seed), 'pareto' (multi-objective front
+--cooling and --anneal-seed), or 'pareto' (multi-objective front
 expansion; pass two or more comma-separated --objective metrics and get
-the non-dominated front instead of a single winner), or 'portfolio'
-(a restart portfolio racing climb, anneal and a single-objective front
-expansion under one shared budget; every result is observed by all
-three, and the turn rotates deterministically). A search runs in this
-process on --threads threads; the report is byte-identical for any
-thread count. With --resume DIR the campaign directory doubles as a
+the non-dominated front instead of a single winner). A search runs in
+this process on --threads threads; the report is byte-identical for
+any thread count. With --resume DIR the campaign directory doubles as a
 result cache — re-searching it performs zero fresh simulations.
 --prefetch (needs --resume) lets idle threads speculatively evaluate
 each strategy's likely next proposals while a batch is in flight:
@@ -445,13 +441,8 @@ fn campaign_compact(args: &[String]) -> Result<(), String> {
     let report = archive.compact(&spec)?;
     out(format_args!(
         "compact {dir}: {} records rewritten into one segment \
-         ({} old segments and {} legacy cell files removed; \
-         {} -> {} segment bytes)",
-        report.records,
-        report.segments_removed,
-        report.legacy_migrated,
-        report.bytes_before,
-        report.bytes_after,
+         ({} old segments removed; {} -> {} segment bytes)",
+        report.records, report.segments_removed, report.bytes_before, report.bytes_after,
     ));
     Ok(())
 }
@@ -522,13 +513,10 @@ fn search(args: &[String]) -> Result<(), String> {
         Some(text) => StrategyKind::parse(text)?,
         None => defaults.strategy.unwrap_or(StrategyKind::Climb),
     };
-    if !matches!(strategy, StrategyKind::Anneal | StrategyKind::Portfolio) {
+    if strategy != StrategyKind::Anneal {
         for flag in ["initial-temp", "cooling", "anneal-seed"] {
             if opts.value(flag).is_some() {
-                return Err(format!(
-                    "--{flag} only applies with --strategy anneal (or portfolio, \
-                     which races an annealer)"
-                ));
+                return Err(format!("--{flag} only applies with --strategy anneal"));
             }
         }
     }
@@ -877,16 +865,22 @@ mod tests {
 
     #[test]
     fn search_rejects_bad_strategy_combinations() {
-        let err = run(&args(&[
-            "search",
-            "--builtin",
-            "--objective",
-            "energy_saving",
-            "--strategy",
-            "warp",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unknown strategy"), "{err}");
+        for strategy in ["warp", "portfolio"] {
+            let err = run(&args(&[
+                "search",
+                "--builtin",
+                "--objective",
+                "energy_saving",
+                "--strategy",
+                strategy,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("unknown strategy"), "{err}");
+            assert!(
+                err.contains("(expected one of: climb, anneal, pareto)"),
+                "{err}"
+            );
+        }
         // anneal knobs only apply to anneal
         let err = run(&args(&[
             "search",

@@ -109,8 +109,8 @@ pub use runner::{
 pub use search::{
     drive_strategy, pareto_campaign, search_campaign, AnnealSchedule, AnnealStrategy,
     ClimbStrategy, Evaluation, Exploration, ParetoOutcome, ParetoPoint, ParetoReport, ParetoRound,
-    ParetoSpec, ParetoStrategy, PortfolioStrategy, SearchBest, SearchFidelity, SearchOutcome,
-    SearchReport, SearchSpec, Strategy, StrategyKind, COARSE_FACTOR, DEFAULT_START_POINTS,
+    ParetoSpec, ParetoStrategy, SearchBest, SearchFidelity, SearchOutcome, SearchReport,
+    SearchSpec, Strategy, StrategyKind, COARSE_FACTOR, DEFAULT_START_POINTS,
 };
 pub use server::{spawn as spawn_server, RunningServer, ServeOptions};
 pub use spec::{

@@ -7,12 +7,11 @@
 //!   proposes batches of unevaluated grid indices, observes each
 //!   evaluated cell's result, and may rank likely *next* proposals
 //!   through [`Strategy::prefetch_hint`] (the driver's speculative
-//!   prefetch). Four strategies ship in-tree — [`ClimbStrategy`] (the
+//!   prefetch). Three strategies ship in-tree — [`ClimbStrategy`] (the
 //!   original neighborhood climber), [`AnnealStrategy`] (seeded
-//!   simulated annealing over the same single-axis neighbor primitive),
-//!   [`ParetoStrategy`] (multi-objective non-dominated front
-//!   expansion), and [`PortfolioStrategy`] (a restart portfolio racing
-//!   the other three under one shared budget);
+//!   simulated annealing over the same single-axis neighbor primitive)
+//!   and [`ParetoStrategy`] (multi-objective non-dominated front
+//!   expansion);
 //! * the **driver** ([`drive_strategy`]) owns everything else: budget
 //!   accounting, batch execution through
 //!   [`crate::runner::run_cells_with`], the cross-batch
@@ -125,18 +124,14 @@ pub enum StrategyKind {
     Anneal,
     /// Multi-objective non-dominated front expansion.
     Pareto,
-    /// A restart portfolio racing climb, anneal and single-objective
-    /// front expansion round-robin under one shared budget.
-    Portfolio,
 }
 
 impl StrategyKind {
     /// Every strategy kind.
-    pub const ALL: [StrategyKind; 4] = [
+    pub const ALL: [StrategyKind; 3] = [
         StrategyKind::Climb,
         StrategyKind::Anneal,
         StrategyKind::Pareto,
-        StrategyKind::Portfolio,
     ];
 
     /// The CLI/spec-file name of this strategy.
@@ -145,7 +140,6 @@ impl StrategyKind {
             StrategyKind::Climb => "climb",
             StrategyKind::Anneal => "anneal",
             StrategyKind::Pareto => "pareto",
-            StrategyKind::Portfolio => "portfolio",
         }
     }
 
@@ -961,101 +955,6 @@ impl Strategy for ParetoStrategy {
     }
 }
 
-/// A restart portfolio racing every scalar approach under one shared
-/// budget: a climber, an annealer and a *single-objective* front
-/// expander take turns proposing round-robin, while every result fans
-/// out to all three — each sub-strategy always sees the complete
-/// evaluation history, exactly as if it had proposed everything itself.
-///
-/// Guarantees, inherited from the subs:
-///
-/// * **byte-deterministic** — the rotation is fixed, the subs are
-///   deterministic, and the annealer spends randomness only on its own
-///   annealing steps (fan-out observations are greedy frontier moves);
-/// * **complete** — whichever sub holds the turn restarts from the
-///   lowest-index unevaluated cell when its move pool is empty, so the
-///   portfolio never stalls while cells remain and full budget still
-///   degenerates to an exhaustive sweep (⇒ the provable argmax).
-///
-/// The front-expander sub runs the Pareto expansion over the one scalar
-/// objective — a deliberately greedy "expand every cell tied for best"
-/// racer, not a multi-objective front (scalar searches report a single
-/// winner either way; [`StrategyKind::Pareto`] proper stays the
-/// multi-objective entry point).
-pub struct PortfolioStrategy {
-    subs: Vec<Box<dyn Strategy>>,
-    evaluated: Vec<bool>,
-    /// Which sub proposes next (rotates every successful turn).
-    cursor: usize,
-}
-
-impl PortfolioStrategy {
-    /// A portfolio over `spec`'s grid.
-    pub fn new(
-        spec: &CampaignSpec,
-        objective: Objective,
-        start_points: usize,
-        schedule: &AnnealSchedule,
-    ) -> Self {
-        // a single-objective "front": dominance degenerates to the
-        // objective's comparator, so the front is the set of cells tied
-        // for best — built directly (MultiObjective::new insists on two
-        // objectives because *users* asking for one scalar want a
-        // search, but the portfolio wants exactly this degenerate racer)
-        let single = MultiObjective {
-            objectives: vec![objective],
-            constraint: None,
-        };
-        let subs: Vec<Box<dyn Strategy>> = vec![
-            Box::new(ClimbStrategy::new(spec, objective, start_points)),
-            Box::new(AnnealStrategy::new(spec, objective, start_points, schedule)),
-            Box::new(ParetoStrategy::new(spec, single, start_points)),
-        ];
-        Self {
-            subs,
-            evaluated: vec![false; spec.scenario_count()],
-            cursor: 0,
-        }
-    }
-}
-
-impl Strategy for PortfolioStrategy {
-    fn propose(&mut self, spec: &CampaignSpec) -> Vec<usize> {
-        // ask each sub in rotation; the first non-empty (filtered)
-        // batch wins the turn. The filter is load-bearing exactly once
-        // per sub — its unconditional start frontier may repeat cells
-        // another sub already proposed — and defensive afterwards: subs
-        // observe every result, so their later proposals are always
-        // fresh. All subs empty ⇒ the grid is exhausted.
-        for _ in 0..self.subs.len() {
-            let turn = self.cursor;
-            self.cursor = (self.cursor + 1) % self.subs.len();
-            let mut batch = self.subs[turn].propose(spec);
-            batch.retain(|&i| !self.evaluated[i]);
-            batch.sort_unstable();
-            batch.dedup();
-            if !batch.is_empty() {
-                return batch;
-            }
-        }
-        Vec::new()
-    }
-
-    fn observe(&mut self, index: usize, result: &ScenarioResult) {
-        self.evaluated[index] = true;
-        for sub in &mut self.subs {
-            sub.observe(index, result);
-        }
-    }
-
-    /// Delegates to the sub holding the next turn.
-    fn prefetch_hint(&self, spec: &CampaignSpec) -> Vec<usize> {
-        let mut hint = self.subs[self.cursor].prefetch_hint(spec);
-        hint.retain(|&i| !self.evaluated[i]);
-        hint
-    }
-}
-
 // ---- the driver ------------------------------------------------------
 
 /// What [`drive_strategy`] hands back: every evaluated cell (tagged
@@ -1266,15 +1165,6 @@ fn build_scalar_strategy(
                  --strategy pareto with comma-separated --objective values)"
                     .into(),
             )
-        }
-        StrategyKind::Portfolio => {
-            search.anneal.validate()?;
-            Box::new(PortfolioStrategy::new(
-                spec,
-                search.objective,
-                start_points,
-                &search.anneal,
-            ))
         }
     })
 }

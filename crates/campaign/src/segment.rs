@@ -3,13 +3,17 @@
 //! limits, directory-scan latency, gc cost).
 //!
 //! A campaign directory holds a `segments/` subdirectory of numbered
-//! log files:
+//! log files for fine records, and a `segments-coarse/` one laid out
+//! the same for coarse records:
 //!
 //! ```text
 //! <dir>/segments/
 //!   seg-0000.log         # length-prefixed, checksummed cell frames
 //!   seg-0001.log
 //! ```
+//!
+//! The frame header carries no fidelity, so the directory is what
+//! tells a fine record from a coarse one.
 //!
 //! Each frame is a fixed 36-byte little-endian header followed by the
 //! payload (the cell's compact-JSON [`CellRecord`]):
@@ -219,9 +223,8 @@ struct FileState {
 /// `segments/` on open and kept current by incremental refreshes.
 ///
 /// Only frames carrying the expected fingerprint and record version are
-/// indexed; foreign frames are skipped (their cells read as missing,
-/// exactly like a foreign legacy record). First frame wins: duplicates
-/// are byte-identical by construction.
+/// indexed; foreign frames are skipped (their cells read as missing).
+/// First frame wins: duplicates are byte-identical by construction.
 #[derive(Debug)]
 pub(crate) struct SegmentIndex {
     dir: PathBuf,

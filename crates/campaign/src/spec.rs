@@ -307,6 +307,13 @@ fn unknown(axis: &str, got: &str, options: &[&str]) -> String {
     )
 }
 
+/// The most cells a grid may hold (2^20): ten times the 100 000-cell
+/// grid the `campaign_throughput` bench drives through the segment
+/// store. Specs arrive from files and `POST /campaigns` bodies, and
+/// [`CampaignSpec::expand`] allocates one [`ScenarioSpec`] per cell, so
+/// [`CampaignSpec::validate`] refuses anything larger.
+pub const MAX_GRID_CELLS: usize = 1 << 20;
+
 /// A declarative scenario grid.
 ///
 /// `expand` walks the axes in declaration order (controllers outermost,
@@ -394,6 +401,15 @@ impl CampaignSpec {
             if len == 0 {
                 return Err(format!("axis '{name}' is empty"));
             }
+        }
+        let cells = axes
+            .iter()
+            .try_fold(1usize, |product, &(_, len)| product.checked_mul(len));
+        if cells.is_none_or(|cells| cells > MAX_GRID_CELLS) {
+            return Err(format!(
+                "the grid (the product of the axis lengths) must have at most \
+                 {MAX_GRID_CELLS} cells"
+            ));
         }
         if self.horizon_ms == 0 {
             return Err("horizon_ms must be positive".into());
@@ -689,6 +705,33 @@ mod tests {
             err.contains("horizon_ms must be at most 18446744073"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn grids_past_the_cell_cap_are_errors_not_panics() {
+        let mut spec = CampaignSpec::default_sweep();
+        spec.controllers = vec![ControllerAxis::Dpm];
+        spec.workloads = vec![WorkloadAxis::Low];
+        spec.thermals = vec![ThermalAxis::Cool];
+        spec.seeds = (0..1024).collect();
+        spec.ip_counts = vec![1; 1024];
+        assert_eq!(spec.scenario_count(), MAX_GRID_CELLS);
+        spec.validate().unwrap();
+        // one seed more: just over the cap
+        spec.seeds.push(1024);
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("at most 1048576 cells"), "{err}");
+        // 1024 values on each of the 7 axes: a product of 2^70, which
+        // overflows usize
+        spec.controllers = vec![ControllerAxis::Dpm; 1024];
+        spec.tunings = vec![TuningAxis::Paper; 1024];
+        spec.workloads = vec![WorkloadAxis::Low; 1024];
+        spec.seeds = vec![1; 1024];
+        spec.batteries = vec![BatteryAxis::Linear; 1024];
+        spec.thermals = vec![ThermalAxis::Cool; 1024];
+        spec.ip_counts = vec![1; 1024];
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("at most 1048576 cells"), "{err}");
     }
 
     /// Two values on every axis, at least one of them not the

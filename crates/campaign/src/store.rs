@@ -10,7 +10,7 @@
 //! <root>/
 //!   c-2f9a63b41c70de85/      # one campaign directory per spec
 //!     campaign.toml          # (exactly the layout crate::archive owns)
-//!     cells/ leases/
+//!     segments/ segments-coarse/ leases/
 //!   c-88d1c02b94a6f7e1/
 //! ```
 //!
@@ -216,8 +216,8 @@ impl CampaignStore {
     }
 
     /// Compacts one campaign's archive: every live record is rewritten
-    /// into a single fresh segment file and migrated legacy per-cell
-    /// files are dropped (see [`CampaignArchive::compact`]).
+    /// into a single fresh segment file per store (see
+    /// [`CampaignArchive::compact`]).
     ///
     /// # Errors
     ///

@@ -25,12 +25,12 @@
 //! ip_counts = [1, 4]
 //!
 //! [search]                          # optional: defaults for `dpm search`
-//! strategy = "climb"                # climb | anneal | pareto | portfolio
+//! strategy = "climb"                # climb | anneal | pareto
 //! objective = "energy_saving"       # metric label/alias, opt. min:/max: prefix
 //! objectives = ["max:energy_saving", "min:delay"]   # pareto fronts
 //! constraint = "delay_overhead_pct<=5"
 //! budget = 40                       # cells to evaluate
-//! initial_temp = 5.0                # annealing schedule (anneal/portfolio)
+//! initial_temp = 5.0                # annealing schedule (anneal)
 //! cooling = 0.9
 //! anneal_seed = 7
 //! prefetch = true                   # speculative neighbor prefetch
@@ -302,7 +302,7 @@ const KNOWN_KEYS: &[&str] = &[
 /// archive — and the cached cell results — valid.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchDefaults {
-    /// `search.strategy`: `climb`, `anneal`, `pareto` or `portfolio`.
+    /// `search.strategy`: `climb`, `anneal` or `pareto`.
     pub strategy: Option<StrategyKind>,
     /// `search.fidelity`: `fine`, `coarse` or `multi`.
     pub fidelity: Option<SearchFidelity>,
@@ -747,11 +747,11 @@ ip_counts = [1]
         use crate::search::StrategyKind;
 
         let text = format!(
-            "{EXAMPLE}\n[search]\nstrategy = \"portfolio\"\nobjective = \"energy_saving\"\n\
+            "{EXAMPLE}\n[search]\nstrategy = \"anneal\"\nobjective = \"energy_saving\"\n\
              budget = 4\nprefetch = true\n"
         );
         let (_, search) = parse_campaign_toml(&text).unwrap();
-        assert_eq!(search.strategy, Some(StrategyKind::Portfolio));
+        assert_eq!(search.strategy, Some(StrategyKind::Anneal));
         assert_eq!(search.prefetch, Some(true));
         // absent -> None (the CLI default of "off" applies)
         let (_, bare) = parse_campaign_toml(EXAMPLE).unwrap();
@@ -783,8 +783,11 @@ ip_counts = [1]
 
     #[test]
     fn bad_strategy_and_anneal_values_fail_loudly() {
-        let err = parse_campaign_toml("[search]\nstrategy = \"warp\"\n").unwrap_err();
-        assert!(err.contains("unknown strategy"), "{err}");
+        for strategy in ["warp", "portfolio"] {
+            let err =
+                parse_campaign_toml(&format!("[search]\nstrategy = \"{strategy}\"\n")).unwrap_err();
+            assert!(err.contains("unknown strategy"), "{err}");
+        }
         let err = parse_campaign_toml("[search]\nstrategy = 3\n").unwrap_err();
         assert!(err.contains("must be a string"), "{err}");
         let err = parse_campaign_toml("[search]\ninitial_temp = 0\n").unwrap_err();

@@ -1,5 +1,5 @@
 //! Golden-report regression corpus: the text / markdown / json
-//! renderings of `SearchReport` (climb + anneal + portfolio) and
+//! renderings of `SearchReport` (climb + anneal) and
 //! `ParetoReport` on `specs/quick.toml` are checked in under
 //! `tests/golden/` and diffed
 //! byte-for-byte here, so report-format changes are always deliberate.
@@ -84,20 +84,6 @@ fn anneal_search_report_matches_the_golden_corpus() {
     assert_golden("anneal-quick.txt", &search_ascii(&outcome.report));
     assert_golden("anneal-quick.md", &search_markdown(&outcome.report));
     assert_golden("anneal-quick.json", &search_json(&outcome.report).unwrap());
-}
-
-#[test]
-fn portfolio_search_report_matches_the_golden_corpus() {
-    let (spec, search) = quick_spec();
-    let search = search.with_strategy(StrategyKind::Portfolio);
-    let outcome =
-        search_campaign(&spec, &search, &RunnerConfig::default(), None).expect("portfolio search");
-    assert_golden("portfolio-quick.txt", &search_ascii(&outcome.report));
-    assert_golden("portfolio-quick.md", &search_markdown(&outcome.report));
-    assert_golden(
-        "portfolio-quick.json",
-        &search_json(&outcome.report).unwrap(),
-    );
 }
 
 #[test]

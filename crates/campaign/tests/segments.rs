@@ -1,8 +1,8 @@
 //! Segment-store contract: records round-trip bit-identically through
 //! the append-only segment files, torn tails re-run exactly the cell
-//! they hid, legacy per-cell-JSON archives resume (and compact) with
-//! zero fresh simulations, and one handle's loads stay whole while
-//! another handle compacts or appends.
+//! they hid, a damaged segment never panics and never loads a wrong
+//! record, and one handle's loads stay whole while another handle
+//! compacts or appends.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dpm_campaign::{
     campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignArchive, CampaignResult,
     CampaignSpec, ControllerAxis, Fidelity, LeaseConfig, LeaseRecord, RunnerConfig,
-    ScenarioMetrics, ScenarioResult, ThermalAxis, TuningAxis, WorkloadAxis, LEASE_VERSION,
+    ScenarioMetrics, ScenarioResult, ThermalAxis, TuningAxis, WorkloadAxis, DEFAULT_LEASE_TTL_MS,
+    LEASE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -259,49 +260,67 @@ fn compact_refuses_under_a_live_lease_and_proceeds_once_it_is_gone() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every fine record a fresh handle on `dir` loads, one slot per cell.
+fn loaded_slots(dir: &std::path::Path, spec: &CampaignSpec) -> Vec<Option<ScenarioResult>> {
+    let archive = CampaignArchive::open(dir, spec).expect("open");
+    archive.load(spec, &spec.expand()).slots
+}
+
 #[test]
-fn legacy_five_digit_archive_resumes_and_compacts_without_simulations() {
-    // an archive exactly as an old binary left it: per-cell JSON files
-    // with 5-digit names, no segments at all
-    let spec = spec_with(vec![4, 5]);
-    let cold = run_campaign_with(&spec, &config(1), None).expect("cold run");
-    let dir = scratch_dir();
+fn a_damaged_segment_never_panics_and_never_loads_a_wrong_record() {
+    // every truncation and every single-byte flip of a small archive's
+    // one segment. The frame checksum covers the payload only, so a
+    // flipped index bit can point an intact frame at another cell: only
+    // record validation stands between that frame and a wrong load
+    let spec = spec_with(vec![1, 2]);
+    let stored: Vec<ScenarioResult> = (0..spec.scenario_count())
+        .map(|i| synthetic_result(&spec, i, &[0.5, -2.0e-9, 7.25e11], &[i, 3]))
+        .collect();
+    let source = scratch_dir();
     {
-        let archive = CampaignArchive::open(&dir, &spec).expect("open");
-        for r in &cold.result.results {
-            archive.store_legacy(&spec, r).expect("store legacy");
-            let index = r.scenario.index;
-            std::fs::rename(
-                dir.join("cells").join(format!("cell-{index:08}.json")),
-                dir.join("cells").join(format!("cell-{index:05}.json")),
-            )
-            .expect("rename to the historical 5-digit name");
+        let archive = CampaignArchive::open(&source, &spec).expect("open");
+        for r in &stored {
+            archive.store(&spec, r).expect("store");
         }
-        let _ = std::fs::remove_dir_all(dir.join("segments"));
     }
+    let segment = only_segment(&source);
+    let name = segment.file_name().expect("segment name");
+    let pristine = std::fs::read(&segment).expect("read segment");
+    let truncations = (0..pristine.len()).map(|len| pristine[..len].to_vec());
+    let flips = (0..pristine.len()).map(|at| {
+        let mut bytes = pristine.clone();
+        bytes[at] ^= 0x01;
+        bytes
+    });
+    let dir = scratch_dir();
+    for damaged in truncations.chain(flips) {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("segments")).expect("create segments dir");
+        std::fs::copy(source.join("campaign.toml"), dir.join("campaign.toml")).expect("copy spec");
+        std::fs::write(dir.join("segments").join(name), &damaged).expect("write damaged segment");
 
-    // read-through: zero fresh simulations, byte-identical report
-    let archive = CampaignArchive::open(&dir, &spec).expect("reopen legacy");
-    let resumed = run_campaign_with(&spec, &config(2), Some(&archive)).expect("legacy resume");
-    assert_eq!(resumed.stats.simulations, 0, "legacy records all load");
-    assert_eq!(archive_bytes(&resumed.result), archive_bytes(&cold.result));
-
-    // compaction migrates every legacy file into one segment...
-    let report = archive.compact(&spec).expect("compact legacy");
-    assert_eq!(report.records, spec.scenario_count());
-    assert_eq!(report.legacy_migrated, spec.scenario_count());
-    assert!(
-        std::fs::read_dir(dir.join("cells"))
-            .map(|entries| entries.count() == 0)
-            .unwrap_or(true),
-        "migrated legacy files are removed"
-    );
-    // ...and the compacted archive still resumes with zero simulations
-    let compacted = CampaignArchive::open(&dir, &spec).expect("reopen compacted");
-    let again = run_campaign_with(&spec, &config(1), Some(&compacted)).expect("compacted resume");
-    assert_eq!(again.stats.simulations, 0);
-    assert_eq!(archive_bytes(&again.result), archive_bytes(&cold.result));
+        let archive = CampaignArchive::open(&dir, &spec).expect("open damaged");
+        let loaded = archive.load(&spec, &spec.expand()).slots;
+        for (slot, original) in loaded.iter().zip(&stored) {
+            if let Some(result) = slot {
+                assert_eq!(result, original, "a damaged segment loaded a wrong record");
+            }
+        }
+        assert_eq!(
+            archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS).len(),
+            stored.len()
+        );
+        archive.gc(&spec, DEFAULT_LEASE_TTL_MS).expect("gc");
+        assert_eq!(loaded_slots(&dir, &spec), loaded, "gc changed what loads");
+        archive.compact(&spec).expect("compact");
+        assert_eq!(
+            loaded_slots(&dir, &spec),
+            loaded,
+            "compact changed what loads"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&source);
 }
 
 /// Stores `results` at both fidelities through a handle that is dropped

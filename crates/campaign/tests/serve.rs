@@ -49,6 +49,19 @@ thermals = ["cool"]
 ip_counts = [1]
 "#;
 
+/// A ~900 KB spec, under the 1 MiB body cap, whose grid holds
+/// 300 000 × 150 000 cells: far past `MAX_GRID_CELLS`.
+fn oversized_spec_toml() -> String {
+    let ones = |n: usize| vec!["1"; n].join(",");
+    format!(
+        "name = \"oversized\"\n\n[axes]\ncontrollers = [\"dpm\"]\ntunings = [\"paper\"]\n\
+         workloads = [\"low\"]\nbatteries = [\"linear\"]\nthermals = [\"cool\"]\n\
+         seeds = [{}]\nip_counts = [{}]\n",
+        ones(300_000),
+        ones(150_000)
+    )
+}
+
 fn serve_options(job_slots: usize) -> ServeOptions {
     ServeOptions {
         job_slots,
@@ -427,6 +440,13 @@ fn errors_are_structured_json_and_reads_never_simulate() {
     let health = http(addr, "GET", "/healthz", None);
     assert_eq!(health.status, 200, "{}", health.body);
 
+    // a grid past the cell cap is refused before anything expands it
+    let huge = http(addr, "POST", "/campaigns", Some(&oversized_spec_toml()));
+    assert_eq!(huge.status, 400, "{}", huge.body);
+    assert!(huge.body.contains("at most 1048576 cells"), "{}", huge.body);
+    let health = http(addr, "GET", "/healthz", None);
+    assert_eq!(health.status, 200, "{}", health.body);
+
     // a horizon whose picoseconds overflow the clock is refused, not
     // wrapped into a run a fraction of a millisecond long
     let endless = http(
@@ -485,6 +505,35 @@ fn errors_are_structured_json_and_reads_never_simulate() {
     let gc = http(addr, "POST", &format!("/campaigns/{id}/gc"), None);
     assert_eq!(gc.status, 200, "{}", gc.body);
     assert!(gc.body.contains("\"records_removed\": 0"), "{}", gc.body);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A campaign directory whose spec is past the grid cap (written by an
+/// older daemon that accepted it) is left out of `GET /campaigns`
+/// instead of being expanded.
+#[test]
+fn an_oversized_campaign_in_the_store_is_left_out_of_the_listing() {
+    let root = scratch_dir();
+    let id = unsubmitted_campaign(&root);
+    let bogus = root.join("c-0000000000000000");
+    std::fs::create_dir_all(&bogus).expect("create campaign dir");
+    std::fs::write(bogus.join("campaign.toml"), oversized_spec_toml()).expect("write spec");
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
+    let addr = server.addr();
+
+    let listed = http(addr, "GET", "/campaigns", None);
+    assert_eq!(listed.status, 200, "{}", listed.body);
+    assert!(listed.body.contains("\"count\": 1"), "{}", listed.body);
+    assert!(listed.body.contains(&id), "{}", listed.body);
+    assert!(
+        !listed.body.contains("c-0000000000000000"),
+        "{}",
+        listed.body
+    );
+    let health = http(addr, "GET", "/healthz", None);
+    assert_eq!(health.status, 200, "{}", health.body);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -10,9 +10,6 @@
 //! * **anneal**: with `budget >= grid size` the walk degenerates to an
 //!   exhaustive sweep and the reported best equals the campaign
 //!   argmax — property-tested over random grids, metrics and schedules;
-//! * **portfolio**: the restart portfolio racing climb/anneal/front
-//!   expansion inherits both guarantees — full budget ⇒ the exhaustive
-//!   argmax — property-tested over the same random grids and schedules;
 //! * **every strategy**: the report is **byte-identical** across 1/2/8
 //!   threads, fresh/archived mixes, and speculative prefetch on or off,
 //!   with speculative work never charged against the strategy budget.
@@ -183,31 +180,6 @@ fn full_budget_anneal_on_64_cells_equals_exhaustive_argmax() {
     assert_eq!(&best.metrics, reference.metrics.as_ref().unwrap());
 }
 
-/// ISSUE 10 acceptance: the restart portfolio is complete — full budget
-/// degenerates to an exhaustive sweep and the reported best equals the
-/// campaign argmax, exactly like its slowest sub-strategy alone.
-#[test]
-fn full_budget_portfolio_on_64_cells_equals_exhaustive_argmax() {
-    let spec = grid64();
-    let objective = Objective::for_metric(Metric::EnergySavingPct);
-    let exhaustive = run_campaign_with(&spec, &config(0), None).expect("exhaustive sweep");
-    let reference = objective
-        .argbest(&exhaustive.result.results)
-        .expect("grid has successful cells");
-
-    let search =
-        SearchSpec::new(objective, spec.scenario_count()).with_strategy(StrategyKind::Portfolio);
-    let outcome = search_campaign(&spec, &search, &config(0), None).expect("portfolio search");
-    assert_eq!(outcome.report.evaluated, spec.scenario_count());
-    let best = outcome
-        .report
-        .best
-        .as_ref()
-        .expect("portfolio found a best");
-    assert_eq!(best.index, reference.scenario.index);
-    assert_eq!(&best.metrics, reference.metrics.as_ref().unwrap());
-}
-
 /// Re-searching a populated directory performs zero fresh simulations
 /// for the new strategies too (the archive is a full result cache).
 #[test]
@@ -234,16 +206,6 @@ fn archived_anneal_and_pareto_simulate_nothing_on_resume() {
         pareto_json(&second.report).unwrap(),
         pareto_json(&first.report).unwrap(),
     );
-
-    let portfolio = SearchSpec::new(Objective::for_metric(Metric::EnergySavingPct), 12)
-        .with_strategy(StrategyKind::Portfolio);
-    let first = search_campaign(&spec, &portfolio, &config(2), Some(&archive)).unwrap();
-    let second = search_campaign(&spec, &portfolio, &config(1), Some(&archive)).unwrap();
-    assert_eq!(second.stats.simulations, 0, "portfolio resume must be free");
-    assert_eq!(
-        search_json(&second.report).unwrap(),
-        search_json(&first.report).unwrap(),
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -260,11 +222,7 @@ fn prefetch_is_byte_identical_and_never_charged_to_the_budget() {
     let budget = 16;
     let mut total_speculative = 0;
 
-    for kind in [
-        StrategyKind::Climb,
-        StrategyKind::Anneal,
-        StrategyKind::Portfolio,
-    ] {
+    for kind in [StrategyKind::Climb, StrategyKind::Anneal] {
         let plain = SearchSpec::new(Objective::for_metric(Metric::EnergySavingPct), budget)
             .with_strategy(kind);
         let reference = search_campaign(&spec, &plain, &config(8), None).expect("reference");
@@ -494,40 +452,6 @@ proptest! {
         prop_assert_eq!(&best.metrics, reference.metrics.as_ref().unwrap());
     }
 
-    // Full-budget portfolio == the exhaustive argmax, for random grids,
-    // metrics and annealer schedules: the race is complete no matter
-    // which sub-strategy holds the turn when the grid runs dry.
-    #[test]
-    fn full_budget_portfolio_equals_exhaustive_argmax(
-        master in 0u64..u64::MAX / 2,
-        seeds in prop::collection::vec(0u64..1000, 1..4),
-        two_controllers in prop::sample::select(vec![false, true]),
-        metric in prop::sample::select(vec![
-            Metric::EnergySavingPct,
-            Metric::EnergyJ,
-            Metric::MeanLatencyUs,
-        ]),
-        anneal_seed in 0u64..u64::MAX / 2,
-        initial_temp in prop::sample::select(vec![0.1, 1.0, 10.0]),
-        cooling in prop::sample::select(vec![0.5, 0.9, 0.99]),
-    ) {
-        let spec = small_spec(master, seeds, two_controllers);
-        let objective = Objective::for_metric(metric);
-        let exhaustive = run_campaign_with(&spec, &config(1), None).unwrap();
-        let reference = objective.argbest(&exhaustive.result.results).unwrap();
-
-        let mut search = SearchSpec::new(objective, spec.scenario_count())
-            .with_strategy(StrategyKind::Portfolio);
-        search.anneal.seed = anneal_seed;
-        search.anneal.initial_temp = initial_temp;
-        search.anneal.cooling = cooling;
-        let outcome = search_campaign(&spec, &search, &config(1), None).unwrap();
-        prop_assert_eq!(outcome.report.evaluated, spec.scenario_count());
-        let best = outcome.report.best.as_ref().unwrap();
-        prop_assert_eq!(best.index, reference.scenario.index);
-        prop_assert_eq!(&best.metrics, reference.metrics.as_ref().unwrap());
-    }
-
     // Full-budget multi-fidelity search == the fine-only winner, for
     // random grids and energy objectives (the screen ranks with the
     // coarse evaluator, whose energy ordering tracks the kernel's).
@@ -577,7 +501,6 @@ proptest! {
             StrategyKind::Climb,
             StrategyKind::Anneal,
             StrategyKind::Pareto,
-            StrategyKind::Portfolio,
         ]),
     ) {
         let spec = small_spec(master, seeds, true);
