@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dpm campaign run <spec.toml | --builtin> [--threads N] [--format F]
-//!                  [--per-scenario] [--out FILE] [--resume DIR] [--no-dedup]
+//!                  [--per-scenario] [--out FILE] [--resume DIR]
 //! dpm campaign list <spec.toml | DIR | --builtin> [--format F]
 //! dpm campaign gc <DIR> [--ttl-ms N]
 //! dpm campaign compact <DIR>
@@ -10,8 +10,8 @@
 //!            [--objective O] [--constraint C] [--fidelity fine|coarse|multi]
 //!            [--budget N] [--start-points N] [--threads N] [--prefetch]
 //!            [--initial-temp T] [--cooling F] [--anneal-seed N]
-//!            [--format F] [--out FILE] [--resume DIR] [--no-dedup]
-//! dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N] [--no-dedup]
+//!            [--format F] [--out FILE] [--resume DIR]
+//! dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
 //! dpm table2 [--format F]
 //! dpm quickstart
 //! ```
@@ -38,7 +38,7 @@ dpm — DATE'05 dynamic power management simulator
 USAGE:
     dpm campaign run  <spec.toml | --builtin> [--threads N]
                       [--format ascii|markdown|json] [--per-scenario] [--out FILE]
-                      [--resume DIR] [--no-dedup]
+                      [--resume DIR]
     dpm campaign list <spec.toml | DIR | --builtin> [--format ascii|json]
     dpm campaign gc   <DIR> [--ttl-ms N]
     dpm campaign compact <DIR>
@@ -48,8 +48,7 @@ USAGE:
                [--budget N] [--start-points N] [--threads N] [--prefetch]
                [--initial-temp T] [--cooling F] [--anneal-seed N]
                [--format ascii|markdown|json] [--out FILE] [--resume DIR]
-               [--no-dedup]
-    dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N] [--no-dedup]
+    dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
     dpm table2 [--format ascii|markdown|json]
     dpm quickstart
     dpm help
@@ -58,9 +57,8 @@ A campaign spec is a TOML grid over six axes; see `dpm campaign list
 --builtin` for the built-in sweep and the README for the format.
 `--resume DIR` persists per-cell archives into DIR and skips cells
 already completed there; the aggregate report is byte-identical to a
-cold run. `--no-dedup` disables shared always-ON1 baseline runs. A
-campaign runs in this process on --threads threads; the report is
-byte-identical for any thread count.
+cold run. A campaign runs in this process on --threads threads; the
+report is byte-identical for any thread count.
 
 `dpm campaign gc DIR` removes unloadable records, expired leases and
 orphaned temp files. `dpm campaign compact DIR` rewrites all live cell
@@ -321,14 +319,13 @@ fn campaign_run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["threads", "format", "out", "resume"],
-        &["builtin", "per-scenario", "no-dedup"],
+        &["builtin", "per-scenario"],
     )?;
     let format = output_format(&opts)?;
     let spec = load_spec(&opts)?;
     let config = RunnerConfig {
         threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
         progress: true,
-        dedup_baselines: !opts.has("no-dedup"),
         ..RunnerConfig::default()
     };
     let archive = match opts.value("resume") {
@@ -448,7 +445,7 @@ fn campaign_compact(args: &[String]) -> Result<(), String> {
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["addr", "workers", "threads"], &["no-dedup"])?;
+    let opts = Opts::parse(args, &["addr", "workers", "threads"], &[])?;
     let dir = opts
         .positionals
         .first()
@@ -457,7 +454,6 @@ fn serve(args: &[String]) -> Result<(), String> {
         addr: opts.value("addr").unwrap_or("127.0.0.1:0").to_string(),
         job_slots: parse_positive_flag(&opts, "workers")?.unwrap_or(1),
         threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
-        dedup_baselines: !opts.has("no-dedup"),
     };
     let slots = options.job_slots;
     let server = spawn_server(Path::new(dir), options)?;
@@ -503,7 +499,7 @@ fn search(args: &[String]) -> Result<(), String> {
             "out",
             "resume",
         ],
-        &["builtin", "no-dedup", "prefetch"],
+        &["builtin", "prefetch"],
     )?;
     let format = output_format(&opts)?;
     let (spec, defaults) = load_spec_full(&opts)?;
@@ -559,7 +555,6 @@ fn search(args: &[String]) -> Result<(), String> {
     // are fine-only
     let config = RunnerConfig {
         threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
-        dedup_baselines: !opts.has("no-dedup"),
         ..RunnerConfig::default()
     };
     let archive = match opts.value("resume") {
@@ -810,7 +805,16 @@ mod tests {
     fn unknown_flags_still_rejected_with_new_options_listed() {
         let err = run(&args(&["campaign", "run", "--builtin", "--resumee", "x"])).unwrap_err();
         assert!(err.contains("--resume"), "{err}");
-        assert!(err.contains("--no-dedup"), "{err}");
+        assert!(err.contains("--per-scenario"), "{err}");
+        // baseline dedup has no CLI switch
+        for cmd in [
+            &["campaign", "run", "--builtin", "--no-dedup"][..],
+            &["search", "--builtin", "--no-dedup"],
+            &["serve", "/nonexistent", "--no-dedup"],
+        ] {
+            let err = run(&args(cmd)).unwrap_err();
+            assert!(err.contains("unknown flag '--no-dedup'"), "{cmd:?}: {err}");
+        }
     }
 
     #[test]

@@ -27,24 +27,28 @@
 //! * **Trace-skeleton reuse**, only when the caller holds a
 //!   [`BaselineCache`] (the search driver across its rounds, the leased
 //!   path across the chunks of a group): each (workload, seed, IP count)
-//!   generates its traces once, and every config is a clone of that
+//!   generates its traces once. A fine config is a clone of that
 //!   skeleton with the cell's own settings applied — equal to what
-//!   [`ScenarioSpec::build_config`] builds. A coarse evaluation takes
-//!   about as long as generating its cell's traces, so without this a
-//!   search spends about half of each evaluation on set-up. One-shot
-//!   runs build every config from scratch: holding every trace set of
-//!   the call raised the benchmark sweep's (80 cells, 200 ms) peak RSS
-//!   from 6.6 to 7.9 MiB, and its fine simulations dwarf the build.
+//!   [`ScenarioSpec::build_config`] builds. A coarse evaluation clones
+//!   no trace: it applies the cell's settings to the skeleton's IP-less
+//!   settings and walks the skeleton's [`CoarsePlan`], built by the
+//!   first coarse evaluation of the key, which reads the IPs, their
+//!   traces and their model tables by reference. One-shot runs build
+//!   every config from scratch: holding every trace set of the call
+//!   raised the benchmark sweep's (80 cells, 200 ms) peak RSS from 6.6
+//!   to 7.9 MiB, and its fine simulations dwarf the build.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dpm_kernel::Simulation;
 use dpm_soc::experiment::table2_row;
-use dpm_soc::{build_soc, collect_metrics, ControllerKind, SocConfig, SocMetrics};
+use dpm_soc::{
+    build_soc, collect_metrics, CoarsePlan, ControllerKind, IpConfig, SocConfig, SocMetrics,
+};
 use dpm_units::SimTime;
 
 use crate::archive::{CampaignArchive, LeaseConfig};
@@ -339,16 +343,50 @@ impl RunStats {
 /// evaluating one batch of cells per round — would recompute a group
 /// every time a batch touches it. Threading one `BaselineCache` through
 /// the sequence restores the exhaustive sharing: a group simulates on
-/// first use and is served from memory afterwards. Likewise each trace
-/// set is generated once, and every later config is a clone of its
-/// skeleton with the cell's settings applied. Results are deterministic,
-/// so serving from the cache never changes any metric. A cache belongs
-/// to one spec.
+/// first use and is served from memory afterwards, behind an [`Arc`], so
+/// a batch borrows each cached baseline rather than copying its task
+/// records. Likewise each trace set is generated once. A fine config is
+/// a clone of its skeleton with the cell's settings applied; a coarse
+/// evaluation walks the skeleton's [`CoarsePlan`] (built on the key's
+/// first coarse evaluation) and copies no trace. Results are
+/// deterministic, so serving from the cache never changes any metric. A
+/// cache belongs to one spec.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
-    map: HashMap<BaselineKey, Result<SocMetrics, String>>,
+    map: HashMap<BaselineKey, Result<Arc<SocMetrics>, String>>,
     /// Each skeleton, or the panic message of its build.
-    skeletons: HashMap<TraceKey, Result<SocConfig, String>>,
+    skeletons: HashMap<TraceKey, Result<Skeleton, String>>,
+}
+
+/// One cached trace skeleton, split so a coarse evaluation reads its
+/// IPs in place instead of cloning them.
+#[derive(Debug)]
+struct Skeleton {
+    /// Every setting of the skeleton but its IPs (`ips` is empty).
+    settings: SocConfig,
+    /// The IPs with their generated traces.
+    ips: Vec<IpConfig>,
+    /// The coarse plan of `ips`, built by the first coarse evaluation.
+    plan: OnceLock<CoarsePlan>,
+}
+
+impl Skeleton {
+    fn new(mut config: SocConfig) -> Self {
+        let ips = std::mem::take(&mut config.ips);
+        Self {
+            settings: config,
+            ips,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// The whole skeleton as one config.
+    fn config(&self) -> SocConfig {
+        SocConfig {
+            ips: self.ips.clone(),
+            ..self.settings.clone()
+        }
+    }
 }
 
 impl BaselineCache {
@@ -397,40 +435,47 @@ fn run_to_metrics(cfg: &SocConfig, horizon: SimTime, fidelity: Fidelity) -> SocM
 }
 
 /// Where one run's SoC configs come from: built from scratch per cell,
-/// or cloned from the caller's cached skeleton of the cell's trace key
+/// or taken from the caller's cached skeleton of the cell's trace key
 /// with the cell's own settings applied.
 struct Configs<'a> {
     spec: &'a CampaignSpec,
-    skeletons: Option<&'a HashMap<TraceKey, Result<SocConfig, String>>>,
+    skeletons: Option<&'a HashMap<TraceKey, Result<Skeleton, String>>>,
 }
 
 impl Configs<'_> {
-    /// `cell`'s config; a panic while building it is the error, with the
-    /// message a per-cell [`ScenarioSpec::build_config`] would give.
-    fn build(&self, cell: &ScenarioSpec) -> Result<SocConfig, String> {
-        let Some(skeletons) = self.skeletons else {
-            return caught(|| cell.build_config(self.spec));
-        };
-        let skeleton = skeletons[&cell.trace_key()]
-            .as_ref()
-            .map_err(Clone::clone)?;
-        caught(|| cell.configure(self.spec, skeleton.clone()))
-    }
-
-    /// Evaluates `cell`, or its always-`ON1` baseline when `baseline`.
+    /// Evaluates `cell`, or its always-`ON1` baseline when `baseline`. A
+    /// panic while building the config is the error, with the message a
+    /// per-cell [`ScenarioSpec::build_config`] would give.
     fn run(
         &self,
         cell: &ScenarioSpec,
         baseline: bool,
         fidelity: Fidelity,
     ) -> Result<SocMetrics, String> {
-        let cfg = self.build(cell)?;
-        let cfg = if baseline {
-            cfg.with_controller(ControllerKind::AlwaysOn)
-        } else {
-            cfg
+        let horizon = self.spec.horizon();
+        let configure = |skeleton: SocConfig| {
+            let cfg = cell.configure(self.spec, skeleton);
+            if baseline {
+                cfg.with_controller(ControllerKind::AlwaysOn)
+            } else {
+                cfg
+            }
         };
-        caught(|| run_to_metrics(&cfg, self.spec.horizon(), fidelity))
+        let Some(skeletons) = self.skeletons else {
+            let build = || configure(cell.build_skeleton(self.spec));
+            return caught(|| run_to_metrics(&build(), horizon, fidelity));
+        };
+        let skeleton = skeletons[&cell.trace_key()]
+            .as_ref()
+            .map_err(Clone::clone)?;
+        caught(|| match fidelity {
+            Fidelity::Fine => run_to_metrics(&configure(skeleton.config()), horizon, fidelity),
+            Fidelity::Coarse => {
+                let plan = skeleton.plan.get_or_init(|| CoarsePlan::new(&skeleton.ips));
+                let cfg = configure(skeleton.settings.clone());
+                plan.run(&cfg, &skeleton.ips, horizon)
+            }
+        })
     }
 }
 
@@ -518,7 +563,7 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 fn execute_cell(
     configs: &Configs<'_>,
     cell: &ScenarioSpec,
-    shared_baseline: Option<&Result<SocMetrics, String>>,
+    shared_baseline: Option<&Result<Arc<SocMetrics>, String>>,
     fidelity: Fidelity,
     sims: &AtomicUsize,
     reused: &AtomicUsize,
@@ -715,7 +760,7 @@ fn run_cells_local(
 
     // groups already in the cross-call cache are served from memory;
     // only the rest simulate
-    let mut baselines: Vec<Option<Result<SocMetrics, String>>> = match &cache {
+    let mut baselines: Vec<Option<Result<Arc<SocMetrics>, String>>> = match &cache {
         Some(c) => groups
             .iter()
             .map(|g| c.map.get(&baseline_key(g, config.fidelity)).cloned())
@@ -727,13 +772,13 @@ fn run_cells_local(
         .collect();
 
     // with a cross-call cache, each trace key generates its traces once
-    // and configs clone them; one-shot runs build per cell, so a sweep
-    // never holds every trace set in memory at once
+    // and configs take them from there; one-shot runs build per cell, so
+    // a sweep never holds every trace set in memory at once
     if let Some(c) = cache.as_deref_mut() {
         for &i in &missing {
             c.skeletons
                 .entry(cells[i].trace_key())
-                .or_insert_with(|| caught(|| cells[i].build_skeleton(spec)));
+                .or_insert_with(|| caught(|| Skeleton::new(cells[i].build_skeleton(spec))));
         }
     }
     let configs = Configs {
@@ -762,14 +807,16 @@ fn run_cells_local(
     // phase A: shared baselines (the config is built inside the catch —
     // a panicking trace generator must fail the group's cells, not the
     // whole campaign, exactly as it would without dedup)
-    let fresh_baselines: Vec<Result<SocMetrics, String>> = map_units(&pool, to_run.len(), |k| {
+    let fresh_baselines = map_units(&pool, to_run.len(), |k| {
         let counter = if group_spec[to_run[k]] {
             spec_sims
         } else {
             sims
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let out = configs.run(&groups[to_run[k]], true, config.fidelity);
+        let out = configs
+            .run(&groups[to_run[k]], true, config.fidelity)
+            .map(Arc::new);
         progress.tick();
         if let Some(hook) = on_unit {
             hook();
@@ -779,7 +826,7 @@ fn run_cells_local(
     for (k, result) in fresh_baselines.into_iter().enumerate() {
         baselines[to_run[k]] = Some(result);
     }
-    let baselines: Vec<Result<SocMetrics, String>> = baselines
+    let baselines: Vec<Result<Arc<SocMetrics>, String>> = baselines
         .into_iter()
         .map(|b| b.expect("every baseline group is resolved"))
         .collect();

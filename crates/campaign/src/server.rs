@@ -77,8 +77,6 @@ pub struct ServeOptions {
     pub job_slots: usize,
     /// Simulation threads per executor slot; `0` = machine parallelism.
     pub threads: usize,
-    /// Share always-`ON1` baselines within each job (default on).
-    pub dedup_baselines: bool,
 }
 
 impl Default for ServeOptions {
@@ -87,7 +85,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".into(),
             job_slots: 1,
             threads: 0,
-            dedup_baselines: true,
         }
     }
 }
@@ -399,7 +396,6 @@ fn run_one(state: &ServerState, id: &str) -> Result<(), String> {
     let o = &state.options;
     let config = RunnerConfig {
         threads: o.threads,
-        dedup_baselines: o.dedup_baselines,
         ..RunnerConfig::default()
     };
     let lease = LeaseConfig::for_process();
@@ -837,7 +833,6 @@ mod tests {
         let o = ServeOptions::default();
         assert_eq!(o.addr, "127.0.0.1:0");
         assert_eq!(o.job_slots, 1);
-        assert!(o.dedup_baselines);
     }
 
     #[test]

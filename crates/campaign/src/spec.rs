@@ -154,17 +154,21 @@ impl TuningAxis {
 }
 
 /// Workload-shape axis values.
+///
+/// Each value's doc states the load it offers one IP: Σ `ON1` service
+/// time of its trace ÷ horizon, median over seeds at 200 ms. A load
+/// above 1 is more work than an always-`ON1` IP can finish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum WorkloadAxis {
-    /// `ActivityLevel::Low` bursty preset (~15 % duty).
+    /// `ActivityLevel::Low` bursty preset (~0.28 load).
     Low,
-    /// `ActivityLevel::High` bursty preset (~75 % duty).
+    /// `ActivityLevel::High` bursty preset (~4.9 load: an overload).
     High,
-    /// The paper's scenario-A trace shape (~11 % duty).
+    /// The paper's scenario-A trace shape (~0.17 load).
     PaperA,
-    /// The paper's B/C busy-IP shape.
+    /// The paper's B/C busy-IP shape (~0.18 load).
     PaperBusy,
-    /// The paper's B/C quiet-IP shape.
+    /// The paper's B/C quiet-IP shape (~0.075 load).
     PaperQuiet,
 }
 
@@ -732,6 +736,55 @@ mod tests {
         spec.ip_counts = vec![1; 1024];
         let err = spec.validate().unwrap_err();
         assert!(err.contains("at most 1048576 cells"), "{err}");
+    }
+
+    /// The load `workload` offers one default-model IP at `ON1`: Σ `ON1`
+    /// service time ÷ horizon over a 200 ms trace, median over seeds
+    /// 1–20.
+    fn offered_load(workload: WorkloadAxis) -> f64 {
+        let horizon = SimTime::from_millis(200);
+        let model = dpm_power::IpPowerModel::default_cpu();
+        let mut loads: Vec<f64> = (1..=20)
+            .map(|seed| {
+                let busy: f64 = workload
+                    .generator()
+                    .generate(horizon, seed)
+                    .tasks()
+                    .iter()
+                    .map(|t| {
+                        model
+                            .execution_time(t.instructions, &t.mix, PowerState::On1)
+                            .expect("ON1 executes")
+                            .as_secs_f64()
+                    })
+                    .sum();
+                busy / horizon.as_secs_f64()
+            })
+            .collect();
+        loads.sort_by(f64::total_cmp);
+        (loads[9] + loads[10]) / 2.0
+    }
+
+    /// Each preset's median offered load lies within 10 % of the value
+    /// its [`WorkloadAxis`] doc states.
+    #[test]
+    fn presets_offer_their_documented_load() {
+        let documented = [
+            (WorkloadAxis::Low, 0.28),
+            (WorkloadAxis::High, 4.9),
+            (WorkloadAxis::PaperA, 0.17),
+            (WorkloadAxis::PaperBusy, 0.18),
+            (WorkloadAxis::PaperQuiet, 0.075),
+        ];
+        assert_eq!(documented.map(|(w, _)| w), WorkloadAxis::ALL);
+        for (workload, doc) in documented {
+            let load = offered_load(workload);
+            assert!(
+                (load / doc - 1.0).abs() <= 0.1,
+                "{} offers {load:.4} of ON1 capacity, documented as {doc}",
+                workload.label()
+            );
+        }
     }
 
     /// Two values on every axis, at least one of them not the

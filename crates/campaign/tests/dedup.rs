@@ -5,8 +5,8 @@
 
 use dpm_campaign::{
     campaign_json, run_campaign_with, run_cells_with, summarize, BaselineCache, BatteryAxis,
-    CampaignRun, CampaignSpec, ControllerAxis, Fidelity, RunnerConfig, ScenarioSpec, ThermalAxis,
-    TuningAxis, WorkloadAxis,
+    CampaignRun, CampaignSpec, ControllerAxis, Fidelity, RunnerConfig, ScenarioMetrics,
+    ScenarioResult, ScenarioSpec, ThermalAxis, TuningAxis, WorkloadAxis,
 };
 
 /// A controller×tuning-heavy grid: 4 controllers × 2 tunings over a
@@ -153,5 +153,108 @@ fn batches_sharing_a_cache_equal_one_run() {
         assert_eq!(simulations, whole.stats.simulations, "{fidelity:?}");
         assert_eq!(coarse, whole.stats.coarse_simulations, "{fidelity:?}");
         assert_eq!(cache.len(), spec.group_count(), "{fidelity:?}");
+    }
+}
+
+/// The benchmark `search` workload's grid shape at 15 ms: every
+/// controller and tuning, four workloads, every battery, both thermals,
+/// 1 and 4 IPs, two seeds (2 400 cells).
+fn benchmark_shaped_grid() -> CampaignSpec {
+    CampaignSpec {
+        name: "benchmark_shaped".into(),
+        horizon_ms: 15,
+        master_seed: 987_654_321,
+        initial_soc: 0.95,
+        controllers: ControllerAxis::ALL.to_vec(),
+        tunings: TuningAxis::ALL.to_vec(),
+        workloads: vec![
+            WorkloadAxis::Low,
+            WorkloadAxis::High,
+            WorkloadAxis::PaperA,
+            WorkloadAxis::PaperBusy,
+        ],
+        seeds: vec![3, 11],
+        batteries: BatteryAxis::ALL.to_vec(),
+        thermals: ThermalAxis::ALL.to_vec(),
+        ip_counts: vec![1, 4],
+    }
+}
+
+/// A result with every float as its bit pattern, so equality is bit
+/// equality (`0.0` differs from `-0.0`, a NaN equals itself).
+fn bits(r: &ScenarioResult) -> (ScenarioSpec, Option<[u64; 12]>, Option<String>) {
+    let metrics = r.metrics.as_ref().map(|m| {
+        let ScenarioMetrics {
+            completed,
+            total_tasks,
+            deferred,
+            energy_j,
+            baseline_energy_j,
+            energy_saving_pct,
+            temp_reduction_pct,
+            delay_overhead_pct,
+            mean_latency_us,
+            max_temp_c,
+            final_soc,
+            low_power_frac,
+        } = m;
+        [
+            *completed as u64,
+            *total_tasks as u64,
+            *deferred as u64,
+            energy_j.to_bits(),
+            baseline_energy_j.to_bits(),
+            energy_saving_pct.to_bits(),
+            temp_reduction_pct.to_bits(),
+            delay_overhead_pct.to_bits(),
+            mean_latency_us.to_bits(),
+            max_temp_c.to_bits(),
+            final_soc.to_bits(),
+            low_power_frac.to_bits(),
+        ]
+    });
+    (r.scenario, metrics, r.error.clone())
+}
+
+/// Coarse batches sharing one [`BaselineCache`] walk each trace
+/// skeleton's shared coarse plan, concurrently at two threads; an
+/// uncached run builds a plan per evaluation. Over a whole grid where
+/// every axis varies, the two agree bit for bit on every record — at
+/// the benchmark's full battery and at Table 2's battery-Low start,
+/// where the GEM's battery rule gates IPs by rank.
+#[test]
+fn coarse_batches_sharing_plans_equal_one_shot_evaluation_bit_for_bit() {
+    for initial_soc in [0.95, 0.22] {
+        let spec = CampaignSpec {
+            initial_soc,
+            ..benchmark_shaped_grid()
+        };
+        let n = spec.scenario_count();
+        // 37 is coprime with 2 400, so the stride visits every cell once
+        let order: Vec<ScenarioSpec> = (0..n).map(|k| spec.cell_at(k * 37 % n)).collect();
+        let config = |threads| {
+            RunnerConfig {
+                threads,
+                ..RunnerConfig::default()
+            }
+            .with_fidelity(Fidelity::Coarse)
+        };
+        let one_shot = run_cells_with(&spec, &order, &config(1), None, None).expect("valid spec");
+        let expected: Vec<_> = one_shot.result.results.iter().map(bits).collect();
+        assert!(expected.iter().all(|(_, m, e)| m.is_some() && e.is_none()));
+
+        for threads in [1, 2] {
+            let mut cache = BaselineCache::new();
+            let mut got = Vec::with_capacity(n);
+            for batch in order.chunks(7) {
+                let run = run_cells_with(&spec, batch, &config(threads), None, Some(&mut cache))
+                    .expect("valid spec");
+                got.extend(run.result.results.iter().map(bits));
+            }
+            assert_eq!(got.len(), n);
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!(g, e, "initial_soc={initial_soc} threads={threads}");
+            }
+        }
     }
 }

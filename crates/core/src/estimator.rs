@@ -133,8 +133,23 @@ impl EndOfTaskEstimator {
         others_energy: Energy,
     ) -> (BatteryClass, ThermalClass) {
         let (e_task, dt) = self.task_nominal(model, instructions, mix);
-        let battery = self.battery_at_end(soc_now, e_task, others_energy);
         let p_self = model.mix_power(PowerState::On1, mix);
+        self.estimate_nominal(e_task, dt, p_self, soc_now, temp_now, others_energy)
+    }
+
+    /// [`Self::estimate`] from the task's nominal energy and duration
+    /// (see [`Self::task_nominal`]) and its `ON1` execution power, for a
+    /// caller that already holds them.
+    pub fn estimate_nominal(
+        &self,
+        e_task: Energy,
+        dt: SimDuration,
+        p_self: Power,
+        soc_now: f64,
+        temp_now: Celsius,
+        others_energy: Energy,
+    ) -> (BatteryClass, ThermalClass) {
+        let battery = self.battery_at_end(soc_now, e_task, others_energy);
         let p_others = if dt.is_zero() {
             Power::ZERO
         } else {

@@ -29,14 +29,27 @@
 //! therefore track fine *trends* — energy-saving percentages within a
 //! tolerance band, preserved ranking across a corpus — not exact values.
 //! See `tests/fidelity.rs` for the pinned validation bounds.
+//!
+//! What a walk reads of the IPs alone is a [`CoarsePlan`]: per IP, the
+//! [`TransitionTable`], the break-even tables of the execution states
+//! (built on first use), the hold power of every state, and the
+//! execution power, CPI and clocks of the trace's instruction mix.
+//! [`run_config_coarse`] builds a plan per call. A caller that evaluates
+//! many configurations of one set of IPs — the campaign runner, once per
+//! trace skeleton — builds it once and walks it with
+//! [`CoarsePlan::run`], which reads the IPs and their traces by
+//! reference. Every cached figure comes from the model call the walk
+//! would make per task, and a task with a different mix makes that call,
+//! so both give bit-identical metrics.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use dpm_battery::PowerSource;
 use dpm_core::policy::table1;
 use dpm_core::{EndOfTaskEstimator, PolicyInputs, PolicyTable, SleepSelection};
-use dpm_power::{BreakEvenTable, IpPowerModel, PowerState, TransitionTable};
-use dpm_units::{Energy, Power, SimDuration, SimTime};
+use dpm_power::{BreakEvenTable, InstructionMix, IpPowerModel, PowerState, TransitionTable};
+use dpm_units::{Energy, Frequency, Power, SimDuration, SimTime};
 use dpm_workload::TaskSpec;
 
 use crate::config::{ControllerKind, IpConfig, SocConfig};
@@ -129,12 +142,103 @@ impl SharedState {
     }
 }
 
-/// Per-IP walk state.
-struct IpWalk {
+/// What every coarse walk over one set of IPs reads and no configuration
+/// of them changes. Build it once with [`CoarsePlan::new`], then evaluate
+/// any number of configurations of those IPs with [`CoarsePlan::run`].
+#[derive(Debug)]
+pub struct CoarsePlan {
+    ips: Vec<IpPlan>,
+}
+
+/// One IP's share of a [`CoarsePlan`].
+#[derive(Debug)]
+struct IpPlan {
     model: IpPowerModel,
     transitions: TransitionTable,
-    /// Break-even tables per hold state (lazily computed).
-    breakeven: Vec<Option<BreakEvenTable>>,
+    /// Break-even tables per execution (hold) state, by `ON` level,
+    /// built on first use.
+    breakeven: [OnceLock<BreakEvenTable>; 4],
+    /// `state_power` of every state, by [`PowerState::index`].
+    hold_power: [Power; 9],
+    /// The instruction mix of the trace's first task, with its figures.
+    mix: Option<(InstructionMix, MixCosts)>,
+}
+
+impl IpPlan {
+    fn new(ip: &IpConfig) -> Self {
+        let model = ip.model.clone();
+        Self {
+            transitions: TransitionTable::for_model(&model),
+            breakeven: Default::default(),
+            hold_power: PowerState::ALL.map(|s| model.state_power(s)),
+            mix: ip
+                .trace
+                .tasks()
+                .first()
+                .map(|t| (t.mix, MixCosts::of(&model, &t.mix))),
+            model,
+        }
+    }
+
+    fn breakeven(&self, hold: PowerState) -> &BreakEvenTable {
+        let level = hold
+            .on_level()
+            .expect("break-even tables need an execution state");
+        self.breakeven[usize::from(level.get() - 1)]
+            .get_or_init(|| BreakEvenTable::compute(&self.model, &self.transitions, hold))
+    }
+
+    /// The figures of `mix`: the cached ones for the trace's mix, fresh
+    /// ones from the model for any other.
+    fn costs(&self, mix: &InstructionMix) -> Cow<'_, MixCosts> {
+        match &self.mix {
+            Some((cached, costs)) if cached == mix => Cow::Borrowed(costs),
+            _ => Cow::Owned(MixCosts::of(&self.model, mix)),
+        }
+    }
+}
+
+/// One instruction mix on one IP: its execution power per state, its
+/// CPI and the IP's clocks — what [`IpPowerModel::mix_power`] and
+/// [`IpPowerModel::execution_time`] compute on every call.
+#[derive(Debug, Clone)]
+struct MixCosts {
+    /// `mix_power` by [`PowerState::index`] (zero outside `ON` states).
+    power: [Power; 9],
+    cpi: f64,
+    /// Clock in hertz by [`PowerState::index`] (`None` outside `ON`
+    /// states).
+    hz: [Option<f64>; 9],
+}
+
+impl MixCosts {
+    fn of(model: &IpPowerModel, mix: &InstructionMix) -> Self {
+        let mut power = [Power::ZERO; 9];
+        for s in PowerState::EXECUTION {
+            power[s.index()] = model.mix_power(s, mix);
+        }
+        Self {
+            power,
+            cpi: mix.average_cpi(),
+            hz: PowerState::ALL.map(|s| model.frequency(s).map(Frequency::as_hertz)),
+        }
+    }
+
+    fn power(&self, state: PowerState) -> Power {
+        self.power[state.index()]
+    }
+
+    /// [`IpPowerModel::execution_time`], with the same arithmetic.
+    fn execution_time(&self, instructions: u64, state: PowerState) -> SimDuration {
+        let hz = self.hz[state.index()].expect("only execution states execute");
+        let cycles = instructions as f64 * self.cpi;
+        SimDuration::from_secs_f64(cycles / hz)
+    }
+}
+
+/// Per-IP walk state.
+struct IpWalk<'p> {
+    plan: &'p IpPlan,
     /// Index of the next unserved task in the trace.
     idx: usize,
     /// When the IP becomes free for the next task.
@@ -159,13 +263,10 @@ struct IpWalk {
     static_rank: u8,
 }
 
-impl IpWalk {
-    fn new(ip: &IpConfig, horizon: SimTime) -> Self {
-        let transitions = TransitionTable::for_model(&ip.model);
+impl<'p> IpWalk<'p> {
+    fn new(ip: &IpConfig, plan: &'p IpPlan, horizon: SimTime) -> Self {
         Self {
-            model: ip.model.clone(),
-            transitions,
-            breakeven: vec![None; PowerState::ALL.len()],
+            plan,
             idx: 0,
             ready: SimTime::ZERO,
             state: PowerState::On1,
@@ -182,18 +283,6 @@ impl IpWalk {
         }
     }
 
-    fn breakeven_for(&mut self, hold: PowerState) -> &BreakEvenTable {
-        let slot = hold.index();
-        if self.breakeven[slot].is_none() {
-            self.breakeven[slot] = Some(BreakEvenTable::compute(
-                &self.model,
-                &self.transitions,
-                hold,
-            ));
-        }
-        self.breakeven[slot].as_ref().expect("just computed")
-    }
-
     /// Dwells `dur` in `state`, drawing its hold power. The charged
     /// duration is clamped at the horizon budget.
     fn dwell(&mut self, shared: &mut SharedState, state: PowerState, dur: SimDuration) {
@@ -201,26 +290,27 @@ impl IpWalk {
         if dur.is_zero() {
             return;
         }
-        let e = self.model.state_power(state) * dur;
+        let e = self.plan.hold_power[state.index()] * dur;
         self.energy += e;
         shared.drawn += e;
         self.residency[state.index()] += dur;
         self.accounted += dur;
     }
 
-    /// Dwells `dur` executing `mix` in `state` (active power).
+    /// Dwells `dur` executing a task of `costs`'s mix in `state` (active
+    /// power).
     fn dwell_exec(
         &mut self,
         shared: &mut SharedState,
         state: PowerState,
-        mix: &dpm_power::InstructionMix,
+        costs: &MixCosts,
         dur: SimDuration,
     ) {
         let dur = dur.min(self.budget.saturating_sub(self.accounted));
         if dur.is_zero() {
             return;
         }
-        let e = self.model.mix_power(state, mix) * dur;
+        let e = costs.power(state) * dur;
         self.energy += e;
         shared.drawn += e;
         self.residency[state.index()] += dur;
@@ -236,7 +326,7 @@ impl IpWalk {
         if to == self.state {
             return;
         }
-        let cost = self.transitions.cost(self.state, to);
+        let cost = self.plan.transitions.cost(self.state, to);
         let charged = cost.latency.min(self.budget.saturating_sub(self.accounted));
         self.psm.transitions += 1;
         self.psm.transition_time += charged;
@@ -246,23 +336,22 @@ impl IpWalk {
         self.state = to;
     }
 
-    /// Serves `task` in `state` starting at `granted`, truncating at the
-    /// horizon exactly as the fine run would.
+    /// Serves `task` (whose mix `costs` describes) in `state` starting
+    /// at `granted`, truncating at the horizon exactly as the fine run
+    /// would.
     fn serve(
         &mut self,
         shared: &mut SharedState,
         task: &TaskSpec,
+        costs: &MixCosts,
         state: PowerState,
         granted: SimTime,
         horizon: SimTime,
     ) {
-        let dt = self
-            .model
-            .execution_time(task.instructions, &task.mix, state)
-            .expect("serve() requires an execution state");
+        let dt = costs.execution_time(task.instructions, state);
         let finished = granted + dt;
         if finished <= horizon {
-            self.dwell_exec(shared, state, &task.mix, dt);
+            self.dwell_exec(shared, state, costs, dt);
             self.records.push(TaskRecord {
                 spec: *task,
                 granted_at: granted,
@@ -272,7 +361,7 @@ impl IpWalk {
         } else {
             // Partial execution up to the horizon; no completion record.
             let partial = horizon.saturating_duration_since(granted);
-            self.dwell_exec(shared, state, &task.mix, partial);
+            self.dwell_exec(shared, state, costs, partial);
             self.ready = horizon;
             self.done = true;
         }
@@ -331,7 +420,7 @@ fn gem_gate(
 /// the horizon passes false.
 #[allow(clippy::too_many_arguments)] // the walk state is deliberately explicit
 fn handle_gap(
-    ip: &mut IpWalk,
+    ip: &mut IpWalk<'_>,
     shared: &mut SharedState,
     cfg: &SocConfig,
     gap: SimDuration,
@@ -343,7 +432,7 @@ fn handle_gap(
             ip.dwell(shared, PowerState::On1, gap);
         }
         ControllerKind::Timeout { timeout, state } => {
-            let down = ip.transitions.cost(PowerState::On1, *state);
+            let down = ip.plan.transitions.cost(PowerState::On1, *state);
             if gap > *timeout + down.latency {
                 ip.dwell(shared, PowerState::On1, *timeout);
                 ip.transition(shared, *state);
@@ -353,7 +442,7 @@ fn handle_gap(
                 if wake_for_service {
                     // The fixed-timeout policy wakes on arrival and the
                     // task waits out the full wake latency.
-                    let up = ip.transitions.cost(st, PowerState::On1);
+                    let up = ip.plan.transitions.cost(st, PowerState::On1);
                     ip.transition(shared, PowerState::On1);
                     wake_latency = up.latency;
                 } else {
@@ -364,15 +453,15 @@ fn handle_gap(
             }
         }
         ControllerKind::Oracle => {
-            let choice = ip.breakeven_for(PowerState::On1).deepest_within(gap, None);
+            let choice = ip.plan.breakeven(PowerState::On1).deepest_within(gap, None);
             match choice {
                 Some(s) => {
                     // The oracle wakes early, so the whole round trip fits
                     // inside the gap and the task sees no added delay.
                     ip.transition(shared, s);
-                    let rt = ip.transitions.cost(s, PowerState::On1);
+                    let rt = ip.plan.transitions.cost(s, PowerState::On1);
                     let sleep = gap
-                        .saturating_sub(ip.transitions.cost(PowerState::On1, s).latency)
+                        .saturating_sub(ip.plan.transitions.cost(PowerState::On1, s).latency)
                         .saturating_sub(rt.latency);
                     ip.dwell(shared, s, sleep);
                     ip.transition(shared, PowerState::On1);
@@ -395,7 +484,7 @@ fn handle_gap(
             // Clairvoyant stand-in for the idle predictor: the actual
             // gap length (documented coarse approximation).
             let max_wake = cfg.lem.max_wake_latency;
-            let table = ip.breakeven_for(hold);
+            let table = ip.plan.breakeven(hold);
             let choice = match cfg.lem.sleep_selection {
                 SleepSelection::Deepest => table.deepest_within(gap, max_wake),
                 SleepSelection::CheapestEnergy => table.cheapest_within(gap, max_wake),
@@ -403,7 +492,7 @@ fn handle_gap(
             match choice {
                 Some(s) => {
                     ip.dwell(shared, hold, delay);
-                    let down = ip.transitions.cost(hold, s);
+                    let down = ip.plan.transitions.cost(hold, s);
                     ip.transition(shared, s);
                     let sleep = gap.saturating_sub(delay).saturating_sub(down.latency);
                     ip.dwell(shared, s, sleep);
@@ -419,11 +508,14 @@ fn handle_gap(
 }
 
 /// Processes the next task of `ip`, including its leading idle gap.
+/// `gem_cutoff` is the lowest-priority static rank the GEM keeps
+/// enabled on a low battery.
 #[allow(clippy::too_many_arguments)] // the walk state is deliberately explicit
 fn step_task(
-    ip: &mut IpWalk,
+    ip: &mut IpWalk<'_>,
     shared: &mut SharedState,
     cfg: &SocConfig,
+    gem_cutoff: u8,
     policy: &PolicyTable,
     estimator: &EndOfTaskEstimator,
     others_energy: Energy,
@@ -442,24 +534,27 @@ fn step_task(
         return;
     }
 
+    let costs = ip.plan.costs(&task.mix);
     match &cfg.controller {
         ControllerKind::AlwaysOn | ControllerKind::Timeout { .. } | ControllerKind::Oracle => {
             shared.advance_to(t0);
-            ip.serve(shared, task, PowerState::On1, t0, horizon);
+            ip.serve(shared, task, &costs, PowerState::On1, t0, horizon);
         }
         ControllerKind::Dpm => {
             // The LEM announces the task's nominal energy to the GEM on
-            // request, before any gating or selection.
-            let (nominal, _) = estimator.task_nominal(&ip.model, task.instructions, &task.mix);
+            // request, before any gating or selection (the arithmetic of
+            // `EndOfTaskEstimator::task_nominal`).
+            let nominal_power = costs.power(PowerState::On1);
+            let nominal_time = costs.execution_time(task.instructions, PowerState::On1);
+            let nominal = nominal_power * nominal_time;
             ip.last_estimate = nominal;
-            let cutoff = (cfg.ips.len() as u8).div_ceil(2);
             loop {
                 shared.advance_to(t0);
                 if cfg.with_gem {
                     let (enabled, fan) = gem_gate(
                         estimator,
                         cfg.source,
-                        cutoff,
+                        gem_cutoff,
                         ip.static_rank,
                         shared.soc(),
                         shared.temp,
@@ -479,10 +574,10 @@ fn step_task(
                     }
                 }
                 let (battery, temperature) = if cfg.lem.use_estimates {
-                    estimator.estimate(
-                        &ip.model,
-                        task.instructions,
-                        &task.mix,
+                    estimator.estimate_nominal(
+                        nominal,
+                        nominal_time,
+                        nominal_power,
                         shared.soc(),
                         dpm_units::Celsius::new(shared.temp),
                         others_energy,
@@ -500,7 +595,7 @@ fn step_task(
                     source: cfg.source,
                 });
                 if selection.state.is_execution() {
-                    let wake = ip.transitions.cost(ip.state, selection.state);
+                    let wake = ip.plan.transitions.cost(ip.state, selection.state);
                     ip.transition(shared, selection.state);
                     let granted = t0 + wake.latency;
                     if granted >= horizon {
@@ -508,7 +603,7 @@ fn step_task(
                         ip.done = true;
                         return;
                     }
-                    ip.serve(shared, task, selection.state, granted, horizon);
+                    ip.serve(shared, task, &costs, selection.state, granted, horizon);
                     return;
                 }
                 // Deferred: park in SL1 and re-evaluate one sample later.
@@ -532,99 +627,136 @@ fn table1_lookup() -> &'static PolicyTable {
     TABLE.get_or_init(|| PolicyTable::new(&table1()))
 }
 
+impl CoarsePlan {
+    /// The plan of `ips`. Its break-even tables are built on first use.
+    pub fn new(ips: &[IpConfig]) -> Self {
+        Self {
+            ips: ips.iter().map(IpPlan::new).collect(),
+        }
+    }
+
+    /// Evaluates `cfg` over `[0, horizon]` exactly as
+    /// [`run_config_coarse`] does, on `ips` — the IPs this plan was
+    /// built from — in place of `cfg.ips`, which is not read. So a
+    /// caller holding one set of IPs evaluates any number of IP-less
+    /// configurations on them without copying a trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg` with `ips` fails [`SocConfig::validate`], or
+    /// when `ips` has another length than the plan's.
+    pub fn run(&self, cfg: &SocConfig, ips: &[IpConfig], horizon: SimTime) -> SocMetrics {
+        cfg.validate_on(ips);
+        assert_eq!(
+            ips.len(),
+            self.ips.len(),
+            "a coarse plan walks the IPs it was built from"
+        );
+        debug_assert!(ips.iter().zip(&self.ips).all(|(ip, p)| ip.model == p.model));
+        let mut shared = SharedState::new(cfg);
+        let mut walks: Vec<IpWalk<'_>> = ips
+            .iter()
+            .zip(&self.ips)
+            .map(|(ip, plan)| IpWalk::new(ip, plan, horizon))
+            .collect();
+        let gem_cutoff = (ips.len() as u8).div_ceil(2);
+        let policy = table1_lookup();
+        let mut estimator = EndOfTaskEstimator::new(cfg.battery_capacity);
+        estimator.ambient = cfg.thermal.ambient;
+
+        // Walk all IPs' decisions in chronological order (ties broken by
+        // IP index) so the shared battery/thermal state is sampled
+        // consistently.
+        loop {
+            let mut next: Option<(SimTime, usize)> = None;
+            for (i, ip) in walks.iter().enumerate() {
+                if ip.done || ip.idx >= ips[i].trace.len() {
+                    continue;
+                }
+                let task = &ips[i].trace.tasks()[ip.idx];
+                if task.arrival >= horizon {
+                    continue;
+                }
+                let at = task.arrival.max(ip.ready);
+                if next.is_none_or(|(t, _)| at < t) {
+                    next = Some((at, i));
+                }
+            }
+            let Some((_, i)) = next else { break };
+            let others: Energy = walks
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, w)| w.last_estimate)
+                .sum();
+            let others = if cfg.with_gem { others } else { Energy::ZERO };
+            let task = &ips[i].trace.tasks()[walks[i].idx];
+            step_task(
+                &mut walks[i],
+                &mut shared,
+                cfg,
+                gem_cutoff,
+                policy,
+                &estimator,
+                others,
+                task,
+                horizon,
+            );
+        }
+
+        // Trailing idle: let each controller spend the remaining horizon
+        // as it would an ordinary gap (no wake needed), then pad exactly.
+        for ip in &mut walks {
+            let gap = horizon.saturating_duration_since(ip.ready.min(horizon));
+            if !gap.is_zero() && !ip.done {
+                handle_gap(ip, &mut shared, cfg, gap, false);
+            }
+            ip.pad_to(&mut shared, horizon);
+        }
+        shared.advance_to(horizon);
+
+        let fan_energy = shared.fan_draw * shared.fan_time;
+        let mut total_energy = fan_energy;
+        let per_ip: Vec<IpMetrics> = walks
+            .into_iter()
+            .zip(ips)
+            .map(|(w, ip_cfg)| {
+                total_energy += w.energy + w.psm.transition_energy;
+                w.into_metrics(&ip_cfg.name)
+            })
+            .collect();
+        let horizon_secs = horizon.as_secs_f64();
+        let mean_temp_elevation = if horizon_secs > 0.0 {
+            shared.elevation_ks / horizon_secs
+        } else {
+            0.0
+        };
+        SocMetrics {
+            per_ip,
+            total_energy,
+            fan_energy,
+            mean_temp_elevation,
+            max_temp: dpm_units::Celsius::new(shared.max_temp),
+            final_soc: shared.soc(),
+            horizon,
+        }
+    }
+}
+
 /// Evaluates `cfg` analytically over `[0, horizon]` — the coarse
 /// counterpart of building the SoC and running the event kernel.
 ///
 /// The returned [`SocMetrics`] has the same shape as the fine path's
 /// (per-IP records, residency, PSM transition stats, battery/thermal
 /// summary), with `lem: None` (the coarse walk keeps no LEM counters).
-/// See the module docs for the approximations involved.
+/// See the module docs for the approximations involved. This builds a
+/// [`CoarsePlan`] for `cfg.ips` and walks it once.
 ///
 /// # Panics
 ///
 /// Panics when `cfg` fails [`SocConfig::validate`].
 pub fn run_config_coarse(cfg: &SocConfig, horizon: SimTime) -> SocMetrics {
-    cfg.validate();
-    let mut shared = SharedState::new(cfg);
-    let mut walks: Vec<IpWalk> = cfg.ips.iter().map(|ip| IpWalk::new(ip, horizon)).collect();
-    let policy = table1_lookup();
-    let mut estimator = EndOfTaskEstimator::new(cfg.battery_capacity);
-    estimator.ambient = cfg.thermal.ambient;
-
-    // Walk all IPs' decisions in chronological order (ties broken by IP
-    // index) so the shared battery/thermal state is sampled consistently.
-    loop {
-        let mut next: Option<(SimTime, usize)> = None;
-        for (i, ip) in walks.iter().enumerate() {
-            if ip.done || ip.idx >= cfg.ips[i].trace.len() {
-                continue;
-            }
-            let task = &cfg.ips[i].trace.tasks()[ip.idx];
-            if task.arrival >= horizon {
-                continue;
-            }
-            let at = task.arrival.max(ip.ready);
-            if next.is_none_or(|(t, _)| at < t) {
-                next = Some((at, i));
-            }
-        }
-        let Some((_, i)) = next else { break };
-        let others: Energy = walks
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, w)| w.last_estimate)
-            .sum();
-        let others = if cfg.with_gem { others } else { Energy::ZERO };
-        let task = cfg.ips[i].trace.tasks()[walks[i].idx];
-        step_task(
-            &mut walks[i],
-            &mut shared,
-            cfg,
-            policy,
-            &estimator,
-            others,
-            &task,
-            horizon,
-        );
-    }
-
-    // Trailing idle: let each controller spend the remaining horizon as
-    // it would an ordinary gap (no wake needed), then pad exactly.
-    for ip in &mut walks {
-        let gap = horizon.saturating_duration_since(ip.ready.min(horizon));
-        if !gap.is_zero() && !ip.done {
-            handle_gap(ip, &mut shared, cfg, gap, false);
-        }
-        ip.pad_to(&mut shared, horizon);
-    }
-    shared.advance_to(horizon);
-
-    let fan_energy = shared.fan_draw * shared.fan_time;
-    let mut total_energy = fan_energy;
-    let per_ip: Vec<IpMetrics> = walks
-        .into_iter()
-        .zip(&cfg.ips)
-        .map(|(w, ip_cfg)| {
-            total_energy += w.energy + w.psm.transition_energy;
-            w.into_metrics(&ip_cfg.name)
-        })
-        .collect();
-    let horizon_secs = horizon.as_secs_f64();
-    let mean_temp_elevation = if horizon_secs > 0.0 {
-        shared.elevation_ks / horizon_secs
-    } else {
-        0.0
-    };
-    SocMetrics {
-        per_ip,
-        total_energy,
-        fan_energy,
-        mean_temp_elevation,
-        max_temp: dpm_units::Celsius::new(shared.max_temp),
-        final_soc: shared.soc(),
-        horizon,
-    }
+    CoarsePlan::new(&cfg.ips).run(cfg, &cfg.ips, horizon)
 }
 
 #[cfg(test)]
@@ -713,6 +845,128 @@ mod tests {
         assert_eq!(a.final_soc, b.final_soc);
         assert_eq!(a.max_temp, b.max_temp);
         assert_eq!(a.completed(), b.completed());
+    }
+
+    #[test]
+    fn one_plan_walks_ip_less_configs_like_one_shot_runs() {
+        let horizon = SimTime::from_millis(30);
+        let ips: Vec<IpConfig> = (0..4u8)
+            .map(|i| IpConfig::new(format!("ip{i}"), trace(20 + u64::from(i)), i + 1))
+            .collect();
+        let plan = CoarsePlan::new(&ips);
+        // a low battery makes the GEM gate IPs by static rank
+        for soc in [0.95, 0.22] {
+            for controller in [
+                ControllerKind::Dpm,
+                ControllerKind::AlwaysOn,
+                ControllerKind::Oracle,
+                ControllerKind::Timeout {
+                    timeout: SimDuration::from_micros(500),
+                    state: PowerState::Sl2,
+                },
+            ] {
+                let mut cfg = SocConfig::multi_ip(ips.clone()).with_controller(controller);
+                cfg.initial_soc = dpm_units::Ratio::new(soc);
+                let one_shot = run_config_coarse(&cfg, horizon);
+                let settings = SocConfig {
+                    ips: Vec::new(),
+                    ..cfg
+                };
+                let planned = plan.run(&settings, &ips, horizon);
+                // `Debug` prints every float exactly
+                assert_eq!(format!("{planned:?}"), format!("{one_shot:?}"));
+            }
+        }
+    }
+
+    /// Tasks 1 ms apart alternating two instruction mixes, so the plan
+    /// caches the first task's mix and every other task misses it.
+    fn two_mix_trace() -> dpm_workload::TaskTrace {
+        let mixes = [
+            InstructionMix::typical_compute(),
+            InstructionMix::typical_streaming(),
+        ];
+        let tasks = (0..40u64)
+            .map(|i| {
+                TaskSpec::new(
+                    dpm_workload::TaskId(i),
+                    SimTime::from_millis(i),
+                    20_000 + 500 * i,
+                    mixes[(i % 2) as usize],
+                    dpm_workload::Priority::ALL[(i % 4) as usize],
+                )
+            })
+            .collect();
+        dpm_workload::TaskTrace::from_tasks(tasks)
+    }
+
+    #[test]
+    fn cached_mix_figures_equal_the_model_calls() {
+        let model = IpPowerModel::default_cpu();
+        let mix = InstructionMix::typical_streaming();
+        let costs = MixCosts::of(&model, &mix);
+        for state in PowerState::EXECUTION {
+            assert_eq!(costs.power(state), model.mix_power(state, &mix));
+            for instructions in [1, 7, 59_999, 60_000, 123_457, u64::from(u32::MAX)] {
+                assert_eq!(
+                    costs.execution_time(instructions, state),
+                    model.execution_time(instructions, &mix, state).unwrap(),
+                    "{state} x {instructions}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tasks_off_the_cached_mix_take_the_direct_model_figures() {
+        let horizon = SimTime::from_millis(45);
+        let model = IpPowerModel::default_cpu();
+        let on1 = PowerState::On1;
+        let trace = two_mix_trace();
+
+        // always-ON1 serves every task on arrival (each runs < 1 ms), so
+        // every record and every joule is a direct per-task model figure,
+        // summed in the walk's order
+        let cfg = SocConfig::single_ip(trace.clone()).with_controller(ControllerKind::AlwaysOn);
+        let ip = &run_config_coarse(&cfg, horizon).per_ip[0];
+        assert_eq!(ip.records.len(), trace.len());
+        let mut energy = Energy::ZERO;
+        let mut ready = SimTime::ZERO;
+        for (r, task) in ip.records.iter().zip(trace.tasks()) {
+            let dt = model
+                .execution_time(task.instructions, &task.mix, on1)
+                .unwrap();
+            assert_eq!(
+                (r.granted_at, r.finished_at),
+                (task.arrival, task.arrival + dt)
+            );
+            energy += model.state_power(on1) * task.arrival.saturating_duration_since(ready);
+            energy += model.mix_power(on1, &task.mix) * dt;
+            ready = task.arrival + dt;
+        }
+        energy += model.state_power(on1) * horizon.saturating_duration_since(ready);
+        assert_eq!(ip.energy, energy);
+
+        // under the LEM, each completed task runs exactly its own mix's
+        // execution time in some ON state, never the other mix's
+        let cfg = SocConfig::single_ip(trace.clone());
+        let ip = &run_config_coarse(&cfg, horizon).per_ip[0];
+        assert!(ip.records.len() > trace.len() / 2, "{}", ip.records.len());
+        for r in &ip.records {
+            let took = r.finished_at.saturating_duration_since(r.granted_at);
+            let other = if r.spec.mix == InstructionMix::typical_compute() {
+                InstructionMix::typical_streaming()
+            } else {
+                InstructionMix::typical_compute()
+            };
+            let time = |mix: &InstructionMix, s| model.execution_time(r.spec.instructions, mix, s);
+            assert!(PowerState::EXECUTION
+                .into_iter()
+                .any(|s| time(&r.spec.mix, s) == Some(took)));
+            assert!(PowerState::EXECUTION
+                .into_iter()
+                .all(|s| time(&other, s) != Some(took)));
+        }
     }
 
     #[test]

@@ -224,13 +224,18 @@ impl SocConfig {
     ///
     /// Panics on an empty IP list, duplicate names, or invalid ranks.
     pub fn validate(&self) {
-        assert!(!self.ips.is_empty(), "SoC needs at least one IP");
-        let mut names: Vec<&str> = self.ips.iter().map(|ip| ip.name.as_str()).collect();
+        self.validate_on(&self.ips);
+    }
+
+    /// [`Self::validate`] with `ips` in place of `self.ips`.
+    pub(crate) fn validate_on(&self, ips: &[IpConfig]) {
+        assert!(!ips.is_empty(), "SoC needs at least one IP");
+        let mut names: Vec<&str> = ips.iter().map(|ip| ip.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), self.ips.len(), "duplicate IP names");
+        assert_eq!(names.len(), ips.len(), "duplicate IP names");
         assert!(
-            self.ips.iter().all(|ip| ip.static_rank >= 1),
+            ips.iter().all(|ip| ip.static_rank >= 1),
             "static ranks start at 1"
         );
         assert!(

@@ -117,9 +117,10 @@ pub const HORIZON: SimTime = SimTime::from_millis(200);
 pub const SEED_A: u64 = 0x0000_0002_16ED_1377;
 
 /// The "same sequence of tasks" executed by all four A scenarios: a
-/// bursty mixed-priority workload with ~11 % duty at `ON1`, so the
-/// battery-Low runs (everything at `ON4`) stay below saturation — the
-/// regime in which the paper's 339 % delay overhead is meaningful.
+/// bursty mixed-priority workload offering ~0.17 load at `ON1` (Σ
+/// service time ÷ horizon), so the battery-Low runs (everything at
+/// `ON4`, ~0.7 load) stay below saturation — the regime in which the
+/// paper's 339 % delay overhead is meaningful.
 pub fn scenario_a_generator() -> BurstyGenerator {
     BurstyGenerator {
         burst_len: Dist::Uniform { lo: 1.0, hi: 3.5 },
@@ -134,8 +135,9 @@ pub fn scenario_a_generator() -> BurstyGenerator {
     }
 }
 
-/// High-activity variant used by scenarios B and C (~1.7× the duty of the
-/// A trace, still below `ON4` saturation so queues stay bounded).
+/// High-activity variant used by scenarios B and C: longer bursts than
+/// the A trace at about its load (~0.18 at `ON1`), still below `ON4`
+/// saturation so queues stay bounded.
 pub fn busy_generator() -> BurstyGenerator {
     BurstyGenerator {
         burst_len: Dist::Uniform { lo: 2.0, hi: 5.0 },

@@ -19,6 +19,8 @@
 //! * [`run_config_coarse`] — the dwell-time fast path: the same metrics
 //!   computed analytically from the characterized models, without
 //!   elaborating the kernel (the campaign layer's *coarse* fidelity).
+//!   A [`CoarsePlan`] holds what it reads of the IPs alone, so many
+//!   configurations of one set of IPs share it.
 //! * [`experiment`] — the paper's scenarios A1–A4, B, C and the Table 2
 //!   metric computation against the always-max-frequency baseline.
 //! * [`report`] — ASCII/Markdown/JSON renderers for the regenerated
@@ -39,7 +41,7 @@ mod util;
 
 pub use build::{build_soc, SocHandles};
 pub use bus::{Bus, BusStats};
-pub use coarse::run_config_coarse;
+pub use coarse::{run_config_coarse, CoarsePlan};
 pub use config::{BatteryKind, ControllerKind, IpConfig, LemTuning, SocConfig, ThermalScenario};
 pub use ip::{IpBlock, IpPorts, TaskRecord};
 pub use metrics::{collect_metrics, IpMetrics, SocMetrics};

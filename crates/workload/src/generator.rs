@@ -74,11 +74,16 @@ impl PriorityWeights {
 }
 
 /// Activity presets matching the paper's scenario descriptions.
+///
+/// The load each offers is Σ service time at the default CPU model's
+/// `ON1` clock ÷ horizon, median over seeds at 200 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ActivityLevel {
-    /// *"often busy"* — long bursts, short idle gaps (~75 % duty).
+    /// *"often busy"* — long bursts, short idle gaps. Offers ~4.9× what
+    /// one IP serves at `ON1`: an overload.
     High,
-    /// *"often in idle state"* — short bursts, long idle gaps (~15 % duty).
+    /// *"often in idle state"* — short bursts, long idle gaps (~0.28
+    /// load at `ON1`).
     Low,
 }
 
