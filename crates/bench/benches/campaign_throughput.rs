@@ -1,5 +1,5 @@
 //! Campaign engine throughput: scenarios/second, parallel vs serial,
-//! and baseline dedup vs redundant baselines.
+//! and shared runs vs every cell running itself and its baseline.
 //!
 //! Prints a startup summary measuring the full sweep serially and on all
 //! available cores, including the speedup and a determinism check
@@ -8,10 +8,11 @@
 //! reported but not enforced (a 1-core container cannot exhibit
 //! parallel speedup).
 //!
-//! Baseline dedup is different: it removes *work* (cells differing only
-//! in controller/tuning share one always-ON1 baseline run), so its
-//! ≥ 1.5× throughput gain on a policy-heavy grid is enforced on any
-//! host, single-core included.
+//! Run sharing is different: it removes *work* (the runner runs each
+//! distinct configuration once, so a group shares one always-ON1
+//! baseline and tuning siblings of a timeout or oracle cell share one
+//! run), so its ≥ 1.5× throughput gain over per-cell runs on a
+//! policy-heavy grid is enforced on any host, single-core included.
 //!
 //! A third summary drives the segment archive at 10^5 synthetic cells:
 //! append throughput, the enforced < 1 s bound on a cold open plus a
@@ -27,9 +28,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dpm_campaign::{
-    campaign_json, run_campaign, run_campaign_with, summarize, CampaignArchive, CampaignResult,
-    CampaignSpec, CellState, ControllerAxis, RunnerConfig, ScenarioMetrics, ScenarioResult,
-    TuningAxis, WorkloadAxis, DEFAULT_LEASE_TTL_MS,
+    campaign_json, run_campaign, run_campaign_with, run_scenario_cell, summarize, CampaignArchive,
+    CampaignResult, CampaignSpec, CellState, ControllerAxis, RunnerConfig, ScenarioMetrics,
+    ScenarioResult, TuningAxis, WorkloadAxis, DEFAULT_LEASE_TTL_MS,
 };
 
 /// A meaty enough grid that thread-pool overhead is amortized:
@@ -48,10 +49,11 @@ fn bench_spec() -> CampaignSpec {
 }
 
 /// A controller×tuning-heavy grid: 5 controllers × 3 tunings × 2 seeds
-/// = 30 cells in 2 baseline groups of 15. Without dedup that is 60
-/// simulations; with dedup each group runs 1 shared baseline + 12
-/// scenario sims (its 3 always-ON1 cells reuse the baseline) — 26 total,
-/// a 2.3× work reduction.
+/// = 30 cells in 2 baseline groups of 15. Running every cell and its
+/// baseline by itself is 60 simulations; sharing runs each group's
+/// baseline (which its 3 always-ON1 cells reuse), its 3 DPM tunings and
+/// one run per timeout or oracle controller — 14 total, a 4.3× work
+/// reduction.
 fn policy_heavy_spec() -> CampaignSpec {
     let mut spec = CampaignSpec::default_sweep();
     spec.name = "policy_heavy".into();
@@ -69,39 +71,60 @@ fn policy_heavy_spec() -> CampaignSpec {
     spec
 }
 
-fn config(threads: usize, dedup: bool) -> RunnerConfig {
+fn config(threads: usize) -> RunnerConfig {
     RunnerConfig {
         threads,
         progress: false,
-        dedup_baselines: dedup,
         ..RunnerConfig::default()
     }
 }
 
 fn archive(spec: &CampaignSpec, threads: usize) -> String {
-    let result = run_campaign(spec, &config(threads, true));
+    let result = run_campaign(spec, &config(threads));
     let summary = summarize(&result);
     campaign_json(&summary, Some(&result)).expect("render json")
 }
 
 fn timed_sweep(spec: &CampaignSpec, threads: usize) -> f64 {
     let start = Instant::now();
-    let result = run_campaign(spec, &config(threads, true));
+    let result = run_campaign(spec, &config(threads));
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(result.results.len(), spec.scenario_count());
     result.results.len() as f64 / wall
 }
 
+/// Every cell of `spec` built from scratch and run with its own
+/// baseline, two simulations per cell: the redundant reference.
+fn per_cell(spec: &CampaignSpec) -> Vec<ScenarioResult> {
+    spec.expand()
+        .into_iter()
+        .map(|cell| ScenarioResult {
+            scenario: cell,
+            metrics: Some(run_scenario_cell(spec, &cell)),
+            error: None,
+        })
+        .collect()
+}
+
+/// Scenarios/s of the shared runner, or of the per-cell reference.
 /// Serial on purpose: a parallel measurement would mix the work
 /// reduction with thread-packing effects (phase A is a barrier), letting
 /// high-core hosts compress the observed gain below the enforced bound
 /// even though the removed work is host-independent.
-fn timed_dedup(spec: &CampaignSpec, dedup: bool) -> f64 {
+fn timed_sharing(spec: &CampaignSpec, shared: bool) -> f64 {
     let start = Instant::now();
-    let run = run_campaign_with(spec, &config(1, dedup), None).expect("valid spec");
+    let cells = if shared {
+        run_campaign_with(spec, &config(1), None)
+            .expect("valid spec")
+            .result
+            .results
+            .len()
+    } else {
+        per_cell(spec).len()
+    };
     let wall = start.elapsed().as_secs_f64();
-    assert_eq!(run.result.results.len(), spec.scenario_count());
-    run.result.results.len() as f64 / wall
+    assert_eq!(cells, spec.scenario_count());
+    cells as f64 / wall
 }
 
 fn print_summary() {
@@ -138,53 +161,55 @@ fn print_summary() {
         println!("  (speedup not enforced on {cores} core(s); needs >= 4)");
     }
 
-    print_dedup_summary();
+    print_sharing_summary();
 }
 
-/// Baseline dedup on a controller×tuning-heavy grid: less work, same
+/// Run sharing on a controller×tuning-heavy grid: less work, same
 /// bytes. Measured serially and enforced on any host, since the gain is
 /// work removal rather than parallelism.
-fn print_dedup_summary() {
+fn print_sharing_summary() {
     let spec = policy_heavy_spec();
     println!(
-        "\n== baseline dedup: {} cells (controller x tuning heavy) ==",
+        "\n== run sharing: {} cells (controller x tuning heavy) ==",
         spec.scenario_count()
     );
 
-    let with = run_campaign_with(&spec, &config(0, true), None).expect("valid spec");
-    let without = run_campaign_with(&spec, &config(0, false), None).expect("valid spec");
-    assert_eq!(with.result, without.result, "dedup must not change results");
+    let shared = run_campaign_with(&spec, &config(0), None).expect("valid spec");
+    assert_eq!(
+        shared.result.results,
+        per_cell(&spec),
+        "sharing runs must not change results"
+    );
+    let redundant = 2 * spec.scenario_count();
     println!(
-        "  simulations: {} deduped vs {} redundant ({} shared baselines, {} always-on reuses)",
-        with.stats.simulations,
-        without.stats.simulations,
-        with.stats.baseline_groups,
-        with.stats.reused_baselines,
+        "  simulations: {} shared vs {redundant} redundant ({} shared baselines, {} reused runs)",
+        shared.stats.simulations, shared.stats.baseline_groups, shared.stats.reused_runs,
     );
 
-    // the noise-free guarantee: dedup must remove >= 1.5x of the work
+    // the noise-free guarantee: sharing must remove >= 1.5x of the work
     // (simulation counts are deterministic, unlike wall-clock)
-    let sim_ratio = without.stats.simulations as f64 / with.stats.simulations as f64;
+    let sim_ratio = redundant as f64 / shared.stats.simulations as f64;
     assert!(
         sim_ratio >= 1.5,
-        "baseline dedup must remove >=1.5x of the simulations, got {sim_ratio:.2}x"
+        "run sharing must remove >=1.5x of the simulations, got {sim_ratio:.2}x"
     );
 
-    let _ = timed_dedup(&spec, false); // warm-up
-    let dedup_on: f64 = (0..5).map(|_| timed_dedup(&spec, true)).fold(0.0, f64::max);
-    let dedup_off: f64 = (0..5)
-        .map(|_| timed_dedup(&spec, false))
+    let _ = timed_sharing(&spec, false); // warm-up
+    let shared_rate: f64 = (0..5)
+        .map(|_| timed_sharing(&spec, true))
         .fold(0.0, f64::max);
-    let gain = dedup_on / dedup_off;
-    println!("  redundant : {dedup_off:>8.1} scenarios/s");
-    println!("  deduped   : {dedup_on:>8.1} scenarios/s");
+    let redundant_rate: f64 = (0..5)
+        .map(|_| timed_sharing(&spec, false))
+        .fold(0.0, f64::max);
+    let gain = shared_rate / redundant_rate;
+    println!("  redundant : {redundant_rate:>8.1} scenarios/s");
+    println!("  shared    : {shared_rate:>8.1} scenarios/s");
     println!("  gain      : {gain:>8.2}x ({sim_ratio:.2}x fewer simulations)");
     assert!(
         gain > 1.5,
-        "baseline dedup must deliver >1.5x throughput on a policy-heavy grid, got {gain:.2}x \
-         ({} vs {} simulations)",
-        with.stats.simulations,
-        without.stats.simulations
+        "run sharing must deliver >1.5x throughput on a policy-heavy grid, got {gain:.2}x \
+         ({} vs {redundant} simulations)",
+        shared.stats.simulations,
     );
 }
 

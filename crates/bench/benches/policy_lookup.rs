@@ -1,7 +1,6 @@
 //! Regenerates the paper's **Table 1** and measures the selection cost of
 //! every policy representation: the crisp first-match table (direct hit
-//! and fallback path), the fuzzy-inference variant, and parsing the
-//! natural-language form.
+//! and fallback path) and parsing the natural-language form.
 //!
 //! ```sh
 //! cargo bench -p dpm-bench --bench policy_lookup
@@ -9,9 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dpm_battery::{BatteryClass, PowerSource};
-use dpm_core::policy::{parse_rules, table1, FuzzyPolicy, PolicyInputs, RuleSet, TABLE1_TEXT};
+use dpm_core::policy::{parse_rules, table1, PolicyInputs, RuleSet, TABLE1_TEXT};
 use dpm_thermal::ThermalClass;
-use dpm_units::Celsius;
 use dpm_workload::Priority;
 
 fn print_table_once() {
@@ -60,18 +58,6 @@ fn bench_policy(c: &mut Criterion) {
     });
     c.bench_function("policy/crisp_fallback_path", |b| {
         b.iter(|| std::hint::black_box(rules.select(std::hint::black_box(fallback))));
-    });
-
-    let fuzzy = FuzzyPolicy::new(table1());
-    c.bench_function("policy/fuzzy_select", |b| {
-        b.iter(|| {
-            std::hint::black_box(fuzzy.select(
-                Priority::High,
-                std::hint::black_box(0.27),
-                Celsius::new(55.0),
-                PowerSource::Battery,
-            ))
-        });
     });
 
     c.bench_function("policy/parse_table1_dsl", |b| {

@@ -6,7 +6,7 @@
 //! |-------|-------------|
 //! | `table2` | the paper's Table 2 (scenarios A1–A4, B, C vs baseline) |
 //! | `simspeed` | the paper's simulation-speed figures (35 / 7.5 Kcycle/s) |
-//! | `policy_lookup` | Table 1 selection cost (crisp, fallback, fuzzy, DSL) |
+//! | `policy_lookup` | Table 1 selection cost (crisp, fallback, DSL) |
 //! | `predictors` | idle-predictor update/prediction cost |
 //! | `models` | battery / thermal / break-even step costs |
 //! | `kernel_micro` | kernel primitives and the event-driven vs cycle-accurate ablation |

@@ -806,7 +806,7 @@ mod tests {
         let err = run(&args(&["campaign", "run", "--builtin", "--resumee", "x"])).unwrap_err();
         assert!(err.contains("--resume"), "{err}");
         assert!(err.contains("--per-scenario"), "{err}");
-        // baseline dedup has no CLI switch
+        // run sharing has no switch
         for cmd in [
             &["campaign", "run", "--builtin", "--no-dedup"][..],
             &["search", "--builtin", "--no-dedup"],

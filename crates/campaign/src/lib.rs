@@ -11,7 +11,7 @@
 //! |-------|--------|----------|
 //! | spec | [`spec`] | [`CampaignSpec`] grid, named axes, cartesian expansion |
 //! | executor | [`executor`] | the in-process scoped-thread pool |
-//! | runner | [`runner`] | work-unit dispatch, baseline dedup, panic isolation, lease loop |
+//! | runner | [`runner`] | work-unit dispatch, one run per distinct configuration, panic isolation, lease loop |
 //! | archive | [`archive`] | cell records, work leases, gc/compaction |
 //! | segments | `segment` | append-only segment files: checksummed frames + in-memory index |
 //! | objective | [`objective`] | search objectives: metric, direction, constraints, Pareto dominance |
@@ -27,8 +27,9 @@
 //! the grid expansion (not execution order), per-scenario trace seeds
 //! derive from `(master_seed, logical seed, ip index)`, and aggregation
 //! folds results in index order — so the same spec produces
-//! **byte-identical** reports on 1 thread or 64, with baseline dedup on
-//! or off, and when resumed from any mix of archived and fresh cells.
+//! **byte-identical** reports on 1 thread or 64, equal to running every
+//! cell and its baseline by itself, and when resumed from any mix of
+//! archived and fresh cells.
 //!
 //! # Execution layers
 //!
@@ -39,7 +40,8 @@
 //!    shared atomic counter, or run on the caller's thread when only one
 //!    thread would.
 //! 2. **Batches** ([`runner::run_cells_with`]): resume-from-archive,
-//!    shared-baseline dedup and panic isolation around a set of cells —
+//!    one run per distinct configuration and panic isolation around a
+//!    set of cells —
 //!    the per-round primitive of [`search::drive_strategy`], always in
 //!    one process.
 //! 3. **Campaigns**, always in one process: `campaign run` calls

@@ -6,7 +6,7 @@ use crate::runner::{CampaignResult, RunStats};
 use crate::search::{ParetoReport, SearchReport};
 
 /// One-line human summary of a run's work accounting (resume hits,
-/// dedup savings). Printed to stderr by the CLI — deliberately kept out
+/// shared runs). Printed to stderr by the CLI — deliberately kept out
 /// of the report files, whose bytes must not depend on how much work a
 /// particular run skipped.
 pub fn run_stats_line(stats: &RunStats) -> String {
@@ -31,13 +31,13 @@ pub fn run_stats_line(stats: &RunStats) -> String {
     };
     format!(
         "{} cells: {} archived, {} executed; {} simulations \
-         ({} shared baselines, {} always-on reuses){coarse}{speculative}",
+         ({} shared baselines, {} reused runs){coarse}{speculative}",
         stats.total_cells,
         stats.archived_cells,
         stats.executed_cells,
         stats.simulations,
         stats.baseline_groups,
-        stats.reused_baselines,
+        stats.reused_runs,
     )
 }
 
@@ -529,7 +529,7 @@ mod tests {
             executed_cells: 12,
             simulations: 18,
             baseline_groups: 4,
-            reused_baselines: 2,
+            reused_runs: 2,
             coarse_simulations: 0,
             speculative_cells: 0,
             speculative_simulations: 0,
@@ -556,7 +556,7 @@ mod tests {
             executed_cells: 12,
             simulations: 14,
             baseline_groups: 3,
-            reused_baselines: 1,
+            reused_runs: 1,
             coarse_simulations: 0,
             speculative_cells: 5,
             speculative_simulations: 6,
@@ -579,7 +579,7 @@ mod tests {
             executed_cells: 64,
             simulations: 7,
             baseline_groups: 2,
-            reused_baselines: 5,
+            reused_runs: 5,
             coarse_simulations: 70,
             speculative_cells: 0,
             speculative_simulations: 0,

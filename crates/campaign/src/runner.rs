@@ -16,17 +16,21 @@
 //!
 //! Three optimizations sit on top of that plan, all result-preserving:
 //!
-//! * **Baseline dedup** (on by default): cells differing only in
-//!   controller/tuning share one always-`ON1` baseline run. The SoC
-//!   builder never reads the LEM tuning for non-DPM controllers, so the
-//!   shared baseline is *byte-identical* to the one each cell would have
-//!   run itself; always-`ON1` cells reuse it for their scenario run too.
+//! * **One run per distinct configuration**: every evaluation is keyed
+//!   by its *run key* — the cell's axes and the fidelity, with the
+//!   tuning dropped unless the controller is `dpm` (the SoC builder and
+//!   the coarse walk read the LEM tuning for no other controller) — and
+//!   each key runs once. A cell's baseline is its key under always-`ON1`,
+//!   so an always-`ON1` cell's own run is its baseline, and the tuning
+//!   siblings of a timeout or oracle cell share one run. A shared run is
+//!   *byte-identical* to the one each cell would have run itself.
 //! * **Archives** ([`crate::archive`]): completed cells persisted to a
 //!   campaign directory prefill their result slots on resume and are not
 //!   re-executed.
-//! * **Trace-skeleton reuse**, only when the caller holds a
-//!   [`BaselineCache`] (the search driver across its rounds, the leased
-//!   path across the chunks of a group): each (workload, seed, IP count)
+//! * **Cross-call reuse**, only when the caller holds a [`BaselineCache`]
+//!   (the search driver across its rounds, the leased path across the
+//!   chunks of a group): a configuration any earlier call ran is served
+//!   from the cache, and each (workload, seed, IP count)
 //!   generates its traces once. A fine config is a clone of that
 //!   skeleton with the cell's own settings applied — equal to what
 //!   [`ScenarioSpec::build_config`] builds. A coarse evaluation clones
@@ -39,6 +43,7 @@
 //!   to 7.9 MiB, and its fine simulations dwarf the build.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,7 +59,8 @@ use dpm_units::SimTime;
 use crate::archive::{CampaignArchive, LeaseConfig};
 use crate::executor::{map_units, ThreadPool};
 use crate::spec::{
-    BatteryAxis, CampaignSpec, ControllerAxis, ScenarioSpec, ThermalAxis, TraceKey, WorkloadAxis,
+    BatteryAxis, CampaignSpec, ControllerAxis, ScenarioSpec, ThermalAxis, TraceKey, TuningAxis,
+    WorkloadAxis,
 };
 
 /// How a cell's metrics are produced.
@@ -121,10 +127,6 @@ pub struct RunnerConfig {
     /// rewritten in place as each simulation finishes; otherwise (CI
     /// logs, redirected stderr) only the final count is printed.
     pub progress: bool,
-    /// Share one always-`ON1` baseline run across cells that differ only
-    /// in controller/tuning (default). Result-preserving; turn off only
-    /// to measure the redundancy it removes.
-    pub dedup_baselines: bool,
     /// Evaluation fidelity for every cell in this run (default
     /// [`Fidelity::Fine`]). Coarse runs archive under fidelity-tagged
     /// records and count in [`RunStats::coarse_simulations`], never in
@@ -145,7 +147,6 @@ impl Default for RunnerConfig {
         Self {
             threads: 0,
             progress: false,
-            dedup_baselines: true,
             fidelity: Fidelity::Fine,
             speculative: Vec::new(),
         }
@@ -159,12 +160,6 @@ impl RunnerConfig {
             threads: 1,
             ..Self::default()
         }
-    }
-
-    /// This configuration with baseline dedup disabled.
-    pub fn without_dedup(mut self) -> Self {
-        self.dedup_baselines = false;
-        self
     }
 
     /// This configuration evaluating at the given fidelity.
@@ -294,11 +289,14 @@ pub struct RunStats {
     /// baseline runs). Coarse evaluations are counted separately so the
     /// cost of multi-fidelity search stays legible in fine-equivalents.
     pub simulations: usize,
-    /// Shared always-`ON1` baseline runs (one per dedup group).
+    /// Always-`ON1` baseline runs, one per (workload, seed, battery,
+    /// thermal, IP count) group that needed one.
     pub baseline_groups: usize,
-    /// Always-`ON1` cells whose scenario run was served straight from the
-    /// shared baseline.
-    pub reused_baselines: usize,
+    /// Cells served by a run made for another cell: an always-`ON1`
+    /// cell by its baseline, a tuning sibling of a timeout or oracle cell
+    /// by that cell's run, and any cell whose configuration an earlier
+    /// call sharing the [`BaselineCache`] ran.
+    pub reused_runs: usize,
     /// Coarse (analytic dwell-time) evaluations run, scenario and
     /// baseline evaluations both.
     pub coarse_simulations: usize,
@@ -325,7 +323,7 @@ impl RunStats {
         self.executed_cells += other.executed_cells;
         self.simulations += other.simulations;
         self.baseline_groups += other.baseline_groups;
-        self.reused_baselines += other.reused_baselines;
+        self.reused_runs += other.reused_runs;
         self.coarse_simulations += other.coarse_simulations;
         self.speculative_cells += other.speculative_cells;
         self.speculative_simulations += other.speculative_simulations;
@@ -333,27 +331,29 @@ impl RunStats {
     }
 }
 
-/// Cross-run cache of shared always-`ON1` baseline results, keyed by the
-/// axes a baseline depends on (everything but controller/tuning), and of
+/// Cross-call cache of runs by run key (see the module docs) — each
+/// always-`ON1` baseline run and each finished cell's outcome — and of
 /// trace skeletons, keyed by the axes traces depend on (workload, seed,
 /// IP count).
 ///
-/// One exhaustive sweep computes each baseline group exactly once; a
+/// One exhaustive sweep runs each distinct configuration exactly once; a
 /// *sequence* of partial runs over the same spec — the adaptive search
-/// evaluating one batch of cells per round — would recompute a group
+/// evaluating one batch of cells per round — would rerun a configuration
 /// every time a batch touches it. Threading one `BaselineCache` through
-/// the sequence restores the exhaustive sharing: a group simulates on
-/// first use and is served from memory afterwards, behind an [`Arc`], so
-/// a batch borrows each cached baseline rather than copying its task
-/// records. Likewise each trace set is generated once. A fine config is
-/// a clone of its skeleton with the cell's settings applied; a coarse
+/// the sequence restores the exhaustive sharing: a configuration runs on
+/// first use and is served from memory afterwards. A baseline is kept
+/// whole, behind an [`Arc`], so a batch borrows it rather than copying
+/// its task records; any other run is kept as the outcome it gave its
+/// cell. Likewise each trace set is generated once. A fine config is a
+/// clone of its skeleton with the cell's settings applied; a coarse
 /// evaluation walks the skeleton's [`CoarsePlan`] (built on the key's
 /// first coarse evaluation) and copies no trace. Results are
 /// deterministic, so serving from the cache never changes any metric. A
 /// cache belongs to one spec.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
-    map: HashMap<BaselineKey, Result<Arc<SocMetrics>, String>>,
+    baselines: HashMap<RunKey, Result<Arc<SocMetrics>, String>>,
+    outcomes: HashMap<RunKey, Result<ScenarioMetrics, String>>,
     /// Each skeleton, or the panic message of its build.
     skeletons: HashMap<TraceKey, Result<Skeleton, String>>,
 }
@@ -395,14 +395,14 @@ impl BaselineCache {
         Self::default()
     }
 
-    /// Baseline groups cached so far.
+    /// Baseline runs cached so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.baselines.len()
     }
 
-    /// `true` when no group has been cached yet.
+    /// `true` when no baseline has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.baselines.is_empty()
     }
 }
 
@@ -490,22 +490,60 @@ pub fn run_scenario_cell(spec: &CampaignSpec, cell: &ScenarioSpec) -> ScenarioMe
     ScenarioMetrics::from_runs(&dpm, &baseline, horizon)
 }
 
-/// The axes a cell's always-`ON1` baseline actually depends on —
-/// everything *except* controller and tuning (the SoC builder reads the
-/// LEM tuning only for [`ControllerKind::Dpm`]) — plus the fidelity it
-/// was evaluated at, so a coarse screen never serves its approximate
-/// baseline to a fine batch sharing the cache.
-type BaselineKey = (WorkloadAxis, u64, BatteryAxis, ThermalAxis, usize, Fidelity);
+/// What one evaluation depends on: a cell's axes, with the tuning
+/// dropped unless the controller is `dpm` (the SoC builder and the
+/// coarse walk read the LEM tuning only for [`ControllerKind::Dpm`]),
+/// plus the fidelity, so a coarse screen never serves a fine batch
+/// sharing the cache. Cells with one key run one configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RunKey {
+    controller: ControllerAxis,
+    tuning: Option<TuningAxis>,
+    workload: WorkloadAxis,
+    seed: u64,
+    battery: BatteryAxis,
+    thermal: ThermalAxis,
+    ip_count: usize,
+    fidelity: Fidelity,
+}
 
-fn baseline_key(cell: &ScenarioSpec, fidelity: Fidelity) -> BaselineKey {
-    (
-        cell.workload,
-        cell.seed,
-        cell.battery,
-        cell.thermal,
-        cell.ip_count,
-        fidelity,
-    )
+impl RunKey {
+    fn of(cell: &ScenarioSpec, fidelity: Fidelity) -> Self {
+        Self {
+            controller: cell.controller,
+            tuning: (cell.controller == ControllerAxis::Dpm).then_some(cell.tuning),
+            workload: cell.workload,
+            seed: cell.seed,
+            battery: cell.battery,
+            thermal: cell.thermal,
+            ip_count: cell.ip_count,
+            fidelity,
+        }
+    }
+
+    /// The key of this run's always-`ON1` baseline.
+    fn baseline(self) -> Self {
+        Self {
+            controller: ControllerAxis::AlwaysOn,
+            tuning: None,
+            ..self
+        }
+    }
+}
+
+/// Groups `items` by key: each distinct key in first-appearance order,
+/// with the values of its items in order.
+fn grouped<K: Copy + Eq + Hash, V>(items: impl IntoIterator<Item = (K, V)>) -> Vec<(K, Vec<V>)> {
+    let mut position: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
+    for (key, value) in items {
+        let g = *position.entry(key).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(value);
+    }
+    groups
 }
 
 /// Shared progress line over the phases of one run: bumps a counter each
@@ -557,76 +595,25 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
 }
 
-/// Executes one fresh cell, optionally against a pre-run shared baseline.
-/// Error precedence mirrors the non-dedup path (scenario run first, then
-/// baseline), so dedup on/off produce identical results even on panics.
-fn execute_cell(
-    configs: &Configs<'_>,
-    cell: &ScenarioSpec,
-    shared_baseline: Option<&Result<Arc<SocMetrics>, String>>,
-    fidelity: Fidelity,
-    sims: &AtomicUsize,
-    reused: &AtomicUsize,
-) -> ScenarioResult {
-    let horizon = configs.spec.horizon();
-    let outcome = match shared_baseline {
-        None => {
-            // count each run as it starts: a panicking scenario run
-            // never reaches its baseline run
-            sims.fetch_add(1, Ordering::Relaxed);
-            configs.run(cell, false, fidelity).and_then(|dpm| {
-                sims.fetch_add(1, Ordering::Relaxed);
-                configs
-                    .run(cell, true, fidelity)
-                    .map(|baseline| ScenarioMetrics::from_runs(&dpm, &baseline, horizon))
-            })
-        }
-        Some(Ok(baseline)) if cell.controller == ControllerAxis::AlwaysOn => {
-            // the scenario run *is* the baseline run (tuning is unread
-            // for always-ON1), so serve it from the shared result
-            reused.fetch_add(1, Ordering::Relaxed);
-            Ok(ScenarioMetrics::from_runs(baseline, baseline, horizon))
-        }
-        Some(Ok(baseline)) => {
-            sims.fetch_add(1, Ordering::Relaxed);
-            configs
-                .run(cell, false, fidelity)
-                .map(|dpm| ScenarioMetrics::from_runs(&dpm, baseline, horizon))
-        }
-        Some(Err(baseline_err)) => {
-            // the baseline panicked; without dedup the scenario run would
-            // have executed (and possibly panicked) first, so replay that
-            // order for identical error messages — except for always-ON1
-            // cells, whose scenario run is the baseline run itself
-            if cell.controller == ControllerAxis::AlwaysOn {
-                Err(baseline_err.clone())
-            } else {
-                sims.fetch_add(1, Ordering::Relaxed);
-                configs
-                    .run(cell, false, fidelity)
-                    .and_then(|_| Err(baseline_err.clone()))
-            }
-        }
-    };
-    match outcome {
-        Ok(metrics) => ScenarioResult {
-            scenario: *cell,
-            metrics: Some(metrics),
-            error: None,
-        },
-        Err(message) => ScenarioResult {
-            scenario: *cell,
-            metrics: None,
-            error: Some(message),
-        },
-    }
+/// A cell's outcome from its own run and its baseline run: the own
+/// run's error first, then the baseline's, as if the cell had run both
+/// itself in that order.
+fn outcome_of(
+    own: &Result<Arc<SocMetrics>, String>,
+    baseline: &Result<Arc<SocMetrics>, String>,
+    horizon: SimTime,
+) -> Result<ScenarioMetrics, String> {
+    let own = own.as_ref().map_err(Clone::clone)?;
+    let baseline = baseline.as_ref().map_err(Clone::clone)?;
+    Ok(ScenarioMetrics::from_runs(own, baseline, horizon))
 }
 
 /// Runs a campaign, optionally resuming from (and persisting into) an
 /// archive directory.
 ///
-/// The returned results are byte-identical for any thread count, with
-/// dedup on or off, and for any mix of archived and fresh cells.
+/// The returned results are byte-identical for any thread count, for
+/// any mix of archived and fresh cells, and to running every cell and
+/// its baseline by itself.
 ///
 /// # Errors
 ///
@@ -646,16 +633,15 @@ pub fn run_campaign_with(
 }
 
 /// Runs an arbitrary subset of a campaign's cells (the search engine's
-/// batch primitive), with the same archive and dedup machinery as a full
+/// batch primitive), with the same archive and run sharing as a full
 /// run. Results come back in `cells` order; archive records are keyed by
 /// **grid** index, so batches and exhaustive sweeps share one cache.
 ///
-/// An optional [`BaselineCache`] carries shared always-`ON1` baselines
-/// and trace skeletons across calls: groups already cached are served
-/// from memory instead of re-simulating, which restores exhaustive-sweep
-/// sharing to a sequence of batches, and each trace set is generated
-/// once. All determinism guarantees of [`run_campaign_with`] hold per
-/// batch.
+/// An optional [`BaselineCache`] carries runs and trace skeletons across
+/// calls: a configuration already cached is served from memory instead
+/// of re-simulating, which restores exhaustive-sweep sharing to a
+/// sequence of batches, and each trace set is generated once. All
+/// determinism guarantees of [`run_campaign_with`] hold per batch.
 ///
 /// # Errors
 ///
@@ -707,24 +693,27 @@ pub fn run_campaign_leased(
 /// keeps its lease alive cell by cell, not just at batch boundaries.
 type UnitHook<'a> = Option<&'a (dyn Fn() + Sync)>;
 
-/// The single-process execution path: resume from the archive, run the
-/// missing cells on the configured [`ThreadPool`] executor (shared
-/// baselines first, then the cells), store fresh records.
+/// The single-process execution path: resume from the archive, run each
+/// configuration of the missing cells once on the configured
+/// [`ThreadPool`] executor (baselines first, then the cells' own runs),
+/// store fresh records.
 fn run_cells_local(
     spec: &CampaignSpec,
     cells: &[ScenarioSpec],
     config: &RunnerConfig,
     archive: Option<&CampaignArchive>,
-    mut cache: Option<&mut BaselineCache>,
+    cache: Option<&mut BaselineCache>,
     on_unit: UnitHook<'_>,
 ) -> Result<CampaignRun, String> {
     let total = cells.len();
+    let horizon = spec.horizon();
+    let fidelity = config.fidelity;
     let is_spec = speculative_flags(cells, config);
 
     // resume: prefill result slots from the archive (only records of
     // this run's fidelity satisfy the read — see `CampaignArchive`)
     let mut slots: Vec<Option<ScenarioResult>> = match archive {
-        Some(a) => a.load_as(spec, cells, config.fidelity).slots,
+        Some(a) => a.load_as(spec, cells, fidelity).slots,
         None => vec![None; total],
     };
     // speculative archive hits count nowhere: nobody asked for the cell
@@ -734,113 +723,135 @@ fn run_cells_local(
         .count();
     let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
 
-    // dedup: one always-ON1 baseline per (workload, seed, battery,
-    // thermal, ip-count) group, in first-appearance order. A group is
-    // speculative — its baseline run accounted as prefetch work — only
-    // when *every* cell needing it is speculative.
-    let mut groups: Vec<ScenarioSpec> = Vec::new();
-    let mut group_of: HashMap<BaselineKey, usize> = HashMap::new();
-    let mut cell_group: Vec<usize> = Vec::new();
-    let mut group_spec: Vec<bool> = Vec::new();
-    if config.dedup_baselines {
-        for &i in &missing {
-            let g = *group_of
-                .entry(baseline_key(&cells[i], config.fidelity))
-                .or_insert_with(|| {
-                    groups.push(cells[i]);
-                    group_spec.push(true);
-                    groups.len() - 1
-                });
-            if !is_spec[i] {
-                group_spec[g] = false;
-            }
-            cell_group.push(g);
-        }
-    }
+    // a one-shot run shares runs through a cache of its own that keeps
+    // no trace skeletons: it builds every config from scratch, so a
+    // sweep never holds every trace set in memory at once
+    let mut own_cache = BaselineCache::new();
+    let keep_skeletons = cache.is_some();
+    let BaselineCache {
+        baselines,
+        outcomes,
+        skeletons,
+    } = cache.unwrap_or(&mut own_cache);
 
-    // groups already in the cross-call cache are served from memory;
-    // only the rest simulate
-    let mut baselines: Vec<Option<Result<Arc<SocMetrics>, String>>> = match &cache {
-        Some(c) => groups
+    // each distinct run key of the missing cells, in first-appearance
+    // order, with the cells it serves; then the baselines of the keys
+    // no earlier call ran. A run is accounted as speculative (prefetch)
+    // work only when every cell it serves is speculative.
+    let runs = grouped(
+        missing
             .iter()
-            .map(|g| c.map.get(&baseline_key(g, config.fidelity)).cloned())
-            .collect(),
-        None => vec![None; groups.len()],
-    };
-    let to_run: Vec<usize> = (0..groups.len())
-        .filter(|&g| baselines[g].is_none())
+            .map(|&i| (RunKey::of(&cells[i], fidelity), i)),
+    );
+    let fresh: Vec<&(RunKey, Vec<usize>)> = runs
+        .iter()
+        .filter(|(key, _)| !outcomes.contains_key(key))
         .collect();
+    let new_baselines: Vec<(RunKey, Vec<usize>)> = grouped(
+        fresh
+            .iter()
+            .flat_map(|(key, served)| served.iter().map(|&i| (key.baseline(), i))),
+    )
+    .into_iter()
+    .filter(|(key, _)| !baselines.contains_key(key))
+    .collect();
+    let speculative = |served: &[usize]| served.iter().all(|&i| is_spec[i]);
+    // the runs phase B simulates; every other missing cell is served by
+    // a run made for another cell
+    let own_runs = fresh
+        .iter()
+        .filter(|(key, _)| *key != key.baseline())
+        .count();
 
     // with a cross-call cache, each trace key generates its traces once
-    // and configs take them from there; one-shot runs build per cell, so
-    // a sweep never holds every trace set in memory at once
-    if let Some(c) = cache.as_deref_mut() {
-        for &i in &missing {
-            c.skeletons
-                .entry(cells[i].trace_key())
-                .or_insert_with(|| caught(|| Skeleton::new(cells[i].build_skeleton(spec))));
+    // and configs take them from there
+    if keep_skeletons {
+        for (_, served) in &fresh {
+            let cell = &cells[served[0]];
+            skeletons
+                .entry(cell.trace_key())
+                .or_insert_with(|| caught(|| Skeleton::new(cell.build_skeleton(spec))));
         }
     }
     let configs = Configs {
         spec,
-        skeletons: cache.as_deref().map(|c| &c.skeletons),
+        skeletons: keep_skeletons.then_some(&*skeletons),
     };
 
-    let work = to_run.len() + missing.len();
     let pool = ThreadPool::new(config.threads);
-    let progress = Progress::new(config.progress, work);
+    let progress = Progress::new(config.progress, new_baselines.len() + runs.len());
     // one counter per (fidelity, speculative) pair; this run's
     // evaluations all land in the pair matching `config.fidelity`, with
-    // prefetched cells accounted separately
+    // prefetched runs accounted separately
     let fine_sims = AtomicUsize::new(0);
     let coarse_sims = AtomicUsize::new(0);
     let spec_fine_sims = AtomicUsize::new(0);
     let spec_coarse_sims = AtomicUsize::new(0);
-    let (sims, spec_sims) = match config.fidelity {
+    let (sims, spec_sims) = match fidelity {
         Fidelity::Fine => (&fine_sims, &spec_fine_sims),
         Fidelity::Coarse => (&coarse_sims, &spec_coarse_sims),
     };
-    let reused = AtomicUsize::new(0);
-    let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let archive_broken = std::sync::atomic::AtomicBool::new(false);
-
-    // phase A: shared baselines (the config is built inside the catch —
-    // a panicking trace generator must fail the group's cells, not the
-    // whole campaign, exactly as it would without dedup)
-    let fresh_baselines = map_units(&pool, to_run.len(), |k| {
-        let counter = if group_spec[to_run[k]] {
-            spec_sims
-        } else {
-            sims
-        };
+    let count_run = |served: &[usize]| {
+        let counter = if speculative(served) { spec_sims } else { sims };
         counter.fetch_add(1, Ordering::Relaxed);
-        let out = configs
-            .run(&groups[to_run[k]], true, config.fidelity)
-            .map(Arc::new);
+    };
+    let unit_done = || {
         progress.tick();
         if let Some(hook) = on_unit {
             hook();
         }
+    };
+    let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let archive_broken = AtomicBool::new(false);
+
+    // phase A: the baselines (each config is built inside the catch — a
+    // panicking trace generator must fail the cells that need it, not
+    // the whole campaign)
+    let fresh_baselines = map_units(&pool, new_baselines.len(), |b| {
+        let served = &new_baselines[b].1;
+        count_run(served);
+        let out = configs.run(&cells[served[0]], true, fidelity).map(Arc::new);
+        unit_done();
         out
     });
-    for (k, result) in fresh_baselines.into_iter().enumerate() {
-        baselines[to_run[k]] = Some(result);
-    }
-    let baselines: Vec<Result<Arc<SocMetrics>, String>> = baselines
-        .into_iter()
-        .map(|b| b.expect("every baseline group is resolved"))
-        .collect();
+    baselines.extend(
+        new_baselines
+            .iter()
+            .map(|(key, _)| *key)
+            .zip(fresh_baselines),
+    );
 
-    // phase B: the cells themselves (storing fresh results as they land,
-    // so a killed sweep keeps everything finished so far)
-    let fresh: Vec<ScenarioResult> = map_units(&pool, missing.len(), |k| {
-        let cell = &cells[missing[k]];
-        let baseline = config.dedup_baselines.then(|| &baselines[cell_group[k]]);
-        let counter = if is_spec[missing[k]] { spec_sims } else { sims };
-        let result = execute_cell(&configs, cell, baseline, config.fidelity, counter, &reused);
+    // phase B: each key's own run and the outcome of the cells it serves
+    // (an always-ON1 key's own run is its baseline), storing fresh
+    // results as they land, so a killed sweep keeps everything finished
+    // so far
+    let done = map_units(&pool, runs.len(), |r| {
+        let (key, served) = &runs[r];
+        let outcome = outcomes.get(key).cloned().unwrap_or_else(|| {
+            let baseline = &baselines[&key.baseline()];
+            if *key == key.baseline() {
+                return outcome_of(baseline, baseline, horizon);
+            }
+            count_run(served);
+            let own = configs
+                .run(&cells[served[0]], false, fidelity)
+                .map(Arc::new);
+            outcome_of(&own, baseline, horizon)
+        });
+        let results: Vec<ScenarioResult> = served
+            .iter()
+            .map(|&i| ScenarioResult {
+                scenario: cells[i],
+                metrics: outcome.as_ref().ok().cloned(),
+                error: outcome.as_ref().err().cloned(),
+            })
+            .collect();
         if let Some(a) = archive {
-            if !archive_broken.load(Ordering::Relaxed) {
-                if let Err(e) = a.store_as(spec, &result, config.fidelity) {
+            for result in &results {
+                if archive_broken.load(Ordering::Relaxed) {
+                    break;
+                }
+                if let Err(e) = a.store_as(spec, result, fidelity) {
                     archive_broken.store(true, Ordering::Relaxed);
                     store_errors
                         .lock()
@@ -849,28 +860,18 @@ fn run_cells_local(
                 }
             }
         }
-        progress.tick();
-        if let Some(hook) = on_unit {
-            hook();
-        }
-        result
+        unit_done();
+        (outcome, results)
     });
 
     let archive_errors = store_errors
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-
-    if let Some(c) = cache {
-        for &g in &to_run {
-            c.map.insert(
-                baseline_key(&groups[g], config.fidelity),
-                baselines[g].clone(),
-            );
+    for ((key, served), (outcome, results)) in runs.iter().zip(done) {
+        outcomes.insert(*key, outcome);
+        for (&i, result) in served.iter().zip(results) {
+            slots[i] = Some(result);
         }
-    }
-
-    for (k, result) in fresh.into_iter().enumerate() {
-        slots[missing[k]] = Some(result);
     }
     let results: Vec<ScenarioResult> = slots
         .into_iter()
@@ -889,8 +890,11 @@ fn run_cells_local(
             archived_cells,
             executed_cells: missing.iter().filter(|&&i| !is_spec[i]).count(),
             simulations: fine_sims.into_inner(),
-            baseline_groups: to_run.iter().filter(|&&g| !group_spec[g]).count(),
-            reused_baselines: reused.into_inner(),
+            baseline_groups: new_baselines
+                .iter()
+                .filter(|(_, served)| !speculative(served))
+                .count(),
+            reused_runs: missing.len() - own_runs,
             coarse_simulations: coarse_sims.into_inner(),
             speculative_cells: missing.iter().filter(|&&i| is_spec[i]).count(),
             speculative_simulations: spec_fine_sims.into_inner(),
@@ -978,9 +982,10 @@ impl PollBackoff {
 /// campaign a dead holder abandoned.
 ///
 /// Work accounting semantics across runs: `executed_cells`,
-/// `simulations`, `baseline_groups` and `reused_baselines` sum to the
-/// single-run totals (each group runs in exactly one holder, which
-/// simulates its shared baseline once); `archived_cells` counts the
+/// `simulations`, `baseline_groups` and `reused_runs` sum to the
+/// single-run totals (cells share a run only within their baseline
+/// group, and each group runs in exactly one holder, which runs each of
+/// its configurations once); `archived_cells` counts the
 /// cells this run received from the archive, whether they predate the
 /// run or were stored by a peer.
 ///
@@ -1051,10 +1056,10 @@ fn run_cells_leased(
                 }
             }
             if !fresh.is_empty() {
-                // run in thread-sized chunks (the baseline cache makes
-                // chunking work-neutral: the group's baseline simulates
-                // in the first chunk and is served from memory
-                // afterwards), refreshing the lease heartbeat both
+                // run in thread-sized chunks (the cache makes chunking
+                // work-neutral: each configuration of the group runs in
+                // the first chunk that needs it and is served from
+                // memory afterwards), refreshing the lease heartbeat both
                 // between chunks and — via the per-unit hook — *between
                 // cells inside a chunk*, throttled to a quarter TTL, so
                 // a group of very long cells never goes stale under its
@@ -1074,10 +1079,10 @@ fn run_cells_leased(
                         let _ = archive.refresh(&lease, lease_cfg);
                     }
                 };
-                // one cache across the chunks of this group, so its
-                // baseline simulates and its traces generate once, as in
-                // a sweep; a run never claims a group twice, so the cache
-                // goes with the group
+                // one cache across the chunks of this group, so each of
+                // its configurations runs and its traces generate once,
+                // as in a sweep; a run never claims a group twice, so
+                // the cache goes with the group
                 let mut cache = BaselineCache::new();
                 let chunk_size = config.effective_threads().max(1);
                 for (k, chunk) in fresh.chunks(chunk_size).enumerate() {
@@ -1254,20 +1259,30 @@ mod tests {
         let spec = tiny_spec();
         let run = run_campaign_with(&spec, &RunnerConfig::serial(), None).unwrap();
         let s = run.stats;
-        // 4 cells over 2 seeds: 2 baseline groups, one always-ON1 cell
-        // per seed reuses its group's baseline
+        // 4 cells over 2 seeds: one baseline run per seed, which the
+        // seed's always-ON1 cell reuses as its own run
         assert_eq!(s.total_cells, 4);
         assert_eq!(s.executed_cells, 4);
         assert_eq!(s.archived_cells, 0);
         assert_eq!(s.baseline_groups, 2);
-        assert_eq!(s.reused_baselines, 2);
-        // 2 baselines + 2 DPM scenario runs; always-ON1 cells ran nothing
+        assert_eq!(s.reused_runs, 2);
+        // 2 baselines + 2 DPM runs, against 2 runs per cell for cells
+        // that each run themselves and their baseline
         assert_eq!(s.simulations, 4);
 
-        let cold = run_campaign_with(&spec, &RunnerConfig::serial().without_dedup(), None).unwrap();
-        assert_eq!(cold.stats.simulations, 8, "2 sims per cell without dedup");
-        assert_eq!(cold.stats.baseline_groups, 0);
-        assert_eq!(cold.result, run.result, "dedup must not change results");
+        let reference: Vec<ScenarioResult> = spec
+            .expand()
+            .into_iter()
+            .map(|cell| ScenarioResult {
+                scenario: cell,
+                metrics: Some(run_scenario_cell(&spec, &cell)),
+                error: None,
+            })
+            .collect();
+        assert_eq!(
+            run.result.results, reference,
+            "sharing must not change results"
+        );
     }
 
     #[test]

@@ -378,8 +378,8 @@ pub struct SearchOutcome {
     pub report: SearchReport,
     /// Work done by this particular run, summed over all batches;
     /// `total_cells` is the grid size, so `simulations` vs
-    /// `2 * total_cells` is the saving over a dedup-free exhaustive
-    /// sweep.
+    /// `2 * total_cells` is the saving over an exhaustive sweep in which
+    /// every cell runs itself and its baseline.
     pub stats: RunStats,
     /// Archive-write failures, as in [`crate::runner::CampaignRun`].
     pub archive_errors: Vec<String>,
@@ -972,8 +972,11 @@ pub struct Exploration {
 
 /// Runs `strategy` over `spec`'s grid until the budget is spent or the
 /// strategy stops proposing, executing each batch through
-/// [`run_cells_with`] (archive resume/store, baseline dedup, panic
-/// isolation — everything the campaign runner guarantees).
+/// [`run_cells_with`] (archive resume/store, one run per distinct
+/// configuration, panic isolation — everything the campaign runner
+/// guarantees). One [`BaselineCache`] spans the batches, so a batch
+/// never reruns a configuration an earlier batch ran: a cell whose
+/// tuning sibling was evaluated costs no simulation, only budget.
 ///
 /// With `prefetch` set (and an archive to land results in), each round
 /// also executes the strategy's [`Strategy::prefetch_hint`] cells —
@@ -1011,7 +1014,7 @@ pub fn drive_strategy(
     let mut evaluations: Vec<(usize, ScenarioResult)> = Vec::new();
     let mut stats = RunStats::default();
     let mut archive_errors = Vec::new();
-    let mut baselines = BaselineCache::new();
+    let mut cache = BaselineCache::new();
     let mut rounds = 0;
 
     while evaluations.len() < budget {
@@ -1055,7 +1058,7 @@ pub fn drive_strategy(
             speculative_config = config.clone().with_speculative(speculative.clone());
             &speculative_config
         };
-        let run = run_cells_with(spec, &cells, run_config, archive, Some(&mut baselines))?;
+        let run = run_cells_with(spec, &cells, run_config, archive, Some(&mut cache))?;
         stats.absorb(&run.stats);
         archive_errors.extend(run.archive_errors);
         for result in run.result.results.into_iter().take(batch.len()) {

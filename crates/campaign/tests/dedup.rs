@@ -1,12 +1,14 @@
-//! Baseline-dedup contract: sharing one always-`ON1` baseline across
-//! cells that differ only in controller/tuning changes *nothing* about
-//! the results — it only removes simulations (counted by the runner's
-//! [`RunStats`] hook).
+//! Run-sharing contract: running each distinct configuration once —
+//! one always-`ON1` baseline per group, which the group's always-`ON1`
+//! cells reuse as their own run, and one run for the tuning siblings of
+//! a timeout or oracle cell — changes *nothing* about the results. It
+//! only removes simulations (counted by the runner's [`RunStats`] hook).
+//! The reference runs every cell and its baseline by itself.
 
 use dpm_campaign::{
-    campaign_json, run_campaign_with, run_cells_with, summarize, BaselineCache, BatteryAxis,
-    CampaignRun, CampaignSpec, ControllerAxis, Fidelity, RunnerConfig, ScenarioMetrics,
-    ScenarioResult, ScenarioSpec, ThermalAxis, TuningAxis, WorkloadAxis,
+    campaign_json, run_campaign_with, run_cells_with, run_scenario_cell, summarize, BaselineCache,
+    BatteryAxis, CampaignResult, CampaignRun, CampaignSpec, ControllerAxis, Fidelity, RunnerConfig,
+    ScenarioMetrics, ScenarioResult, ScenarioSpec, ThermalAxis, TuningAxis, WorkloadAxis,
 };
 
 /// A controller×tuning-heavy grid: 4 controllers × 2 tunings over a
@@ -32,53 +34,74 @@ fn controller_grid() -> CampaignSpec {
     }
 }
 
-fn run(spec: &CampaignSpec, threads: usize, dedup: bool) -> CampaignRun {
+fn run(spec: &CampaignSpec, threads: usize) -> CampaignRun {
     let config = RunnerConfig {
         threads,
         progress: false,
-        dedup_baselines: dedup,
         ..RunnerConfig::default()
     };
     run_campaign_with(spec, &config, None).expect("valid spec")
 }
 
+/// Every cell built from scratch and run with its own baseline, two
+/// fine simulations per cell.
+fn per_cell_reference(spec: &CampaignSpec) -> CampaignResult {
+    CampaignResult {
+        name: spec.name.clone(),
+        horizon_ms: spec.horizon_ms,
+        master_seed: spec.master_seed,
+        results: spec
+            .expand()
+            .iter()
+            .map(|cell| reference_record(spec, cell))
+            .collect(),
+    }
+}
+
+fn reference_record(spec: &CampaignSpec, cell: &ScenarioSpec) -> ScenarioResult {
+    ScenarioResult {
+        scenario: *cell,
+        metrics: Some(run_scenario_cell(spec, cell)),
+        error: None,
+    }
+}
+
 #[test]
 fn dedup_preserves_results_and_strictly_cuts_simulations() {
     let spec = controller_grid();
-    let with = run(&spec, 1, true);
-    let without = run(&spec, 1, false);
+    let shared = run(&spec, 1);
+    let reference = per_cell_reference(&spec);
 
     // identical ScenarioMetrics, cell for cell
-    assert_eq!(with.result, without.result);
+    assert_eq!(shared.result, reference);
     // ... down to the rendered bytes
     assert_eq!(
-        campaign_json(&summarize(&with.result), Some(&with.result)).unwrap(),
-        campaign_json(&summarize(&without.result), Some(&without.result)).unwrap(),
+        campaign_json(&summarize(&shared.result), Some(&shared.result)).unwrap(),
+        campaign_json(&summarize(&reference), Some(&reference)).unwrap(),
     );
 
-    // run-counter hook: strictly fewer simulations with dedup
+    // run-counter hook: strictly fewer simulations than two per cell
     let cells = spec.scenario_count();
-    assert_eq!(without.stats.simulations, 2 * cells);
     assert!(
-        with.stats.simulations < without.stats.simulations,
-        "dedup must run strictly fewer simulations: {} vs {}",
-        with.stats.simulations,
-        without.stats.simulations
+        shared.stats.simulations < 2 * cells,
+        "sharing must run strictly fewer simulations: {} vs {}",
+        shared.stats.simulations,
+        2 * cells
     );
     // exact accounting: 2 baseline groups (one per seed); per group the
-    // 2 always-ON1 cells reuse the baseline, the other 6 cells run one
-    // scenario simulation each
-    assert_eq!(with.stats.baseline_groups, 2);
-    assert_eq!(with.stats.reused_baselines, 4);
-    assert_eq!(with.stats.simulations, 2 + 2 * 6);
+    // 2 always-ON1 cells reuse the baseline, the 2 timeout cells share
+    // one run and so do the 2 oracle cells, and each DPM tuning runs
+    assert_eq!(shared.stats.baseline_groups, 2);
+    assert_eq!(shared.stats.reused_runs, 8);
+    assert_eq!(shared.stats.simulations, 2 * (1 + 4));
 }
 
 #[test]
 fn dedup_is_thread_count_invariant() {
     let spec = controller_grid();
-    let serial = run(&spec, 1, true);
+    let serial = run(&spec, 1);
     for threads in [2, 4, 8] {
-        let parallel = run(&spec, threads, true);
+        let parallel = run(&spec, threads);
         assert_eq!(parallel.result, serial.result, "threads={threads}");
         assert_eq!(parallel.stats.simulations, serial.stats.simulations);
     }
@@ -91,14 +114,13 @@ fn multi_ip_groups_dedup_too() {
     spec.tunings = vec![TuningAxis::Paper];
     spec.seeds = vec![1];
     spec.ip_counts = vec![1, 4];
-    let with = run(&spec, 2, true);
-    let without = run(&spec, 2, false);
-    assert_eq!(with.result, without.result);
-    // two groups (ip_count 1 and 4); each<ip-count group's always-ON1
-    // cell reuses, each DPM cell runs once
-    assert_eq!(with.stats.baseline_groups, 2);
-    assert_eq!(with.stats.simulations, 2 + 2);
-    assert_eq!(without.stats.simulations, 8);
+    let shared = run(&spec, 2);
+    assert_eq!(shared.result, per_cell_reference(&spec));
+    // two groups (ip_count 1 and 4); each group's always-ON1 cell
+    // reuses its baseline, each DPM cell runs once: 4 simulations
+    // against 2 per cell
+    assert_eq!(shared.stats.baseline_groups, 2);
+    assert_eq!(shared.stats.simulations, 2 + 2);
 }
 
 /// Two values on every axis, so every baseline group and every trace set
@@ -182,7 +204,10 @@ fn benchmark_shaped_grid() -> CampaignSpec {
 
 /// A result with every float as its bit pattern, so equality is bit
 /// equality (`0.0` differs from `-0.0`, a NaN equals itself).
-fn bits(r: &ScenarioResult) -> (ScenarioSpec, Option<[u64; 12]>, Option<String>) {
+type Bits = (ScenarioSpec, Option<[u64; 12]>, Option<String>);
+
+/// The [`Bits`] of a result.
+fn bits(r: &ScenarioResult) -> Bits {
     let metrics = r.metrics.as_ref().map(|m| {
         let ScenarioMetrics {
             completed,
@@ -216,12 +241,67 @@ fn bits(r: &ScenarioResult) -> (ScenarioSpec, Option<[u64; 12]>, Option<String>)
     (r.scenario, metrics, r.error.clone())
 }
 
+/// One record per cell, each from a call of its own: a one-cell call
+/// shares no run with any other cell.
+fn per_cell_records(
+    spec: &CampaignSpec,
+    order: &[ScenarioSpec],
+    config: &RunnerConfig,
+) -> Vec<Bits> {
+    order
+        .iter()
+        .map(|cell| {
+            let run = run_cells_with(spec, &[*cell], config, None, None).expect("valid spec");
+            bits(&run.result.results[0])
+        })
+        .collect()
+}
+
+/// Asserts that the whole-grid call over `order`, and batches of 7
+/// sharing one [`BaselineCache`] at 1 and 2 threads, give exactly
+/// `expected` bit for bit: sharing runs across cells, calls and threads
+/// changes no record.
+fn assert_sharing_matches(
+    spec: &CampaignSpec,
+    order: &[ScenarioSpec],
+    fidelity: Fidelity,
+    expected: &[Bits],
+    context: &str,
+) {
+    let config = |threads| {
+        RunnerConfig {
+            threads,
+            ..RunnerConfig::default()
+        }
+        .with_fidelity(fidelity)
+    };
+    let whole = run_cells_with(spec, order, &config(1), None, None).expect("valid spec");
+    let got: Vec<Bits> = whole.result.results.iter().map(bits).collect();
+    assert_eq!(got, expected, "{context} whole grid");
+
+    for threads in [1, 2] {
+        let mut cache = BaselineCache::new();
+        let mut got = Vec::with_capacity(order.len());
+        for batch in order.chunks(7) {
+            let run = run_cells_with(spec, batch, &config(threads), None, Some(&mut cache))
+                .expect("valid spec");
+            got.extend(run.result.results.iter().map(bits));
+        }
+        assert_eq!(got.len(), expected.len());
+        for (g, e) in got.iter().zip(expected) {
+            assert_eq!(g, e, "{context} threads={threads}");
+        }
+    }
+}
+
 /// Coarse batches sharing one [`BaselineCache`] walk each trace
-/// skeleton's shared coarse plan, concurrently at two threads; an
-/// uncached run builds a plan per evaluation. Over a whole grid where
-/// every axis varies, the two agree bit for bit on every record — at
-/// the benchmark's full battery and at Table 2's battery-Low start,
-/// where the GEM's battery rule gates IPs by rank.
+/// skeleton's shared coarse plan, concurrently at two threads, and
+/// serve every configuration an earlier batch ran; a one-cell call
+/// builds a plan of its own and shares nothing. Over a whole grid where
+/// every axis varies, the whole-grid call and the batches agree with
+/// the per-cell records bit for bit — at the benchmark's full battery
+/// and at Table 2's battery-Low start, where the GEM's battery rule
+/// gates IPs by rank.
 #[test]
 fn coarse_batches_sharing_plans_equal_one_shot_evaluation_bit_for_bit() {
     for initial_soc in [0.95, 0.22] {
@@ -232,29 +312,41 @@ fn coarse_batches_sharing_plans_equal_one_shot_evaluation_bit_for_bit() {
         let n = spec.scenario_count();
         // 37 is coprime with 2 400, so the stride visits every cell once
         let order: Vec<ScenarioSpec> = (0..n).map(|k| spec.cell_at(k * 37 % n)).collect();
-        let config = |threads| {
-            RunnerConfig {
-                threads,
-                ..RunnerConfig::default()
-            }
-            .with_fidelity(Fidelity::Coarse)
-        };
-        let one_shot = run_cells_with(&spec, &order, &config(1), None, None).expect("valid spec");
-        let expected: Vec<_> = one_shot.result.results.iter().map(bits).collect();
+        let config = RunnerConfig::serial().with_fidelity(Fidelity::Coarse);
+        let expected = per_cell_records(&spec, &order, &config);
         assert!(expected.iter().all(|(_, m, e)| m.is_some() && e.is_none()));
-
-        for threads in [1, 2] {
-            let mut cache = BaselineCache::new();
-            let mut got = Vec::with_capacity(n);
-            for batch in order.chunks(7) {
-                let run = run_cells_with(&spec, batch, &config(threads), None, Some(&mut cache))
-                    .expect("valid spec");
-                got.extend(run.result.results.iter().map(bits));
-            }
-            assert_eq!(got.len(), n);
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g, e, "initial_soc={initial_soc} threads={threads}");
-            }
-        }
+        let context = format!("coarse initial_soc={initial_soc}");
+        assert_sharing_matches(&spec, &order, Fidelity::Coarse, &expected, &context);
     }
+}
+
+/// The fine pass of the same contract, on a grid where every controller
+/// meets every tuning: a run shared between tuning siblings, or a
+/// baseline shared across a group, would change bytes if any controller
+/// but `dpm` read the tuning. The reference builds each cell from
+/// scratch and runs it with its own baseline.
+#[test]
+fn fine_batches_sharing_runs_equal_per_cell_evaluation_bit_for_bit() {
+    let spec = CampaignSpec {
+        name: "every_controller_meets_every_tuning".into(),
+        horizon_ms: 6,
+        master_seed: 0xDED0_0003,
+        initial_soc: 0.95,
+        controllers: ControllerAxis::ALL.to_vec(),
+        tunings: TuningAxis::ALL.to_vec(),
+        workloads: vec![WorkloadAxis::Low, WorkloadAxis::High],
+        seeds: vec![1],
+        batteries: vec![BatteryAxis::Linear],
+        thermals: ThermalAxis::ALL.to_vec(),
+        ip_counts: vec![1, 4],
+    };
+    let n = spec.scenario_count();
+    assert_eq!(n, 200);
+    // 37 is coprime with 200, so the stride visits every cell once
+    let order: Vec<ScenarioSpec> = (0..n).map(|k| spec.cell_at(k * 37 % n)).collect();
+    let expected: Vec<Bits> = order
+        .iter()
+        .map(|cell| bits(&reference_record(&spec, cell)))
+        .collect();
+    assert_sharing_matches(&spec, &order, Fidelity::Fine, &expected, "fine");
 }

@@ -120,7 +120,7 @@ fn two_workers_split_the_grid_and_match_single_process_bytes() {
     assert_eq!(sum.executed_cells, spec.scenario_count());
     assert_eq!(sum.simulations, cold.stats.simulations);
     assert_eq!(sum.baseline_groups, cold.stats.baseline_groups);
-    assert_eq!(sum.reused_baselines, cold.stats.reused_baselines);
+    assert_eq!(sum.reused_runs, cold.stats.reused_runs);
     // cross-fed cells arrive via the archive
     assert_eq!(
         sum.archived_cells + sum.executed_cells,

@@ -15,9 +15,8 @@
 //!   paper's conditional-enable algorithm, energy-request redistribution
 //!   and the supplementary fan.
 //! * [`policy`] — the rule engine: Table 1 as data, wildcard matching with
-//!   first-match semantics, completeness/shadowing analysis, a parser for
-//!   the paper's natural-language rule form, and a fuzzy-inference variant
-//!   (the paper explicitly frames the rules "as in the fuzzy rules").
+//!   first-match semantics, completeness/shadowing analysis, and a parser
+//!   for the paper's natural-language rule form.
 //! * [`predictor`] — pluggable idle-time predictors (last-idle,
 //!   exponential average, fixed, sliding-window) feeding the break-even
 //!   comparison.

@@ -3,7 +3,8 @@
 //! The paper presents the selection algorithm as a table of wildcard rows
 //! over *(task priority, battery status, chip temperature)* plus a
 //! power-supply row, and notes the rules *"can be seen as expressions of
-//! the natural language, as in the fuzzy rules"*. This module implements:
+//! the natural language, as in the fuzzy rules"*. The LEM applies them
+//! to crisp battery and temperature classes. This module implements:
 //!
 //! * [`RuleSet`] — ordered wildcard rules with **first-match** semantics,
 //!   a documented fallback (demote temperature Medium to Low and retry)
@@ -14,16 +15,12 @@
 //! * [`table1`] — the paper's table as data.
 //! * [`dsl`] — a parser for the natural-language rule form
 //!   (`if priority is high and battery is empty then SL1`).
-//! * [`fuzzy`] — a fuzzy-inference variant working on the *continuous*
-//!   state of charge and temperature (extension).
 
 pub mod dsl;
-pub mod fuzzy;
 mod sets;
 mod table;
 
 pub use dsl::{parse_rule, parse_rules, ParseRuleError, TABLE1_TEXT};
-pub use fuzzy::{FuzzyPolicy, FuzzySelection};
 pub use sets::{BatterySet, PrioritySet, SourceCond, TempSet};
 pub use table::table1;
 

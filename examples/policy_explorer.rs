@@ -1,15 +1,14 @@
 //! Explore the paper's Table 1 policy: print the table, audit its
-//! coverage, parse the natural-language form, and compare the crisp
-//! engine with the fuzzy-inference variant near a class boundary.
+//! coverage, parse the natural-language form and print the full
+//! decision matrix.
 //!
 //! ```sh
 //! cargo run --example policy_explorer
 //! ```
 
 use dpmsim::battery::{BatteryClass, PowerSource};
-use dpmsim::core::policy::{parse_rules, table1, FuzzyPolicy, PolicyInputs, RuleSet, TABLE1_TEXT};
+use dpmsim::core::policy::{parse_rules, table1, PolicyInputs, RuleSet, TABLE1_TEXT};
 use dpmsim::thermal::ThermalClass;
-use dpmsim::units::Celsius;
 use dpmsim::workload::Priority;
 
 fn main() {
@@ -64,40 +63,6 @@ fn main() {
         println!();
     }
     println!("(* = resolved through the temperature-demotion fallback)");
-
-    // Crisp vs fuzzy across the Low/Medium battery boundary.
-    println!(
-        "\n== crisp vs fuzzy across the battery Low/Medium boundary (High priority, 30 degC) =="
-    );
-    let fuzzy = FuzzyPolicy::new(table1());
-    println!("  soc   crisp  fuzzy");
-    for soc_pct in (10..=45).step_by(5) {
-        let soc = soc_pct as f64 / 100.0;
-        let crisp_class = if soc >= 0.25 {
-            BatteryClass::Medium
-        } else {
-            BatteryClass::Low
-        };
-        let crisp = rules
-            .select(PolicyInputs {
-                priority: Priority::High,
-                battery: crisp_class,
-                temperature: ThermalClass::Low,
-                source: PowerSource::Battery,
-            })
-            .state;
-        let fz = fuzzy
-            .select(
-                Priority::High,
-                soc,
-                Celsius::new(30.0),
-                PowerSource::Battery,
-            )
-            .state;
-        println!("  {soc:.2}  {crisp}    {fz}");
-    }
-    println!("\nThe fuzzy variant moves the ON4->ON2 hand-over *inside* the band");
-    println!("instead of snapping exactly at the 25% threshold.");
 
     let _ = demo_custom_policy();
 }
