@@ -20,18 +20,21 @@
 //! Records are **appended to segment files** — length-prefixed,
 //! checksummed frames in `segments/seg-NNNN.log`, one private segment
 //! per writing process — and located through an in-memory index built
-//! on open (see [`crate::segment`]). A segment directory exists once a
+//! on open (see `segment.rs`). A segment directory exists once a
 //! record has been stored in it. [`CampaignArchive::compact`] rewrites
 //! each store's live records into a single fresh segment via an atomic
 //! tmp+rename, dropping torn tails and duplicates.
 //!
 //! Records carry the archive format version, a fingerprint of the spec,
 //! and the full seed derivation (`master_seed` + the cell's
-//! [`ScenarioSpec`]), so a resume can prove each record belongs to the
-//! grid being run: anything stale — different spec, different format
-//! version, index out of range, a mismatched cell — is skipped and
-//! silently re-run. Failed (panicked) cells are never archived; a resume
-//! retries them.
+//! [`ScenarioSpec`]), so a resume can prove each record it reads belongs
+//! to the grid being run: anything stale — different spec, different
+//! format version, index out of range, a mismatched cell — is skipped
+//! and silently re-run. A resume reads one record per configuration
+//! (see [`crate::runner`]); for the other cells of a configuration it
+//! trusts the index, whose scan checked each frame's checksum,
+//! fingerprint and version. Failed (panicked) cells are never archived;
+//! a resume retries them.
 //!
 //! Because the JSON layer round-trips `f64` bit-identically (shortest
 //! representation, see the serde shim), a campaign resumed from any mix
@@ -282,9 +285,45 @@ pub struct ArchiveLoad {
     pub slots: Vec<Option<ScenarioResult>>,
     /// Records accepted.
     pub loaded: usize,
-    /// Indexed records rejected (stale version, foreign spec,
-    /// mismatched cell, or unparseable JSON); those cells re-run.
+    /// Indexed records that did not load (stale version, foreign spec,
+    /// mismatched cell, unparseable JSON, or dropped by another handle's
+    /// compaction during the read); those cells re-run.
     pub skipped: usize,
+}
+
+/// One batch's reads of one fidelity's segment store, from
+/// [`CampaignArchive::records`].
+pub(crate) struct RecordReader<'a> {
+    archive: &'a CampaignArchive,
+    spec: &'a CampaignSpec,
+    fidelity: Fidelity,
+    state: MutexGuard<'a, SegmentState>,
+    /// The segment the last read opened (see [`SegmentIndex::read`]).
+    open: Option<(u64, std::fs::File)>,
+}
+
+impl RecordReader<'_> {
+    /// Whether `cell` has a record in the index. The scan that indexed
+    /// its frame checked the frame's checksum, spec fingerprint and
+    /// record version; the payload has not been read.
+    pub(crate) fn contains(&self, cell: &ScenarioSpec) -> bool {
+        self.state.index.contains(cell.index)
+    }
+
+    /// Reads `cell`'s record and validates it against the cell, the
+    /// spec and the reader's fidelity: its metrics, or `None` when the
+    /// record is invalid or is gone (a hit whose segment another
+    /// handle compacted away heals through one index refresh).
+    pub(crate) fn read(&mut self, cell: &ScenarioSpec) -> Option<ScenarioMetrics> {
+        let payload = self
+            .state
+            .index
+            .read_refreshing(cell.index, &mut self.open)?;
+        let text = std::str::from_utf8(&payload).ok()?;
+        self.archive
+            .valid_record(self.spec, cell, text, Some(self.fidelity))
+            .map(|rec| rec.metrics)
+    }
 }
 
 /// The segment-store half of an archive handle: the in-memory index
@@ -470,20 +509,29 @@ impl CampaignArchive {
         }
     }
 
-    /// Validates one record's text against the cell it should hold.
-    fn record_from(
-        &self,
-        spec: &CampaignSpec,
-        cell: &ScenarioSpec,
-        text: &str,
-        fidelity: Option<Fidelity>,
-    ) -> Option<ScenarioResult> {
-        self.valid_record(spec, cell, text, fidelity)
-            .map(|rec| ScenarioResult {
-                scenario: rec.scenario,
-                metrics: Some(rec.metrics),
-                error: None,
-            })
+    /// A batch's reader of `fidelity`'s segment store: it answers which
+    /// of `cells` have a record, and reads and validates records through
+    /// one open segment handle. The index is refreshed only when some of
+    /// `cells` is not indexed, which may be a record another handle
+    /// appended since. The reader holds the store's lock, and its
+    /// segment handle, until it is dropped.
+    pub(crate) fn records<'a>(
+        &'a self,
+        spec: &'a CampaignSpec,
+        cells: &[ScenarioSpec],
+        fidelity: Fidelity,
+    ) -> RecordReader<'a> {
+        let mut state = self.lock(fidelity);
+        if cells.iter().any(|cell| !state.index.contains(cell.index)) {
+            let _ = state.index.refresh();
+        }
+        RecordReader {
+            archive: self,
+            spec,
+            fidelity,
+            state,
+            open: None,
+        }
     }
 
     /// Loads one cell's *fine* record, if a valid one exists (refreshing
@@ -502,12 +550,10 @@ impl CampaignArchive {
         cell: &ScenarioSpec,
         fidelity: Fidelity,
     ) -> Option<ScenarioResult> {
-        let payload = self
-            .lock(fidelity)
-            .index
-            .read_refreshing(cell.index, &mut None)?;
-        let text = std::str::from_utf8(&payload).ok()?;
-        self.record_from(spec, cell, text, Some(fidelity))
+        self.load_as(spec, std::slice::from_ref(cell), fidelity)
+            .slots
+            .pop()
+            .flatten()
     }
 
     /// Loads every valid archived record against the given cells (the
@@ -537,27 +583,18 @@ impl CampaignArchive {
         let mut slots: Vec<Option<ScenarioResult>> = vec![None; cells.len()];
         let mut loaded = 0;
         let mut skipped = 0;
-        // refresh only on a miss, which may be a record another handle
-        // appended since (a hit whose segment vanished heals in
-        // `read_refreshing`); the reads share one handle per segment
-        let mut state = self.lock(fidelity);
-        if cells.iter().any(|cell| !state.index.contains(cell.index)) {
-            let _ = state.index.refresh();
-        }
-        let mut open = None;
-        for (i, cell) in cells.iter().enumerate() {
-            if !state.index.contains(cell.index) {
+        let mut records = self.records(spec, cells, fidelity);
+        for (slot, cell) in slots.iter_mut().zip(cells) {
+            if !records.contains(cell) {
                 continue;
             }
-            let Some(payload) = state.index.read_refreshing(cell.index, &mut open) else {
-                continue; // segment vanished (compaction race): the cell re-runs
-            };
-            match std::str::from_utf8(&payload)
-                .ok()
-                .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
-            {
-                Some(result) => {
-                    slots[i] = Some(result);
+            match records.read(cell) {
+                Some(metrics) => {
+                    *slot = Some(ScenarioResult {
+                        scenario: *cell,
+                        metrics: Some(metrics),
+                        error: None,
+                    });
                     loaded += 1;
                 }
                 None => skipped += 1,
@@ -1059,8 +1096,13 @@ impl CampaignArchive {
                                     file.seek(SeekFrom::Start(frame.payload_offset)).is_ok()
                                         && file.read_exact(&mut payload).is_ok()
                                         && std::str::from_utf8(&payload).is_ok_and(|text| {
-                                            self.record_from(spec, &spec.cell_at(index), text, None)
-                                                .is_some()
+                                            self.valid_record(
+                                                spec,
+                                                &spec.cell_at(index),
+                                                text,
+                                                None,
+                                            )
+                                            .is_some()
                                         })
                                 }
                             });

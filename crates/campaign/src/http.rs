@@ -33,6 +33,10 @@ const MAX_LINE_BYTES: usize = 8 << 10;
 /// Hard cap on the number of header lines.
 const MAX_HEADERS: usize = 100;
 
+/// Bytes asked of the stream per `read` while the request head is
+/// incomplete.
+const READ_CHUNK: usize = 4 << 10;
+
 /// A parsed HTTP request: method, decoded path, decoded query pairs,
 /// lower-cased headers and the raw body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +113,8 @@ impl std::fmt::Display for HttpError {
 /// protocol violations, [`HttpError::TooLarge`] when the declared body
 /// exceeds [`MAX_BODY_BYTES`], [`HttpError::Io`] on socket failure.
 pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpError> {
-    let request_line = match read_line(stream)? {
+    let mut head = Head::default();
+    let request_line = match head.line(stream)? {
         Some(line) => line,
         None => return Err(HttpError::Closed),
     };
@@ -132,7 +137,8 @@ pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpErro
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(stream)?
+        let line = head
+            .line(stream)?
             .ok_or_else(|| HttpError::Malformed("connection closed inside headers".into()))?;
         if line.is_empty() {
             break;
@@ -164,8 +170,12 @@ pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpErro
             .and_then(|()| stream.flush())
             .map_err(HttpError::Io)?;
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| {
+    // the head's reads may have taken the body's first bytes
+    let mut body = head.rest();
+    body.truncate(content_length);
+    let buffered = body.len();
+    body.resize(content_length, 0);
+    stream.read_exact(&mut body[buffered..]).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             HttpError::Malformed("connection closed inside body".into())
         } else {
@@ -202,36 +212,58 @@ pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpErro
     })
 }
 
-/// Reads one CRLF (or bare-LF) terminated line; `None` on clean EOF
-/// before any byte.
-fn read_line<S: Read>(stream: &mut S) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Malformed("connection closed mid-line".into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line)
-                        .map(Some)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()));
-                }
-                if line.len() >= MAX_LINE_BYTES {
+/// The request head as read so far. The stream is read in chunks of
+/// [`READ_CHUNK`] bytes, not byte by byte, so bytes past the blank line
+/// that ends the head may already be buffered: they belong to the body.
+#[derive(Default)]
+struct Head {
+    buf: Vec<u8>,
+    /// Start of the first line not yet returned.
+    start: usize,
+}
+
+impl Head {
+    /// The next CRLF (or bare-LF) terminated line; `None` on clean EOF
+    /// before any byte of it.
+    fn line<S: Read>(&mut self, stream: &mut S) -> Result<Option<String>, HttpError> {
+        loop {
+            let pending = &self.buf[self.start..];
+            if let Some(end) = pending.iter().position(|&b| b == b'\n') {
+                if end > MAX_LINE_BYTES {
                     return Err(HttpError::Malformed("header line too long".into()));
                 }
-                line.push(byte[0]);
+                let line = pending[..end]
+                    .strip_suffix(b"\r")
+                    .unwrap_or(&pending[..end]);
+                let line = std::str::from_utf8(line)
+                    .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()))?
+                    .to_string();
+                self.start += end + 1;
+                return Ok(Some(line));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(HttpError::Io(e)),
+            if pending.len() > MAX_LINE_BYTES {
+                return Err(HttpError::Malformed("header line too long".into()));
+            }
+            self.buf.drain(..self.start);
+            self.start = 0;
+            let filled = self.buf.len();
+            self.buf.resize(filled + READ_CHUNK, 0);
+            let read = stream.read(&mut self.buf[filled..]);
+            self.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) if filled == 0 => return Ok(None),
+                Ok(0) => return Err(HttpError::Malformed("connection closed mid-line".into())),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(HttpError::Io(e)),
+            }
         }
+    }
+
+    /// The bytes read past the last returned line.
+    fn rest(mut self) -> Vec<u8> {
+        self.buf.drain(..self.start);
+        self.buf
     }
 }
 

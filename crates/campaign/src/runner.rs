@@ -24,9 +24,14 @@
 //!   so an always-`ON1` cell's own run is its baseline, and the tuning
 //!   siblings of a timeout or oracle cell share one run. A shared run is
 //!   *byte-identical* to the one each cell would have run itself.
-//! * **Archives** ([`crate::archive`]): completed cells persisted to a
-//!   campaign directory prefill their result slots on resume and are not
-//!   re-executed.
+//! * **Archives** ([`crate::archive`]): on resume the archive is one
+//!   more source of a run key's outcome. Each key the cache lacks reads
+//!   one record, the first of its cells' records that validates, into
+//!   the cache. Every other cell with a record of its own then takes the
+//!   key's outcome without its record being read. A cell without one,
+//!   or whose record was read and failed, is served from it, as from any
+//!   cached key. A cell whose key no other cell of the grid shares reads
+//!   its own record.
 //! * **Cross-call reuse**, only when the caller holds a [`BaselineCache`]
 //!   (the search driver across its rounds, the leased path across the
 //!   chunks of a group): a configuration any earlier call ran is served
@@ -42,6 +47,7 @@
 //!   raised the benchmark sweep's (80 cells, 200 ms) peak RSS from 6.6
 //!   to 7.9 MiB, and its fine simulations dwarf the build.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::io::IsTerminal;
@@ -281,7 +287,11 @@ impl CampaignResult {
 pub struct RunStats {
     /// Cells in the grid.
     pub total_cells: usize,
-    /// Cells satisfied from the archive (resume hits).
+    /// Cells with a record of their own in the archive (resume hits),
+    /// less any whose record was read and failed validation. Each takes
+    /// its configuration's outcome, read from one record of the
+    /// configuration's cells or found in the [`BaselineCache`], so its
+    /// own record may never be read.
     pub archived_cells: usize,
     /// Cells executed this run.
     pub executed_cells: usize,
@@ -294,8 +304,8 @@ pub struct RunStats {
     pub baseline_groups: usize,
     /// Cells served by a run made for another cell: an always-`ON1`
     /// cell by its baseline, a tuning sibling of a timeout or oracle cell
-    /// by that cell's run, and any cell whose configuration an earlier
-    /// call sharing the [`BaselineCache`] ran.
+    /// by that cell's run or by its archived record, and any cell whose
+    /// configuration an earlier call sharing the [`BaselineCache`] ran.
     pub reused_runs: usize,
     /// Coarse (analytic dwell-time) evaluations run, scenario and
     /// baseline evaluations both.
@@ -332,9 +342,9 @@ impl RunStats {
 }
 
 /// Cross-call cache of runs by run key (see the module docs) — each
-/// always-`ON1` baseline run and each finished cell's outcome — and of
-/// trace skeletons, keyed by the axes traces depend on (workload, seed,
-/// IP count).
+/// always-`ON1` baseline run and each finished or archived cell's
+/// outcome — and of trace skeletons, keyed by the axes traces depend on
+/// (workload, seed, IP count).
 ///
 /// One exhaustive sweep runs each distinct configuration exactly once; a
 /// *sequence* of partial runs over the same spec — the adaptive search
@@ -521,6 +531,13 @@ impl RunKey {
         }
     }
 
+    /// Whether other cells of `spec`'s grid share `cell`'s key: its
+    /// tuning siblings, when the key drops the tuning. A cell without
+    /// siblings gains nothing from looking its key up.
+    fn has_siblings(spec: &CampaignSpec, cell: &ScenarioSpec) -> bool {
+        cell.controller != ControllerAxis::Dpm && spec.tunings.len() > 1
+    }
+
     /// The key of this run's always-`ON1` baseline.
     fn baseline(self) -> Self {
         Self {
@@ -547,8 +564,9 @@ fn grouped<K: Copy + Eq + Hash, V>(items: impl IntoIterator<Item = (K, V)>) -> V
 }
 
 /// Shared progress line over the phases of one run: bumps a counter each
-/// time a simulation unit finishes and writes what [`progress_text`]
-/// says to stderr.
+/// time a simulation finishes and writes what [`progress_text`] says to
+/// stderr. Units that simulate nothing (a cell served by another cell's
+/// run) neither count nor tick.
 struct Progress {
     enabled: bool,
     terminal: bool,
@@ -606,6 +624,15 @@ fn outcome_of(
     let own = own.as_ref().map_err(Clone::clone)?;
     let baseline = baseline.as_ref().map_err(Clone::clone)?;
     Ok(ScenarioMetrics::from_runs(own, baseline, horizon))
+}
+
+/// A cell's result from its run key's outcome.
+fn result_of(cell: &ScenarioSpec, outcome: &Result<ScenarioMetrics, String>) -> ScenarioResult {
+    ScenarioResult {
+        scenario: *cell,
+        metrics: outcome.as_ref().ok().cloned(),
+        error: outcome.as_ref().err().cloned(),
+    }
 }
 
 /// Runs a campaign, optionally resuming from (and persisting into) an
@@ -710,19 +737,6 @@ fn run_cells_local(
     let fidelity = config.fidelity;
     let is_spec = speculative_flags(cells, config);
 
-    // resume: prefill result slots from the archive (only records of
-    // this run's fidelity satisfy the read — see `CampaignArchive`)
-    let mut slots: Vec<Option<ScenarioResult>> = match archive {
-        Some(a) => a.load_as(spec, cells, fidelity).slots,
-        None => vec![None; total],
-    };
-    // speculative archive hits count nowhere: nobody asked for the cell
-    // and no work was done
-    let archived_cells = (0..total)
-        .filter(|&i| slots[i].is_some() && !is_spec[i])
-        .count();
-    let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-
     // a one-shot run shares runs through a cache of its own that keeps
     // no trace skeletons: it builds every config from scratch, so a
     // sweep never holds every trace set in memory at once
@@ -733,6 +747,47 @@ fn run_cells_local(
         outcomes,
         skeletons,
     } = cache.unwrap_or(&mut own_cache);
+
+    // resume: the archive is one more source of a run key's outcome. A
+    // key the cache lacks takes the first of its cells' records that
+    // validates, into the cache, and every cell of the key with a record
+    // of its own takes that outcome without reading its record: the
+    // scan that indexed the record's frame checked its checksum,
+    // fingerprint and version. A cell whose record was read and failed
+    // stays missing, like a cell without a record. A cell whose key no
+    // other cell of the grid has just reads its own record. Only records
+    // of this run's fidelity count (see `CampaignArchive`).
+    let mut slots: Vec<Option<ScenarioResult>> = vec![None; total];
+    if let Some(archive) = archive {
+        let mut records = archive.records(spec, cells, fidelity);
+        for (i, cell) in cells.iter().enumerate() {
+            if !records.contains(cell) {
+                continue;
+            }
+            if !RunKey::has_siblings(spec, cell) {
+                slots[i] = records.read(cell).map(|metrics| ScenarioResult {
+                    scenario: *cell,
+                    metrics: Some(metrics),
+                    error: None,
+                });
+                continue;
+            }
+            let outcome = match outcomes.entry(RunKey::of(cell, fidelity)) {
+                Entry::Occupied(known) => known.into_mut(),
+                Entry::Vacant(unknown) => match records.read(cell) {
+                    Some(metrics) => unknown.insert(Ok(metrics)),
+                    None => continue,
+                },
+            };
+            slots[i] = Some(result_of(cell, outcome));
+        }
+    }
+    // speculative archive hits count nowhere: nobody asked for the cell
+    // and no work was done
+    let archived_cells = (0..total)
+        .filter(|&i| slots[i].is_some() && !is_spec[i])
+        .count();
+    let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
 
     // each distinct run key of the missing cells, in first-appearance
     // order, with the cells it serves; then the baselines of the keys
@@ -779,7 +834,7 @@ fn run_cells_local(
     };
 
     let pool = ThreadPool::new(config.threads);
-    let progress = Progress::new(config.progress, new_baselines.len() + runs.len());
+    let progress = Progress::new(config.progress, new_baselines.len() + own_runs);
     // one counter per (fidelity, speculative) pair; this run's
     // evaluations all land in the pair matching `config.fidelity`, with
     // prefetched runs accounted separately
@@ -791,12 +846,16 @@ fn run_cells_local(
         Fidelity::Fine => (&fine_sims, &spec_fine_sims),
         Fidelity::Coarse => (&coarse_sims, &spec_coarse_sims),
     };
-    let count_run = |served: &[usize]| {
+    // one simulation for the cells `served`: the first one's own run,
+    // or its baseline when `baseline`; counted, and ticked when done
+    let simulate = |served: &[usize], baseline: bool| {
         let counter = if speculative(served) { spec_sims } else { sims };
         counter.fetch_add(1, Ordering::Relaxed);
+        let out = configs.run(&cells[served[0]], baseline, fidelity);
+        progress.tick();
+        out.map(Arc::new)
     };
     let unit_done = || {
-        progress.tick();
         if let Some(hook) = on_unit {
             hook();
         }
@@ -808,9 +867,7 @@ fn run_cells_local(
     // panicking trace generator must fail the cells that need it, not
     // the whole campaign)
     let fresh_baselines = map_units(&pool, new_baselines.len(), |b| {
-        let served = &new_baselines[b].1;
-        count_run(served);
-        let out = configs.run(&cells[served[0]], true, fidelity).map(Arc::new);
+        let out = simulate(&new_baselines[b].1, true);
         unit_done();
         out
     });
@@ -832,19 +889,11 @@ fn run_cells_local(
             if *key == key.baseline() {
                 return outcome_of(baseline, baseline, horizon);
             }
-            count_run(served);
-            let own = configs
-                .run(&cells[served[0]], false, fidelity)
-                .map(Arc::new);
-            outcome_of(&own, baseline, horizon)
+            outcome_of(&simulate(served, false), baseline, horizon)
         });
         let results: Vec<ScenarioResult> = served
             .iter()
-            .map(|&i| ScenarioResult {
-                scenario: cells[i],
-                metrics: outcome.as_ref().ok().cloned(),
-                error: outcome.as_ref().err().cloned(),
-            })
+            .map(|&i| result_of(&cells[i], &outcome))
             .collect();
         if let Some(a) = archive {
             for result in &results {

@@ -2,7 +2,7 @@
 //! real requests, every substitution of a structural byte at every
 //! offset, and a handful of hand-picked hostile requests read to `Ok` or
 //! `Err` — never a panic, which would take down a `dpm serve` handler
-//! thread.
+//! thread. A request is read in a few `read` calls, not one per byte.
 
 use std::io::{Cursor, Read, Write};
 
@@ -63,6 +63,79 @@ fn read(bytes: &[u8]) -> Result<dpm_campaign::http::Request, HttpError> {
                 String::from_utf8_lossy(bytes)
             )
         })
+}
+
+/// A connection that hands out at most `per_read` bytes per `read` and
+/// counts the calls.
+struct Metered {
+    pipe: Pipe,
+    per_read: usize,
+    reads: usize,
+}
+
+impl Metered {
+    fn new(bytes: &[u8], per_read: usize) -> Self {
+        Self {
+            pipe: Pipe {
+                input: Cursor::new(bytes.to_vec()),
+                output: Vec::new(),
+            },
+            per_read,
+            reads: 0,
+        }
+    }
+}
+
+impl Read for Metered {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        let n = buf.len().min(self.per_read);
+        self.pipe.read(&mut buf[..n])
+    }
+}
+
+impl Write for Metered {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.pipe.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_post_is_read_in_a_few_calls_not_one_per_byte() {
+    let spec = "# comment line of a spec body\n".repeat(2_000);
+    let big = format!(
+        "POST /campaigns HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{spec}",
+        spec.len()
+    );
+    for (request, body) in [
+        (POST, &b"name = \"x\"\n"[..]),
+        (big.as_bytes(), spec.as_bytes()),
+    ] {
+        let mut wire = Metered::new(request, usize::MAX);
+        let parsed = read_request(&mut wire).expect("the POST parses");
+        assert_eq!(parsed.body, body);
+        assert!(
+            wire.reads <= 4,
+            "{} reads for {} bytes",
+            wire.reads,
+            request.len()
+        );
+
+        // a peer that sends one byte at a time gets the same request
+        let mut trickle = Metered::new(request, 1);
+        assert_eq!(
+            read_request(&mut trickle).expect("the trickled POST parses"),
+            parsed
+        );
+        assert_eq!(
+            trickle.pipe.output, wire.pipe.output,
+            "the same interim reply"
+        );
+    }
 }
 
 #[test]

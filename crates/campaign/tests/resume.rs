@@ -1,13 +1,16 @@
 //! Archive round-trip contract: resuming a campaign from any partial
 //! archive yields the **byte-identical** aggregate a cold run produces,
-//! for any thread count.
+//! for any thread count. A resume reads one record per configuration,
+//! and the tuning siblings sharing it run nothing.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
     campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignArchive, CampaignResult,
-    CampaignSpec, ControllerAxis, RunnerConfig, ThermalAxis, TuningAxis, WorkloadAxis,
+    CampaignSpec, ControllerAxis, RunnerConfig, ScenarioMetrics, ScenarioResult, ScenarioSpec,
+    ThermalAxis, TuningAxis, WorkloadAxis,
 };
 use proptest::prelude::*;
 
@@ -151,6 +154,217 @@ fn broken_archive_mid_run_keeps_the_results() {
     let cold = run_campaign_with(&spec, &config(1), None).unwrap();
     assert_eq!(run.result, cold.result, "results survive archive failure");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every controller kind but a second timeout, at two tunings: the
+/// tuning siblings of an `always_on`, timeout or `oracle` cell share
+/// one run, and a `dpm` cell's run is its own.
+fn sibling_spec() -> CampaignSpec {
+    CampaignSpec {
+        name: "siblings".into(),
+        horizon_ms: 6,
+        master_seed: 0x51B_2005,
+        initial_soc: 0.9,
+        controllers: vec![
+            ControllerAxis::Dpm,
+            ControllerAxis::AlwaysOn,
+            ControllerAxis::Timeout500us,
+            ControllerAxis::Oracle,
+        ],
+        tunings: vec![TuningAxis::Paper, TuningAxis::Eager],
+        workloads: vec![WorkloadAxis::Low],
+        seeds: vec![1, 2],
+        batteries: vec![BatteryAxis::Linear],
+        thermals: vec![ThermalAxis::Cool],
+        ip_counts: vec![1],
+    }
+}
+
+/// The configuration a cell runs: its axes, with the tuning dropped
+/// unless the controller is `dpm`.
+type Configuration = (
+    ControllerAxis,
+    Option<TuningAxis>,
+    WorkloadAxis,
+    u64,
+    BatteryAxis,
+    ThermalAxis,
+    usize,
+);
+
+fn configuration(cell: &ScenarioSpec) -> Configuration {
+    (
+        cell.controller,
+        (cell.controller == ControllerAxis::Dpm).then_some(cell.tuning),
+        cell.workload,
+        cell.seed,
+        cell.battery,
+        cell.thermal,
+        cell.ip_count,
+    )
+}
+
+/// Simulations a resume needs when the configurations in `resolved`
+/// are known from the archive: each other configuration runs once, and
+/// so does the always-`ON1` baseline of each (an always-`ON1` run is
+/// its own baseline).
+fn simulations_needed(spec: &CampaignSpec, resolved: &HashSet<Configuration>) -> usize {
+    let unresolved: HashSet<Configuration> = spec
+        .expand()
+        .iter()
+        .map(configuration)
+        .filter(|c| !resolved.contains(c))
+        .collect();
+    let baselines: HashSet<Configuration> = unresolved
+        .iter()
+        .map(|&(_, _, workload, seed, battery, thermal, ips)| {
+            (
+                ControllerAxis::AlwaysOn,
+                None,
+                workload,
+                seed,
+                battery,
+                thermal,
+                ips,
+            )
+        })
+        .collect();
+    let own = unresolved
+        .iter()
+        .filter(|c| c.0 != ControllerAxis::AlwaysOn)
+        .count();
+    own + baselines.len()
+}
+
+#[test]
+fn one_tunings_records_serve_their_siblings() {
+    let spec = sibling_spec();
+    let cold = run_campaign_with(&spec, &config(1), None).unwrap();
+    let reference = archive_bytes(&cold.result);
+    let stored: Vec<&ScenarioResult> = cold
+        .result
+        .results
+        .iter()
+        .filter(|r| r.scenario.tuning == TuningAxis::Paper)
+        .collect();
+    let resolved: HashSet<Configuration> =
+        stored.iter().map(|r| configuration(&r.scenario)).collect();
+    let needed = simulations_needed(&spec, &resolved);
+    // the two eager `dpm` runs and their two baselines; a resume that
+    // ran every cell without a record would also run the eager
+    // timeout and oracle cells
+    assert_eq!(needed, 4);
+
+    for threads in [1, 2] {
+        let dir = scratch_dir();
+        let archive = CampaignArchive::open(&dir, &spec).unwrap();
+        for r in &stored {
+            archive.store(&spec, r).unwrap();
+        }
+        let resumed = run_campaign_with(&spec, &config(threads), Some(&archive)).unwrap();
+        assert_eq!(
+            archive_bytes(&resumed.result),
+            reference,
+            "{threads} threads"
+        );
+        assert_eq!(resumed.stats.archived_cells, stored.len());
+        assert_eq!(
+            resumed.stats.executed_cells,
+            spec.scenario_count() - stored.len()
+        );
+        assert_eq!(resumed.stats.simulations, needed, "{threads} threads");
+
+        // the cells served from a sibling's record were stored: a second
+        // resume runs nothing
+        let again = run_campaign_with(&spec, &config(threads), Some(&archive)).unwrap();
+        assert_eq!(again.stats.simulations, 0);
+        assert_eq!(again.result, cold.result);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A record for `cell`'s grid index that fails validation: it describes
+/// another tuning, with metrics no run produces.
+fn forged(cell: &ScenarioSpec) -> ScenarioResult {
+    let tuning = if cell.tuning == TuningAxis::Paper {
+        TuningAxis::Eager
+    } else {
+        TuningAxis::Paper
+    };
+    ScenarioResult {
+        scenario: ScenarioSpec { tuning, ..*cell },
+        metrics: Some(ScenarioMetrics {
+            completed: 7,
+            total_tasks: 7,
+            deferred: 0,
+            energy_j: 1.0e9,
+            baseline_energy_j: 1.0e9,
+            energy_saving_pct: 99.0,
+            temp_reduction_pct: 99.0,
+            delay_overhead_pct: 0.0,
+            mean_latency_us: 1.0,
+            max_temp_c: 1.0,
+            final_soc: 1.0,
+            low_power_frac: 1.0,
+        }),
+        error: None,
+    }
+}
+
+#[test]
+fn a_record_failing_validation_falls_back_to_a_siblings() {
+    let spec = sibling_spec();
+    let cold = run_campaign_with(&spec, &config(1), None).unwrap();
+    let siblings = |controller, seed| -> Vec<ScenarioSpec> {
+        spec.expand()
+            .into_iter()
+            .filter(|c| c.controller == controller && c.seed == seed)
+            .collect()
+    };
+    // the timeout configuration's first cell holds a bad record and its
+    // sibling a good one; both oracle cells of seed 2 hold bad records
+    let fallback = siblings(ControllerAxis::Timeout500us, 1);
+    let unusable = siblings(ControllerAxis::Oracle, 2);
+    assert_eq!((fallback.len(), unusable.len()), (2, 2));
+    let forged_cells: Vec<usize> = [fallback[0], unusable[0], unusable[1]]
+        .iter()
+        .map(|c| c.index)
+        .collect();
+    // the oracle configuration and its baseline run again
+    let resolved: HashSet<Configuration> = spec
+        .expand()
+        .iter()
+        .filter(|c| !unusable.contains(c))
+        .map(configuration)
+        .collect();
+    assert_eq!(simulations_needed(&spec, &resolved), 2);
+
+    for threads in [1, 2] {
+        let dir = scratch_dir();
+        let archive = CampaignArchive::open(&dir, &spec).unwrap();
+        for r in &cold.result.results {
+            if forged_cells.contains(&r.scenario.index) {
+                archive.store(&spec, &forged(&r.scenario)).unwrap();
+            } else {
+                archive.store(&spec, r).unwrap();
+            }
+        }
+        assert!(archive.load_cell(&spec, &fallback[0]).is_none());
+
+        let resumed = run_campaign_with(&spec, &config(threads), Some(&archive)).unwrap();
+        assert_eq!(
+            archive_bytes(&resumed.result),
+            archive_bytes(&cold.result),
+            "a bad record leaked into the results on {threads} threads"
+        );
+        // the timeout cell with the bad record is served its sibling's
+        // outcome without a simulation; the oracle cells, without a good
+        // record, run
+        assert_eq!(resumed.stats.archived_cells, spec.scenario_count() - 3);
+        assert_eq!(resumed.stats.executed_cells, 3);
+        assert_eq!(resumed.stats.simulations, 2, "{threads} threads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 proptest! {

@@ -126,7 +126,7 @@ pub mod collection {
     use core::ops::Range;
     use rand::RngExt;
 
-    /// Length specification for [`vec`]: a half-open range or an exact
+    /// Length specification for [`vec()`]: a half-open range or an exact
     /// count.
     #[derive(Clone)]
     pub struct SizeRange(Range<usize>);
@@ -151,7 +151,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -25,6 +25,7 @@ use dpm_workload::{BurstyGenerator, Dist, PriorityWeights, TaskTrace, TraceGener
 
 use crate::build::build_soc;
 use crate::config::{ControllerKind, IpConfig, LemTuning, SocConfig, ThermalScenario};
+use crate::ip::TaskRecord;
 use crate::metrics::{collect_metrics, SocMetrics};
 
 /// The six simulations of the paper's Table 2.
@@ -256,15 +257,20 @@ pub fn table2_row(dpm: &SocMetrics, baseline: &SocMetrics) -> Table2Row {
     } else {
         0.0
     };
-    // join on (ip, task id): only tasks completed in both runs
+    // join on (ip, task id): only tasks completed in both runs. Each
+    // IP's records are in increasing task-id order (`IpMetrics::records`),
+    // so a merge pairs them in one pass, summing in the DPM run's order
     let mut sum_d = 0.0f64;
     let mut sum_b = 0.0f64;
     let mut joined = 0usize;
     for (ip_d, ip_b) in dpm.per_ip.iter().zip(&baseline.per_ip) {
+        debug_assert!(in_id_order(&ip_d.records) && in_id_order(&ip_b.records));
+        let mut base = ip_b.records.iter().peekable();
         for rec in &ip_d.records {
-            if let Some(lat_b) = ip_b.latency_of(rec.spec.id) {
+            while base.next_if(|b| b.spec.id < rec.spec.id).is_some() {}
+            if let Some(b) = base.next_if(|b| b.spec.id == rec.spec.id) {
                 sum_d += rec.latency().as_secs_f64();
-                sum_b += lat_b.as_secs_f64();
+                sum_b += b.latency().as_secs_f64();
                 joined += 1;
             }
         }
@@ -281,6 +287,11 @@ pub fn table2_row(dpm: &SocMetrics, baseline: &SocMetrics) -> Table2Row {
         completed: (dpm.completed(), baseline.completed()),
         deferred: dpm.total_tasks() - dpm.completed(),
     }
+}
+
+/// Whether task records are in strictly increasing task-id order.
+fn in_id_order(records: &[TaskRecord]) -> bool {
+    records.windows(2).all(|w| w[0].spec.id < w[1].spec.id)
 }
 
 /// Runs a full scenario: DPM + baseline on the identical trace.
@@ -349,5 +360,51 @@ mod tests {
         assert!(row.delay_overhead_pct >= 0.0, "{}", row.delay_overhead_pct);
         assert!(row.temp_reduction_pct > 0.0);
         assert_eq!(row.completed.0, row.completed.1, "A1 completes everything");
+    }
+
+    #[test]
+    fn the_merge_join_sums_what_a_lookup_join_sums() {
+        // the reference: a lookup join, summing in the DPM run's record
+        // order
+        let lookup = |dpm: &SocMetrics, baseline: &SocMetrics| {
+            let (mut sum_d, mut sum_b) = (0.0f64, 0.0f64);
+            for (ip_d, ip_b) in dpm.per_ip.iter().zip(&baseline.per_ip) {
+                for rec in &ip_d.records {
+                    if let Some(b) = ip_b.records.iter().find(|b| b.spec.id == rec.spec.id) {
+                        sum_d += rec.latency().as_secs_f64();
+                        sum_b += b.latency().as_secs_f64();
+                    }
+                }
+            }
+            (sum_d / sum_b - 1.0) * 100.0
+        };
+        // every `k`-th record of each IP dropped, leaving gaps for the
+        // merge to skip
+        let thinned = |metrics: &SocMetrics, k: usize| {
+            let mut metrics = metrics.clone();
+            for ip in &mut metrics.per_ip {
+                let mut n = 0;
+                ip.records.retain(|_| {
+                    n += 1;
+                    n % k != 0
+                });
+            }
+            metrics
+        };
+        // B's DPM run completes fewer tasks than its baseline
+        let ScenarioOutcome { dpm, baseline, .. } = run_scenario(ScenarioId::B);
+        assert!(dpm.completed() < baseline.completed());
+        let (dpm_gaps, baseline_gaps) = (thinned(&dpm, 3), thinned(&baseline, 5));
+        for (d, b) in [
+            (&dpm, &baseline),
+            (&dpm_gaps, &baseline),
+            (&dpm, &baseline_gaps),
+            (&dpm_gaps, &baseline_gaps),
+        ] {
+            assert_eq!(
+                table2_row(d, b).delay_overhead_pct.to_bits(),
+                lookup(d, b).to_bits()
+            );
+        }
     }
 }

@@ -6,7 +6,6 @@ use dpm_kernel::Simulation;
 use dpm_power::PowerState;
 use dpm_thermal::ThermalMonitor;
 use dpm_units::{Celsius, Energy, SimDuration, SimTime};
-use dpm_workload::TaskId;
 
 use crate::build::SocHandles;
 use crate::config::ControllerKind;
@@ -17,7 +16,10 @@ use crate::ip::{IpBlock, TaskRecord};
 pub struct IpMetrics {
     /// Instance name.
     pub name: String,
-    /// Per-task records of completed tasks.
+    /// Per-task records of completed tasks, in strictly increasing
+    /// task-id order: trace ids increase with arrival, and an IP serves
+    /// its queue first-in first-out, in the kernel and in the coarse
+    /// walk alike. Table 2's delay join relies on this order.
     pub records: Vec<TaskRecord>,
     /// Tasks in the trace (arrived or to arrive).
     pub trace_len: usize,
@@ -44,14 +46,6 @@ impl IpMetrics {
         }
         let total: SimDuration = self.records.iter().map(|r| r.latency()).sum();
         Some(total / self.records.len() as u64)
-    }
-
-    /// Latency of a specific task, if it completed.
-    pub fn latency_of(&self, id: TaskId) -> Option<SimDuration> {
-        self.records
-            .iter()
-            .find(|r| r.spec.id == id)
-            .map(|r| r.latency())
     }
 
     /// Total energy including this IP's share of transition costs.
