@@ -1,10 +1,11 @@
-//! Per-scenario campaign archives: resumable sweeps, plus the work
-//! leases through which `dpm serve` executor slots claim cells.
+//! Per-scenario campaign archives: resumable sweeps, plus lease records
+//! that claim whole baseline groups.
 //!
-//! A campaign directory holds the spec that produced it, one versioned
-//! record per completed grid cell — appended as a checksummed `DPS1`
-//! frame to a segment file — and the work leases of any in-flight
-//! leased run:
+//! A campaign directory holds the spec that produced it and one
+//! versioned record per completed grid cell, appended as a checksummed
+//! `DPS1` frame to a segment file. A `leases/` directory appears only
+//! when something claims a group through [`CampaignArchive::try_claim`];
+//! no run path does:
 //!
 //! ```text
 //! <dir>/
@@ -14,7 +15,7 @@
 //!     seg-0001.log
 //!   segments-coarse/       # the same, for coarse (screening) records
 //!   leases/
-//!     group-00003.lease    # one LeaseRecord per in-flight baseline group
+//!     group-00003.lease    # one LeaseRecord per claimed baseline group
 //! ```
 //!
 //! Records are **appended to segment files** — length-prefixed,
@@ -41,34 +42,28 @@
 //! of archived and fresh cells aggregates to the **byte-identical**
 //! report a cold run produces.
 //!
-//! # Work leases
+//! Results are never corrupted: a process killed mid-append leaves a
+//! torn tail that every scan skips (that cell simply re-runs), so no
+//! reader ever loads a truncated record. Two processes appending to one
+//! directory stay correct, because each writes its own segment and the
+//! index keeps the first frame of a cell; they only duplicate work.
 //!
-//! Campaigns run in one process. A `dpm serve` executor slot drains its
-//! campaign through [`crate::runner::run_campaign_leased`], which claims
-//! work through **lease records**: claim files created with `O_EXCL`
-//! semantics (`create_new`), carrying the holder id, the spec
-//! fingerprint and a heartbeat timestamp. The claim unit is a whole
-//! **baseline group** ([`CampaignSpec::group_of`]: the cells sharing
-//! every axis an always-`ON1` baseline depends on), so any number of
-//! leased runs over one directory simulate each group's shared baseline
-//! exactly once, and their summed work equals a single run.
+//! # Lease records
 //!
-//! Failure semantics, in order of importance:
-//!
-//! * **Results are never corrupted.** Cell records are appended as
-//!   length-prefixed, checksummed frames: a process killed mid-append
-//!   leaves a torn tail that every scan skips (that cell simply re-runs),
-//!   so no reader ever loads a truncated record, and a holder dying
-//!   mid-cell leaves a reclaimable lease.
-//! * **Work is never lost.** A lease whose heartbeat is older than the
-//!   TTL is *stale*: any leased run may take it over (atomic rename to a
-//!   per-claimant tombstone, then a fresh `create_new`) and re-run the
-//!   group's missing cells.
-//! * **Duplication is bounded, not impossible.** Staleness is judged
-//!   from a clock, so a pathologically delayed holder and its reclaimer
-//!   can overlap; both then store the byte-identical record (simulations
-//!   are deterministic), wasting work but changing nothing. Leases are a
-//!   work-partitioning mechanism; correctness never depends on them.
+//! Campaigns run in one process, and no run path claims work: a `dpm
+//! serve` executor slot runs its campaign group by group through
+//! [`crate::runner::run_cells_with`]. The lease primitives stay for the
+//! archive's own guards and tools: [`CampaignArchive::try_claim`] creates
+//! a claim file with `O_EXCL` semantics (`create_new`) holding the
+//! holder id, the spec fingerprint and a heartbeat timestamp for a
+//! whole **baseline group** ([`CampaignSpec::group_of`]), and
+//! [`CampaignArchive::release`] removes it. A lease whose heartbeat is
+//! older than the TTL is *stale*: the next claimant takes it over
+//! (atomic rename to a per-claimant tombstone, then a fresh
+//! `create_new`). [`CampaignArchive::compact`] refuses while an
+//! unexpired lease exists, [`CampaignArchive::gc`] sweeps expired ones,
+//! and [`CampaignArchive::cell_states`] reports a cell of a live lease's
+//! group as [`CellState::Leased`].
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -86,19 +81,12 @@ pub const ARCHIVE_VERSION: u32 = 1;
 /// Leases with any other version are treated as stale (reclaimable).
 pub const LEASE_VERSION: u32 = 1;
 
-/// Default lease time-to-live. Holders refresh their heartbeat as each
-/// cell of a claimed group finishes (throttled to a quarter TTL), so
-/// the TTL only needs to comfortably exceed one **simulation** — not a
-/// whole chunk or group; an expired lease only risks duplicated work,
-/// never wrong results.
+/// Default lease time-to-live: a lease whose heartbeat is older is
+/// stale and may be taken over.
 pub const DEFAULT_LEASE_TTL_MS: u64 = 60_000;
 
-/// Default interval between archive polls while waiting for cells that
-/// another holder claimed.
-pub const DEFAULT_LEASE_POLL_MS: u64 = 20;
-
 /// Milliseconds since the Unix epoch (the lease heartbeat clock).
-pub(crate) fn epoch_ms() -> u64 {
+fn epoch_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64)
@@ -154,20 +142,18 @@ pub struct LeaseRecord {
     pub group: usize,
     /// Unique id of the claiming worker.
     pub holder: String,
-    /// Milliseconds since the Unix epoch at claim/refresh time; a lease
-    /// older than the TTL is stale and may be taken over.
+    /// Milliseconds since the Unix epoch at claim time; a lease older
+    /// than the TTL is stale and may be taken over.
     pub heartbeat_ms: u64,
 }
 
-/// Lease parameters of one leased run (see the module docs).
+/// Lease parameters of one claimant (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseConfig {
-    /// Unique id of this worker (holder of its leases).
+    /// Unique id of this claimant (holder of its leases).
     pub holder: String,
     /// Heartbeats older than this are stale and reclaimable.
     pub ttl_ms: u64,
-    /// Interval between archive polls while waiting on foreign cells.
-    pub poll_ms: u64,
 }
 
 impl LeaseConfig {
@@ -183,7 +169,6 @@ impl LeaseConfig {
                 epoch_ms(),
             ),
             ttl_ms: DEFAULT_LEASE_TTL_MS,
-            poll_ms: DEFAULT_LEASE_POLL_MS,
         }
     }
 }
@@ -260,8 +245,8 @@ pub struct GcReport {
     pub leases_removed: usize,
     /// Orphaned temporary files removed: interrupted compaction and
     /// spec writes (`*.tmp`), empty or recordless segment files, and
-    /// heartbeat refresh files (`*.refresh-PID-SEQ`) left behind by
-    /// killed workers.
+    /// heartbeat refresh files (`*.refresh-PID-SEQ`) that earlier
+    /// versions left behind when killed.
     pub tmp_removed: usize,
 }
 
@@ -704,9 +689,11 @@ impl CampaignArchive {
     /// a worker may append records during the compaction window, and
     /// those appends would be silently discarded with the old segments —
     /// the cells would re-run byte-identically later, but as wasted,
-    /// surprising work (and under `dpm serve`, behind the operator's
-    /// back). Wait for the leases to expire or be released (or clear
-    /// stale ones with `campaign gc`) and retry.
+    /// surprising work. Wait for the leases to expire or be released (or
+    /// clear stale ones with `campaign gc`) and retry. A writer that
+    /// holds no lease is not seen here: `dpm serve` runs its campaigns
+    /// without leases, so it refuses `POST /campaigns/{id}/compact`
+    /// itself while the campaign is queued or running.
     ///
     /// The report totals cover the fine and the coarse store combined.
     ///
@@ -972,35 +959,6 @@ impl CampaignArchive {
         Ok(None)
     }
 
-    /// Refreshes a held lease's heartbeat (temp file + atomic rename, so
-    /// readers never see a torn record).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the refreshed lease cannot be written.
-    pub fn refresh(&self, lease: &WorkLease, config: &LeaseConfig) -> Result<(), String> {
-        let record = LeaseRecord {
-            lease_version: LEASE_VERSION,
-            spec_fingerprint: self.fingerprint,
-            group: lease.group,
-            holder: config.holder.clone(),
-            heartbeat_ms: epoch_ms(),
-        };
-        let json = serde_json::to_string(&record).map_err(|e| e.to_string())?;
-        // the temp name carries a per-process sequence number: refreshes
-        // can now fire from worker threads as cells finish, and two
-        // in-flight refreshes must not share a temp file
-        static REFRESH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = lease.path.with_extension(format!(
-            "refresh-{}-{}",
-            std::process::id(),
-            REFRESH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        ));
-        std::fs::write(&tmp, &json).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &lease.path)
-            .map_err(|e| format!("cannot refresh {}: {e}", lease.path.display()))
-    }
-
     /// Releases a held lease. Best-effort: the group's records exist by
     /// now, so a lingering lease file only delays (never blocks) other
     /// workers — they reclaim it after the TTL.
@@ -1150,8 +1108,8 @@ impl CampaignArchive {
                     remove(&path)?;
                     report.leases_removed += 1;
                 }
-                // refresh heartbeat files are temp files (tmp + rename),
-                // orphaned when their writer is killed mid-refresh
+                // heartbeat-refresh temp files (tmp + rename), which
+                // earlier versions orphaned when killed mid-refresh
                 None if name.contains(".refresh-") => {
                     remove(&path)?;
                     report.tmp_removed += 1;
@@ -1297,7 +1255,6 @@ mod tests {
     fn test_lease() -> LeaseConfig {
         LeaseConfig {
             ttl_ms: 60_000,
-            poll_ms: 1,
             ..LeaseConfig::for_process()
         }
     }
@@ -1425,27 +1382,10 @@ mod tests {
         let hostile = LeaseConfig {
             holder: "host/worker\\1".into(),
             ttl_ms: 1_000,
-            ..LeaseConfig::for_process()
         };
         let lease = archive.try_claim(0, &hostile).unwrap();
         assert!(lease.is_some(), "sanitized tombstone must allow takeover");
         archive.release(lease.unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn refresh_keeps_a_lease_alive() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("refresh");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let cfg = test_lease();
-        let lease = archive.try_claim(1, &cfg).unwrap().expect("claimed");
-        archive.refresh(&lease, &cfg).unwrap();
-        assert!(matches!(
-            archive.lease_state(1, cfg.ttl_ms),
-            LeaseState::Held { .. }
-        ));
-        archive.release(lease);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

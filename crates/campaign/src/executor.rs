@@ -67,9 +67,8 @@ impl ThreadPool {
 
     /// The pool's width: `threads`, or the machine's available
     /// parallelism when `threads` is 0. [`Self::execute`] caps it at the
-    /// unit count and runs inline at width 1; the leased runner sizes its
-    /// chunks by it, and [`crate::search::drive_strategy`] its prefetch
-    /// slots.
+    /// unit count and runs inline at width 1, and
+    /// [`crate::search::drive_strategy`] sizes its prefetch slots by it.
     pub fn parallelism(&self) -> usize {
         if self.threads > 0 {
             self.threads

@@ -11,8 +11,8 @@
 //! |-------|--------|----------|
 //! | spec | [`spec`] | [`CampaignSpec`] grid, named axes, cartesian expansion |
 //! | executor | [`executor`] | the in-process scoped-thread pool |
-//! | runner | [`runner`] | work-unit dispatch, one run per distinct configuration, panic isolation, lease loop |
-//! | archive | [`archive`] | cell records, work leases, gc/compaction |
+//! | runner | [`runner`] | work-unit dispatch, one run per distinct configuration, panic isolation |
+//! | archive | [`archive`] | cell records, lease records, gc/compaction |
 //! | segments | `segment` | append-only segment files: checksummed frames + in-memory index |
 //! | objective | [`objective`] | search objectives: metric, direction, constraints, Pareto dominance |
 //! | search | [`search`] | pluggable budgeted strategies: climb, simulated annealing, Pareto fronts |
@@ -41,15 +41,12 @@
 //!    thread would.
 //! 2. **Batches** ([`runner::run_cells_with`]): resume-from-archive,
 //!    one run per distinct configuration and panic isolation around a
-//!    set of cells —
-//!    the per-round primitive of [`search::drive_strategy`], always in
-//!    one process.
-//! 3. **Campaigns**, always in one process: `campaign run` calls
-//!    [`runner::run_campaign_with`] directly, and each `dpm serve`
-//!    executor slot calls [`runner::run_campaign_leased`], which claims
-//!    whole baseline groups through atomic lease records
-//!    ([`archive::LeaseConfig`]) and polls the archive for cells another
-//!    holder claimed ([`archive`] has the failure semantics).
+//!    set of cells — the one execution path, always in one process.
+//! 3. **Campaigns**, as batches: `campaign run` calls
+//!    [`runner::run_campaign_with`] (one batch of the whole grid),
+//!    [`search::drive_strategy`] one batch per round, and each `dpm
+//!    serve` executor slot one batch per baseline group, checking for
+//!    shutdown between groups ([`server`]).
 //!
 //! # Quickstart
 //!
@@ -91,8 +88,8 @@ pub use aggregate::{
 };
 pub use archive::{
     spec_fingerprint, ArchiveLoad, CampaignArchive, CellRecord, CellState, CompactReport, GcReport,
-    LeaseConfig, LeaseRecord, LeaseState, WorkLease, ARCHIVE_VERSION, DEFAULT_LEASE_POLL_MS,
-    DEFAULT_LEASE_TTL_MS, LEASE_VERSION,
+    LeaseConfig, LeaseRecord, LeaseState, WorkLease, ARCHIVE_VERSION, DEFAULT_LEASE_TTL_MS,
+    LEASE_VERSION,
 };
 pub use executor::{map_units, ThreadPool};
 pub use objective::{
@@ -104,9 +101,8 @@ pub use report::{
     run_stats_line, search_ascii, search_json, search_markdown,
 };
 pub use runner::{
-    run_campaign, run_campaign_leased, run_campaign_with, run_cells_with, run_scenario_cell,
-    BaselineCache, CampaignResult, CampaignRun, Fidelity, RunStats, RunnerConfig, ScenarioMetrics,
-    ScenarioResult, RUN_CANCELLED,
+    run_campaign, run_campaign_with, run_cells_with, run_scenario_cell, BaselineCache,
+    CampaignResult, CampaignRun, Fidelity, RunStats, RunnerConfig, ScenarioMetrics, ScenarioResult,
 };
 pub use search::{
     drive_strategy, pareto_campaign, search_campaign, AnnealSchedule, AnnealStrategy,

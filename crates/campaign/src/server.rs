@@ -1,5 +1,5 @@
 //! The `dpm serve` daemon: a long-running campaign service with an
-//! HTTP/JSON job API over the lease/archive layer.
+//! HTTP/JSON job API over the archive layer.
 //!
 //! The daemon owns a [`CampaignStore`] root and exposes it over the
 //! [`crate::http`] core:
@@ -14,9 +14,9 @@
 //! | `GET`  | `/campaigns/{id}/pareto` | non-dominated front under `?objectives=a,b` |
 //! | `GET`  | `/campaigns/{id}/events` | chunked NDJSON long-poll of cell completions |
 //! | `POST` | `/campaigns/{id}/gc` | archive hygiene, returns the [`GcReport`] |
-//! | `POST` | `/campaigns/{id}/compact` | rewrite the archive into one segment, returns the [`crate::archive::CompactReport`] |
+//! | `POST` | `/campaigns/{id}/compact` | rewrite the archive into one segment, returns the [`crate::archive::CompactReport`]; `409` while the campaign is queued or running |
 //! | `GET`  | `/healthz` | liveness probe |
-//! | `POST` | `/shutdown` | graceful shutdown (drain in-flight groups, release leases) |
+//! | `POST` | `/shutdown` | graceful shutdown (each slot finishes its current baseline group) |
 //!
 //! Three invariants carry over from the batch layers unchanged:
 //!
@@ -29,11 +29,15 @@
 //!   fresh simulations — a `GET` cannot start a simulation — and the
 //!   report bytes are identical to `dpm campaign run` on the same spec.
 //! * **A campaign runs on one slot at a time.** `enqueue` refuses a
-//!   campaign that is already queued or running, and the slot drains it
-//!   through [`run_campaign_leased`] in this process, so a slot never
-//!   waits on another party's lease. The daemon runs only campaigns
-//!   POSTed to it; a campaign left in the store by anyone else stays as
-//!   it is until submitted.
+//!   campaign that is already queued or running, and the slot runs it
+//!   one baseline group at a time through [`run_cells_with`], checking
+//!   for shutdown between groups, so a drained daemon leaves each group
+//!   fully archived or untouched. The slot takes no lease; the daemon's
+//!   own job board keeps compaction off a campaign it is running. The
+//!   daemon runs only campaigns POSTed to it; a campaign left in the
+//!   store by anyone else stays as it is until submitted. Two daemons
+//!   sharing one store each run what is POSTed to them: they duplicate
+//!   work but write identical records.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,14 +45,15 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::archive::{GcReport, LeaseConfig, DEFAULT_LEASE_TTL_MS};
+use crate::archive::{CampaignArchive, GcReport, DEFAULT_LEASE_TTL_MS};
 use crate::http::{
     error_body, read_request, write_error, write_json, BoundedPool, ChunkedWriter, HttpError,
     Request,
 };
 use crate::objective::{Constraint, MultiObjective, Objective};
 use crate::report::run_stats_line;
-use crate::runner::{run_campaign_leased, RunnerConfig, RUN_CANCELLED};
+use crate::runner::{run_cells_with, BaselineCache, RunStats, RunnerConfig};
+use crate::spec::{CampaignSpec, ScenarioSpec};
 use crate::store::{completed_run, grid_json, report_json, status_of, CampaignStore};
 use crate::toml_spec::SearchDefaults;
 
@@ -94,7 +99,7 @@ impl Default for ServeOptions {
 enum JobStatus {
     /// Waiting for an executor slot.
     Queued,
-    /// An executor slot is driving `run_campaign_leased` on it.
+    /// An executor slot is running it, group by group.
     Running,
     /// Every cell archived.
     Complete,
@@ -106,6 +111,11 @@ enum JobStatus {
 }
 
 impl JobStatus {
+    /// Queued or running: a slot has the campaign or will take it.
+    fn is_active(&self) -> bool {
+        matches!(self, JobStatus::Queued | JobStatus::Running)
+    }
+
     fn label(&self) -> &'static str {
         match self {
             JobStatus::Queued => "queued",
@@ -143,7 +153,8 @@ struct ServerState {
     addr: SocketAddr,
     /// Accept no new work; flips once, never back.
     shutdown: AtomicBool,
-    /// Cooperative cancel for in-flight runs (drain current group).
+    /// Cooperative cancel for in-flight runs, checked between baseline
+    /// groups.
     cancel: AtomicBool,
     jobs: Mutex<JobBoard>,
     jobs_ready: Condvar,
@@ -172,10 +183,8 @@ impl ServerState {
     /// queued or running. Returns the status label after the attempt.
     fn enqueue(&self, id: &str) -> &'static str {
         let mut jobs = self.jobs.lock().expect("job board poisoned");
-        match jobs.status.get(id) {
-            Some(JobStatus::Queued) => return JobStatus::Queued.label(),
-            Some(JobStatus::Running) => return JobStatus::Running.label(),
-            _ => {}
+        if let Some(job) = jobs.status.get(id).filter(|job| job.is_active()) {
+            return job.label();
         }
         jobs.status.insert(id.to_string(), JobStatus::Queued);
         jobs.queue.push_back(id.to_string());
@@ -188,6 +197,11 @@ impl ServerState {
         jobs.status.get(id).map_or("none", JobStatus::label)
     }
 
+    fn job_active(&self, id: &str) -> bool {
+        let jobs = self.jobs.lock().expect("job board poisoned");
+        jobs.status.get(id).is_some_and(JobStatus::is_active)
+    }
+
     fn set_status(&self, id: &str, status: JobStatus) {
         let mut jobs = self.jobs.lock().expect("job board poisoned");
         jobs.status.insert(id.to_string(), status);
@@ -195,11 +209,14 @@ impl ServerState {
 
     /// Scans the archive and appends an event line for every newly
     /// archived cell, plus the terminal `complete` line once the grid
-    /// drains. Safe to call from any thread, any number of times.
+    /// drains and no slot of this daemon has the campaign, so a client
+    /// that saw `complete` may compact it. Safe to call from any thread,
+    /// any number of times.
     fn refresh_events(&self, id: &str) -> Result<(), String> {
         let (archive, spec) = self.store.open_campaign(id)?;
         let states = archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS);
         let cells = spec.expand();
+        let active = self.job_active(id);
         let mut logs = self.events.lock().expect("event log poisoned");
         let log = logs.entry(id.to_string()).or_default();
         if log.terminal {
@@ -223,7 +240,7 @@ impl ServerState {
                 ]));
             }
         }
-        if archived == states.len() {
+        if archived == states.len() && !active {
             let seq = log.lines.len();
             log.lines.push(event_line(&[
                 ("seq", serde::Serialize::to_value(&seq)),
@@ -267,8 +284,8 @@ impl RunningServer {
     }
 
     /// Initiates graceful shutdown from the owning process and waits for
-    /// the drain: in-flight groups finish, leases are released, handler
-    /// and executor threads join.
+    /// the drain: in-flight groups finish, handler and executor threads
+    /// join.
     pub fn shutdown(self) {
         self.state.request_shutdown();
         let _ = self.accept.join();
@@ -357,8 +374,8 @@ pub fn spawn(root: &Path, options: ServeOptions) -> Result<RunningServer, String
     })
 }
 
-/// One executor slot: wait for a queued campaign, drive the leased
-/// runner on it, record the outcome.
+/// One executor slot: wait for a queued campaign, run it, record the
+/// outcome.
 fn executor_loop(state: &ServerState) {
     loop {
         let id = {
@@ -374,37 +391,79 @@ fn executor_loop(state: &ServerState) {
                 jobs = state.jobs_ready.wait(jobs).expect("job board poisoned");
             }
         };
-        let outcome = run_one(state, &id);
-        state.set_status(
-            &id,
-            match outcome {
-                Ok(()) => JobStatus::Complete,
-                Err(e) if e == RUN_CANCELLED => JobStatus::Cancelled,
-                Err(e) => {
-                    eprintln!("dpm serve: campaign {id} failed: {e}");
-                    JobStatus::Failed(e)
-                }
-            },
-        );
+        let status = run_one(state, &id);
+        state.set_status(&id, status);
         let _ = state.refresh_events(&id);
     }
 }
 
-/// Runs one campaign to completion on the leased path.
-fn run_one(state: &ServerState, id: &str) -> Result<(), String> {
-    let (archive, spec) = state.store.open_campaign(id)?;
-    let o = &state.options;
+/// Runs one campaign on this slot and says how it ended.
+fn run_one(state: &ServerState, id: &str) -> JobStatus {
     let config = RunnerConfig {
-        threads: o.threads,
+        threads: state.options.threads,
         ..RunnerConfig::default()
     };
-    let lease = LeaseConfig::for_process();
-    let run = run_campaign_leased(&spec, &config, &archive, &lease, Some(&state.cancel))?;
-    println!(
-        "dpm serve: campaign {id} complete; {}",
-        run_stats_line(&run.stats)
-    );
-    Ok(())
+    let run = state
+        .store
+        .open_campaign(id)
+        .and_then(|(archive, spec)| run_by_group(&spec, &config, &archive, &state.cancel));
+    match run {
+        Ok(Some(stats)) => {
+            println!(
+                "dpm serve: campaign {id} complete; {}",
+                run_stats_line(&stats)
+            );
+            JobStatus::Complete
+        }
+        Ok(None) => JobStatus::Cancelled,
+        Err(e) => {
+            eprintln!("dpm serve: campaign {id} failed: {e}");
+            JobStatus::Failed(e)
+        }
+    }
+}
+
+/// Runs `spec` one baseline group at a time ([`CampaignSpec::group_of`])
+/// through [`run_cells_with`], each group with a [`BaselineCache`] of its
+/// own: a group holds every run its cells share and its one trace
+/// skeleton, so dropping the cache between groups loses nothing.
+/// `cancel` is checked before each group, so a cancelled run leaves
+/// every group it reached fully archived and the rest untouched.
+/// Returns the summed work, or `None` once `cancel` is seen.
+///
+/// # Errors
+///
+/// Returns a description when the spec is invalid or a record cannot be
+/// stored.
+fn run_by_group(
+    spec: &CampaignSpec,
+    config: &RunnerConfig,
+    archive: &CampaignArchive,
+    cancel: &AtomicBool,
+) -> Result<Option<RunStats>, String> {
+    spec.validate()?;
+    let mut groups: Vec<Vec<ScenarioSpec>> = vec![Vec::new(); spec.group_count()];
+    for cell in spec.expand() {
+        groups[spec.group_of(cell.index)].push(cell);
+    }
+    let mut stats = RunStats::default();
+    for cells in &groups {
+        if cancel.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        let run = run_cells_with(
+            spec,
+            cells,
+            config,
+            Some(archive),
+            Some(&mut BaselineCache::new()),
+        )?;
+        if let Some(e) = run.archive_errors.into_iter().next() {
+            return Err(e);
+        }
+        stats.absorb(&run.stats);
+    }
+    Ok(Some(stats))
 }
 
 /// Reads one request and routes it; every protocol failure becomes a
@@ -718,6 +777,19 @@ fn pareto(
     write_json(stream, 200, &doc.to_json_pretty())
 }
 
+/// The non-negative integer query parameter `name`, or `default` when
+/// it is absent.
+fn query_number<T: std::str::FromStr>(
+    request: &Request,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    request.query_param(name).map_or(Ok(default), |raw| {
+        raw.parse()
+            .map_err(|_| format!("invalid ?{name}= {raw:?}: expected a non-negative integer"))
+    })
+}
+
 /// `GET /campaigns/{id}/events`: chunked NDJSON long-poll. Replays the
 /// event log from `?since=N`, then follows archive progress until the
 /// campaign completes, the `?wait_ms=` budget runs out, or the daemon
@@ -732,26 +804,14 @@ fn events(
     if let Err(e) = state.store.open_campaign(id) {
         return write_error(stream, 404, &e);
     }
-    // an unparseable cursor is a client bug: reject it loudly instead
-    // of silently replaying the whole log from 0
-    let since: usize = match request.query_param("since") {
-        None => 0,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                return write_error(
-                    stream,
-                    400,
-                    &format!("invalid ?since= cursor {raw:?}: expected a non-negative integer"),
-                );
-            }
-        },
+    // an unparseable cursor or wait is a client bug: reject it loudly
+    // instead of silently replaying from 0 or waiting the default
+    let since = query_number(request, "since", 0usize);
+    let wait_ms = query_number(request, "wait_ms", EVENT_WAIT_DEFAULT_MS);
+    let (since, wait_ms) = match (since, wait_ms) {
+        (Ok(since), Ok(wait_ms)) => (since, wait_ms.min(EVENT_WAIT_MAX_MS)),
+        (Err(e), _) | (_, Err(e)) => return write_error(stream, 400, &e),
     };
-    let wait_ms: u64 = request
-        .query_param("wait_ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(EVENT_WAIT_DEFAULT_MS)
-        .min(EVENT_WAIT_MAX_MS);
     let deadline = std::time::Instant::now() + std::time::Duration::from_millis(wait_ms);
     let mut writer = ChunkedWriter::begin(&mut *stream, 200, "application/x-ndjson")?;
     let mut cursor = since;
@@ -799,12 +859,26 @@ fn gc(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<
 }
 
 /// `POST /campaigns/{id}/compact`: rewrite the archive into a single
-/// fresh segment, reported as JSON. A campaign with unexpired work
-/// leases refuses with 409 (a holder may still be appending; the client
-/// retries once it finishes) rather than silently dropping its
-/// concurrent appends.
+/// fresh segment, reported as JSON. Compaction deletes every old
+/// segment, the one a running slot appends to included, so a campaign
+/// this daemon has queued or running refuses with 409 naming its job
+/// state, as does one with unexpired work leases; the client retries
+/// once the campaign completes. The job board stays locked while the
+/// archive is rewritten, so no slot can start the campaign meanwhile.
 fn compact(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<()> {
-    match state.store.compact(id) {
+    let jobs = state.jobs.lock().expect("job board poisoned");
+    if let Some(job) = jobs.status.get(id).filter(|job| job.is_active()) {
+        let busy = format!(
+            "cannot compact: campaign {id} is {} on this daemon; retry once its events \
+             report complete",
+            job.label()
+        );
+        drop(jobs);
+        return write_error(stream, 409, &busy);
+    }
+    let compacted = state.store.compact(id);
+    drop(jobs);
+    match compacted {
         Ok(report) => {
             let body = serde_json::to_string_pretty::<crate::archive::CompactReport>(&report)
                 .expect("shim serializer never fails");
@@ -818,6 +892,62 @@ fn compact(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_campaign_with;
+    use crate::spec::{BatteryAxis, ControllerAxis, ThermalAxis, TuningAxis, WorkloadAxis};
+
+    /// Two baseline groups; the timeout cells' tuning siblings share runs.
+    fn two_group_spec() -> CampaignSpec {
+        CampaignSpec {
+            name: "slot".into(),
+            horizon_ms: 5,
+            master_seed: 3,
+            initial_soc: 0.9,
+            controllers: vec![
+                ControllerAxis::Dpm,
+                ControllerAxis::AlwaysOn,
+                ControllerAxis::Timeout500us,
+            ],
+            tunings: vec![TuningAxis::Paper, TuningAxis::Eager],
+            workloads: vec![WorkloadAxis::Low],
+            seeds: vec![1, 2],
+            batteries: vec![BatteryAxis::Linear],
+            thermals: vec![ThermalAxis::Cool],
+            ip_counts: vec![1],
+        }
+    }
+
+    #[test]
+    fn the_group_loop_stops_before_any_group_once_cancelled() {
+        let spec = two_group_spec();
+        assert_eq!(spec.group_count(), 2);
+        let dir = std::env::temp_dir().join(format!("dpm-server-test-{}-slot", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let archive = CampaignArchive::open(&dir, &spec).unwrap();
+        let serial = RunnerConfig::serial();
+
+        // a raised flag: cancelled, and nothing stored or claimed
+        let cancel = AtomicBool::new(true);
+        let run = run_by_group(&spec, &serial, &archive, &cancel).unwrap();
+        assert!(run.is_none(), "a cancelled loop reports cancelled");
+        assert_eq!(archive.load(&spec, &spec.expand()).loaded, 0);
+        let entries: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(entries, ["campaign.toml"]);
+
+        // lowered: the loop runs the grid with a sweep's work and results
+        cancel.store(false, Ordering::Relaxed);
+        let stats = run_by_group(&spec, &serial, &archive, &cancel)
+            .unwrap()
+            .expect("an uncancelled loop completes");
+        let sweep = run_campaign_with(&spec, &serial, None).unwrap();
+        assert_eq!(stats, sweep.stats);
+        let load = archive.load(&spec, &spec.expand());
+        let stored: Vec<_> = load.slots.into_iter().map(Option::unwrap).collect();
+        assert_eq!(stored, sweep.result.results);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn job_status_labels_are_stable_api() {

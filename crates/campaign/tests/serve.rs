@@ -2,8 +2,9 @@
 //! follow the event stream to completion, and read back the **exact**
 //! report bytes `dpm campaign run` would print — plus the edges: idempotent
 //! concurrent submission, JSON errors for malformed specs and unknown
-//! routes, and the 409 completeness gate that guarantees a `GET` never
-//! simulates.
+//! routes, the 409 completeness gate that guarantees a `GET` never
+//! simulates, compaction refused while the daemon runs the campaign, and
+//! a shutdown that stops a campaign between baseline groups.
 //!
 //! The suite speaks raw HTTP/1.1 over `TcpStream` — the same protocol
 //! surface `curl` sees in the CI `serve-smoke` job — including chunked
@@ -15,8 +16,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
-    campaign_json, completed_run, run_campaign_with, spawn_server, summarize, CampaignStore,
-    LeaseConfig, RunnerConfig, ServeOptions,
+    campaign_json, completed_run, parse_campaign_toml, run_campaign_with, spawn_server, summarize,
+    CampaignArchive, CampaignSpec, CampaignStore, CellState, LeaseConfig, RunnerConfig,
+    ServeOptions, DEFAULT_LEASE_TTL_MS,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -48,6 +50,49 @@ batteries = ["linear"]
 thermals = ["cool"]
 ip_counts = [1]
 "#;
+
+/// 24 baseline groups of two cells at a 200 ms horizon on the busiest
+/// workload: slow enough that a request made once the first group is
+/// archived lands while most groups are still to run, in optimized and
+/// unoptimized builds alike.
+const SLOW_SPEC_TOML: &str = r#"
+name = "serve-slow"
+horizon_ms = 200
+master_seed = 7
+initial_soc = 0.9
+
+[axes]
+controllers = ["dpm", "always_on"]
+tunings = ["paper"]
+workloads = ["high"]
+seeds = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24]
+batteries = ["linear"]
+thermals = ["cool"]
+ip_counts = [1]
+"#;
+
+/// The full (`per_scenario`) report `dpm campaign run --format json`
+/// prints for a TOML spec.
+fn cli_report(toml: &str) -> String {
+    let (spec, _) = parse_campaign_toml(toml).expect("parse spec");
+    let cli = run_campaign_with(&spec, &RunnerConfig::serial(), None).expect("reference run");
+    campaign_json(&summarize(&cli.result), Some(&cli.result)).expect("render")
+}
+
+/// Per baseline group of `spec`: (archived cells, cells).
+fn archived_per_group(archive: &CampaignArchive, spec: &CampaignSpec) -> Vec<(usize, usize)> {
+    let mut groups = vec![(0, 0); spec.group_count()];
+    for (i, state) in archive
+        .cell_states(spec, DEFAULT_LEASE_TTL_MS)
+        .into_iter()
+        .enumerate()
+    {
+        let group = &mut groups[spec.group_of(i)];
+        group.0 += usize::from(state == CellState::Archived);
+        group.1 += 1;
+    }
+    groups
+}
 
 /// A ~900 KB spec, under the 1 MiB body cap, whose grid holds
 /// 300 000 × 150 000 cells: far past `MAX_GRID_CELLS`.
@@ -210,6 +255,20 @@ fn submit_stream_and_report_match_the_cli_byte_for_byte() {
     }
     assert!(lines[4].contains("\"event\":\"complete\""), "{}", lines[4]);
     assert!(lines[4].contains("\"cells\":4"), "{}", lines[4]);
+
+    // the drained campaign directory holds the spec and the records:
+    // the slot claims no lease
+    let mut entries: Vec<String> = std::fs::read_dir(root.join(&id))
+        .expect("list campaign dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["campaign.toml", "segments"]);
 
     // replay: a cursor past the archived prefix returns only the tail
     let tail = http(
@@ -550,19 +609,24 @@ fn event_cursor_rejects_garbage_and_longpolls_past_the_tail() {
     let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
     let addr = server.addr();
 
-    // non-numeric cursors are client bugs and must fail loudly
-    for bad in ["abc", "-1", "1.5", "0x10", ""] {
+    // non-numeric cursors and waits are client bugs and must fail
+    // loudly, not replay from zero or wait the default 30 s
+    let garbage = ["abc", "-1", "1.5", "0x10", ""].map(|bad| ("since", bad));
+    for (param, bad) in garbage
+        .into_iter()
+        .chain([("wait_ms", "abc"), ("wait_ms", "-1")])
+    {
         let rejected = http(
             addr,
             "GET",
-            &format!("/campaigns/{id}/events?since={bad}"),
+            &format!("/campaigns/{id}/events?{param}={bad}"),
             None,
         );
-        assert_eq!(rejected.status, 400, "since={bad}: {}", rejected.body);
+        assert_eq!(rejected.status, 400, "{param}={bad}: {}", rejected.body);
         assert_eq!(rejected.header("content-type"), Some("application/json"));
         assert!(
-            rejected.body.contains("\"error\"") && rejected.body.contains("since"),
-            "since={bad}: {}",
+            rejected.body.contains("\"error\"") && rejected.body.contains(param),
+            "{param}={bad}: {}",
             rejected.body
         );
     }
@@ -653,6 +717,142 @@ fn compact_conflicts_while_a_worker_holds_a_lease() {
     archive.release(lease);
     let compacted = http(addr, "POST", &format!("/campaigns/{id}/compact"), None);
     assert_eq!(compacted.status, 200, "{}", compacted.body);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `POST /campaigns/{id}/compact` answers 409 while this daemon has the
+/// campaign queued or running: its slot appends without a lease, so the
+/// archive's own lease check cannot see it, and compaction would delete
+/// the segment the slot appends to. Once `/events` reports `complete`
+/// compaction proceeds, and the report still matches the CLI's.
+#[test]
+fn compact_conflicts_while_the_daemon_has_the_campaign_queued_or_running() {
+    let root = scratch_dir();
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
+    let addr = server.addr();
+    let submit = |toml: &str| {
+        let created = http(addr, "POST", "/campaigns", Some(toml));
+        assert_eq!(created.status, 201, "{}", created.body);
+        json_str(&created.body, "id").expect("id").to_string()
+    };
+
+    // the slow campaign takes the one slot, so the quick one waits queued
+    let slow = submit(SLOW_SPEC_TOML);
+    let quick = submit(SPEC_TOML);
+    let refused = http(addr, "POST", &format!("/campaigns/{quick}/compact"), None);
+    assert_eq!(refused.status, 409, "{}", refused.body);
+    assert!(refused.body.contains("is queued"), "{}", refused.body);
+    let refused = http(addr, "POST", &format!("/campaigns/{slow}/compact"), None);
+    assert_eq!(refused.status, 409, "{}", refused.body);
+    assert!(
+        refused.body.contains("is running") || refused.body.contains("is queued"),
+        "{}",
+        refused.body
+    );
+
+    // `complete` is announced once the slot is done with the campaign,
+    // so compaction then goes through
+    let events = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{quick}/events?wait_ms=60000"),
+        None,
+    );
+    assert!(
+        events.body.contains("\"event\":\"complete\""),
+        "{}",
+        events.body
+    );
+    let compacted = http(addr, "POST", &format!("/campaigns/{quick}/compact"), None);
+    assert_eq!(compacted.status, 200, "{}", compacted.body);
+    assert!(
+        compacted.body.contains("\"records\": 4"),
+        "{}",
+        compacted.body
+    );
+    let report = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{quick}/report?per_scenario=1"),
+        None,
+    );
+    assert_eq!(report.status, 200, "{}", report.body);
+    assert_eq!(report.body, cli_report(SPEC_TOML));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `POST /shutdown` in the middle of a campaign stops its slot between
+/// baseline groups: each group is either fully archived or untouched,
+/// and no lease is left behind. Resubmitting the campaign to a new
+/// daemon on the same store completes it with the CLI's report bytes.
+#[test]
+fn a_shutdown_mid_campaign_keeps_whole_groups_and_a_new_daemon_completes_it() {
+    let root = scratch_dir();
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
+    let addr = server.addr();
+    let created = http(addr, "POST", "/campaigns", Some(SLOW_SPEC_TOML));
+    assert_eq!(created.status, 201, "{}", created.body);
+    let id = json_str(&created.body, "id").expect("id").to_string();
+
+    // shut down as soon as the first group is archived
+    let (archive, spec) = CampaignStore::open(&root)
+        .expect("open store")
+        .open_campaign(&id)
+        .expect("open campaign");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while archived_per_group(&archive, &spec)
+        .iter()
+        .all(|&(done, _)| done == 0)
+    {
+        assert!(std::time::Instant::now() < deadline, "no group archived");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let bye = http(addr, "POST", "/shutdown", None);
+    assert_eq!(bye.status, 200);
+    server.join();
+
+    let groups = archived_per_group(&archive, &spec);
+    assert!(
+        groups
+            .iter()
+            .all(|&(done, cells)| done == 0 || done == cells),
+        "a group was left half archived: {groups:?}"
+    );
+    assert!(
+        groups.iter().any(|&(done, _)| done == 0),
+        "the shutdown landed after the last group: {groups:?}"
+    );
+    assert!(!root.join(&id).join("leases").exists());
+
+    // a new daemon on the same store resumes what is left
+    let server = spawn_server(&root, serve_options(1)).expect("respawn daemon");
+    let addr = server.addr();
+    let again = http(addr, "POST", "/campaigns", Some(SLOW_SPEC_TOML));
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(json_str(&again.body, "job"), Some("queued"));
+    let events = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/events?wait_ms=60000"),
+        None,
+    );
+    assert!(
+        events.body.contains("\"event\":\"complete\""),
+        "{}",
+        events.body
+    );
+    let report = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/report?per_scenario=1"),
+        None,
+    );
+    assert_eq!(report.status, 200, "{}", report.body);
+    assert_eq!(report.body, cli_report(SLOW_SPEC_TOML));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
