@@ -30,7 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dpm_campaign::{
     campaign_json, run_campaign, run_campaign_with, run_scenario_cell, summarize, CampaignArchive,
     CampaignResult, CampaignSpec, CellState, ControllerAxis, RunnerConfig, ScenarioMetrics,
-    ScenarioResult, TuningAxis, WorkloadAxis, DEFAULT_LEASE_TTL_MS,
+    ScenarioResult, TuningAxis, WorkloadAxis,
 };
 
 /// A meaty enough grid that thread-pool overhead is amortized:
@@ -297,7 +297,7 @@ fn print_archive_scale_summary() {
 
     let start = Instant::now();
     let archive = CampaignArchive::open(&dir, &spec).expect("reopen archive");
-    let states = archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS);
+    let states = archive.cell_states(&spec);
     let scan = start.elapsed().as_secs_f64();
     assert_eq!(states.len(), CELLS);
     assert!(

@@ -1,11 +1,8 @@
-//! Per-scenario campaign archives: resumable sweeps, plus lease records
-//! that claim whole baseline groups.
+//! Per-scenario campaign archives: resumable sweeps.
 //!
 //! A campaign directory holds the spec that produced it and one
 //! versioned record per completed grid cell, appended as a checksummed
-//! `DPS1` frame to a segment file. A `leases/` directory appears only
-//! when something claims a group through [`CampaignArchive::try_claim`];
-//! no run path does:
+//! `DPS1` frame to a segment file:
 //!
 //! ```text
 //! <dir>/
@@ -14,8 +11,6 @@
 //!     seg-0000.log         # append-only CellRecord frames (see segment.rs)
 //!     seg-0001.log
 //!   segments-coarse/       # the same, for coarse (screening) records
-//!   leases/
-//!     group-00003.lease    # one LeaseRecord per claimed baseline group
 //! ```
 //!
 //! Records are **appended to segment files** — length-prefixed,
@@ -47,23 +42,19 @@
 //! reader ever loads a truncated record. Two processes appending to one
 //! directory stay correct, because each writes its own segment and the
 //! index keeps the first frame of a cell; they only duplicate work.
+//! [`CampaignArchive::gc`] and [`CampaignArchive::compact`] are the
+//! exception: each deletes segment files, so neither may run beside
+//! another writer of the directory.
 //!
-//! # Lease records
+//! # The claim/release pair
 //!
-//! Campaigns run in one process, and no run path claims work: a `dpm
-//! serve` executor slot runs its campaign group by group through
-//! [`crate::runner::run_cells_with`]. The lease primitives stay for the
-//! archive's own guards and tools: [`CampaignArchive::try_claim`] creates
-//! a claim file with `O_EXCL` semantics (`create_new`) holding the
-//! holder id, the spec fingerprint and a heartbeat timestamp for a
-//! whole **baseline group** ([`CampaignSpec::group_of`]), and
-//! [`CampaignArchive::release`] removes it. A lease whose heartbeat is
-//! older than the TTL is *stale*: the next claimant takes it over
-//! (atomic rename to a per-claimant tombstone, then a fresh
-//! `create_new`). [`CampaignArchive::compact`] refuses while an
-//! unexpired lease exists, [`CampaignArchive::gc`] sweeps expired ones,
-//! and [`CampaignArchive::cell_states`] reports a cell of a live lease's
-//! group as [`CellState::Leased`].
+//! No run path claims work. [`CampaignArchive::try_claim`] and
+//! [`CampaignArchive::release`] remain for one caller, the benchmark's
+//! `archive.try_claim_us` probe, and go when the benchmark drops that
+//! probe (ROADMAP.md, item 1). A claim creates
+//! `leases/group-NNNNN.lease` with `create_new`, so exactly one claimant
+//! wins, and writes a [`LeaseRecord`] into it; release removes the file.
+//! Nothing else in the archive reads `leases/`.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -77,13 +68,10 @@ use crate::spec::{CampaignSpec, ScenarioSpec};
 /// Records with any other version are ignored on load (and re-run).
 pub const ARCHIVE_VERSION: u32 = 1;
 
-/// Lease record version; bump when [`LeaseRecord`]'s layout changes.
-/// Leases with any other version are treated as stale (reclaimable).
+/// Lease record version, written into every [`LeaseRecord`]. Like the
+/// rest of the claim/release pair, it serves only the benchmark's
+/// `archive.try_claim_us` probe (see the module docs).
 pub const LEASE_VERSION: u32 = 1;
-
-/// Default lease time-to-live: a lease whose heartbeat is older is
-/// stale and may be taken over.
-pub const DEFAULT_LEASE_TTL_MS: u64 = 60_000;
 
 /// Milliseconds since the Unix epoch (the lease heartbeat clock).
 fn epoch_ms() -> u64 {
@@ -130,8 +118,9 @@ pub struct CellRecord {
     pub fidelity: Fidelity,
 }
 
-/// One work lease on disk: a claim on a whole baseline group, created
-/// with `create_new` so exactly one claimant wins.
+/// One claim on disk: the record [`CampaignArchive::try_claim`] writes
+/// into the claim file it creates. Only the benchmark's
+/// `archive.try_claim_us` probe claims (see the module docs).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LeaseRecord {
     /// Lease format version ([`LEASE_VERSION`] at write time).
@@ -140,24 +129,22 @@ pub struct LeaseRecord {
     pub spec_fingerprint: u64,
     /// The claimed baseline group ([`CampaignSpec::group_of`]).
     pub group: usize,
-    /// Unique id of the claiming worker.
+    /// Unique id of the claimant.
     pub holder: String,
-    /// Milliseconds since the Unix epoch at claim time; a lease older
-    /// than the TTL is stale and may be taken over.
+    /// Milliseconds since the Unix epoch at claim time.
     pub heartbeat_ms: u64,
 }
 
-/// Lease parameters of one claimant (see the module docs).
+/// The claimant of [`CampaignArchive::try_claim`]; the benchmark's
+/// `archive.try_claim_us` probe is the only one (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseConfig {
     /// Unique id of this claimant (holder of its leases).
     pub holder: String,
-    /// Heartbeats older than this are stale and reclaimable.
-    pub ttl_ms: u64,
 }
 
 impl LeaseConfig {
-    /// A config with a process-unique holder id and default timing.
+    /// A claimant with a process-unique holder id.
     pub fn for_process() -> Self {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -168,44 +155,20 @@ impl LeaseConfig {
                 SEQ.fetch_add(1, Ordering::Relaxed),
                 epoch_ms(),
             ),
-            ttl_ms: DEFAULT_LEASE_TTL_MS,
         }
     }
 }
 
-/// A held claim on one baseline group. Deliberately **not** released on
-/// drop: a worker dying with a lease in hand must leave the file behind
-/// for staleness-based reclaim, and tests simulate exactly that.
+/// A held claim on one baseline group, removed by
+/// [`CampaignArchive::release`], not on drop. Only the benchmark's
+/// `archive.try_claim_us` probe holds one (see the module docs).
 #[derive(Debug)]
 pub struct WorkLease {
-    group: usize,
     path: PathBuf,
 }
 
-impl WorkLease {
-    /// The claimed baseline group.
-    pub fn group(&self) -> usize {
-        self.group
-    }
-}
-
-/// Observed state of a group's lease file.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LeaseState {
-    /// No lease file exists.
-    Free,
-    /// A live claim by `holder`.
-    Held {
-        /// The claiming worker.
-        holder: String,
-    },
-    /// A claim whose heartbeat exceeded the TTL (or whose record is
-    /// foreign/unreadable); reclaimable.
-    Stale,
-}
-
-/// Lifecycle state of one grid cell, derived from its record and its
-/// group's lease (`dpm campaign list --format json` over a directory).
+/// Lifecycle state of one grid cell, derived from its records
+/// (`dpm campaign list --format json` over a directory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellState {
     /// A valid *fine* (full-kernel) record exists.
@@ -213,9 +176,7 @@ pub enum CellState {
     /// A valid record exists, but it is a coarse screening result — the
     /// cell still needs a fine run before it can back a report.
     Screened,
-    /// No record, but the cell's group is under a live lease.
-    Leased,
-    /// No record and no live lease.
+    /// No record.
     Pending,
 }
 
@@ -225,7 +186,6 @@ impl CellState {
         match self {
             CellState::Archived => "archived",
             CellState::Screened => "screened",
-            CellState::Leased => "leased",
             CellState::Pending => "pending",
         }
     }
@@ -238,15 +198,8 @@ pub struct GcReport {
     pub records_kept: usize,
     /// Stale/foreign/corrupt cell records removed.
     pub records_removed: usize,
-    /// Live leases left in place.
-    pub leases_active: usize,
-    /// Expired, foreign or unreadable leases (and takeover tombstones)
-    /// removed.
-    pub leases_removed: usize,
     /// Orphaned temporary files removed: interrupted compaction and
-    /// spec writes (`*.tmp`), empty or recordless segment files, and
-    /// heartbeat refresh files (`*.refresh-PID-SEQ`) that earlier
-    /// versions left behind when killed.
+    /// spec writes (`*.tmp`), and empty or recordless segment files.
     pub tmp_removed: usize,
 }
 
@@ -458,9 +411,8 @@ impl CampaignArchive {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The lease file guarding one baseline group (public for
-    /// inspection and crash-simulation in tests).
-    pub fn lease_path(&self, group: usize) -> PathBuf {
+    /// The claim file of one baseline group.
+    fn lease_path(&self, group: usize) -> PathBuf {
         self.dir
             .join("leases")
             .join(format!("group-{group:05}.lease"))
@@ -517,28 +469,6 @@ impl CampaignArchive {
             state,
             open: None,
         }
-    }
-
-    /// Loads one cell's *fine* record, if a valid one exists (refreshing
-    /// the segment index on a miss, so a record another process just
-    /// appended is found).
-    pub fn load_cell(&self, spec: &CampaignSpec, cell: &ScenarioSpec) -> Option<ScenarioResult> {
-        self.load_cell_as(spec, cell, Fidelity::Fine)
-    }
-
-    /// [`load_cell`](Self::load_cell) at an explicit fidelity: reads
-    /// that fidelity's segment store; only a record evaluated at
-    /// exactly `fidelity` satisfies the read.
-    pub fn load_cell_as(
-        &self,
-        spec: &CampaignSpec,
-        cell: &ScenarioSpec,
-        fidelity: Fidelity,
-    ) -> Option<ScenarioResult> {
-        self.load_as(spec, std::slice::from_ref(cell), fidelity)
-            .slots
-            .pop()
-            .flatten()
     }
 
     /// Loads every valid archived record against the given cells (the
@@ -685,31 +615,19 @@ impl CampaignArchive {
     /// never loses a record: the old files are only removed after the
     /// rename lands.
     ///
-    /// Refused while any unexpired work lease exists: a live lease means
-    /// a worker may append records during the compaction window, and
-    /// those appends would be silently discarded with the old segments —
-    /// the cells would re-run byte-identically later, but as wasted,
-    /// surprising work. Wait for the leases to expire or be released (or
-    /// clear stale ones with `campaign gc`) and retry. A writer that
-    /// holds no lease is not seen here: `dpm serve` runs its campaigns
-    /// without leases, so it refuses `POST /campaigns/{id}/compact`
-    /// itself while the campaign is queued or running.
+    /// Records another writer appends during the rewrite are deleted
+    /// with the old segments, so compaction must not run beside another
+    /// writer of the directory. `dpm serve` refuses
+    /// `POST /campaigns/{id}/compact` while it has the campaign queued or
+    /// running.
     ///
     /// The report totals cover the fine and the coarse store combined.
     ///
     /// # Errors
     ///
-    /// Returns a description when an unexpired lease is held, or when a
-    /// directory cannot be listed, scanned or written.
+    /// Returns a description when a directory cannot be listed, scanned
+    /// or written.
     pub fn compact(&self, spec: &CampaignSpec) -> Result<CompactReport, String> {
-        if let Some(holder) = self.held_lease_holder(DEFAULT_LEASE_TTL_MS)? {
-            return Err(format!(
-                "cannot compact: unexpired lease held by '{holder}' — a worker \
-                 may still be appending records (they would be dropped with the \
-                 old segments); wait for leases to expire or release, or run \
-                 'campaign gc', then retry"
-            ));
-        }
         let mut report = CompactReport::default();
         for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
             self.compact_store(spec, fidelity, &mut report)?;
@@ -812,95 +730,18 @@ impl CampaignArchive {
         Ok(())
     }
 
-    /// The holder of one currently-held (unexpired) work lease, if any —
-    /// the compaction guard. Scans the `leases/` directory the way
-    /// [`Self::gc`] does; tombstones and refresh temp files are not
-    /// leases and never block.
-    fn held_lease_holder(&self, ttl_ms: u64) -> Result<Option<String>, String> {
-        for entry in read_dir_or_empty(&self.dir.join("leases"))? {
-            let path = entry?;
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let group = name
-                .strip_prefix("group-")
-                .and_then(|rest| rest.strip_suffix(".lease"))
-                .and_then(|digits| digits.parse::<usize>().ok());
-            if let Some(g) = group {
-                if let LeaseState::Held { holder } = self.lease_state(g, ttl_ms) {
-                    return Ok(Some(holder));
-                }
-            }
-        }
-        Ok(None)
-    }
+    // ---- the benchmark's claim/release pair --------------------------
 
-    // ---- work leases -------------------------------------------------
-
-    /// The parsed lease of `group`, judged against `ttl_ms`.
-    pub fn lease_state(&self, group: usize, ttl_ms: u64) -> LeaseState {
-        let path = self.lease_path(group);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LeaseState::Free,
-            // unreadable (permissions, transient I/O): reclaimable — a
-            // takeover on a truly broken filesystem fails loudly anyway
-            Err(_) => return LeaseState::Stale,
-        };
-        match serde_json::from_str::<LeaseRecord>(&text) {
-            Ok(rec)
-                if rec.lease_version == LEASE_VERSION
-                    && rec.spec_fingerprint == self.fingerprint =>
-            {
-                // a heartbeat stamped in the *future* (a worker on a
-                // fast clock) is fresh, never reclaimable: staleness is
-                // strictly `now - heartbeat > ttl`, so a skewed-but-live
-                // holder is never preempted, and a skewed holder that
-                // dies becomes reclaimable once real time passes its
-                // stamp plus the TTL
-                let now = epoch_ms();
-                if now.saturating_sub(rec.heartbeat_ms) > ttl_ms {
-                    LeaseState::Stale
-                } else {
-                    LeaseState::Held { holder: rec.holder }
-                }
-            }
-            // a *parseable* lease with a foreign format version or
-            // fingerprint can never be completed into this grid by its
-            // writer: reclaimable right away (so an old binary's
-            // leftovers never wedge a new one)
-            Ok(_) => LeaseState::Stale,
-            // unparseable (possibly a torn read of a just-created
-            // lease): stale only once the *file* is old. A modification
-            // time in the future (writer on a fast clock) means age
-            // zero — fresh — not stale; `duration_since` erring on a
-            // future timestamp must never be read as expiry.
-            Err(_) => match std::fs::metadata(&path).and_then(|m| m.modified()).ok() {
-                Some(modified) => {
-                    let age_ms = SystemTime::now()
-                        .duration_since(modified)
-                        .map_or(0, |age| age.as_millis() as u64);
-                    if age_ms <= ttl_ms {
-                        LeaseState::Held {
-                            holder: "<unreadable>".into(),
-                        }
-                    } else {
-                        LeaseState::Stale
-                    }
-                }
-                // no readable mtime at all: reclaimable
-                None => LeaseState::Stale,
-            },
-        }
-    }
-
-    /// Tries to claim `group`: creates its lease file with `create_new`
-    /// (so exactly one claimant wins), taking over a stale lease first if
-    /// one is in the way. Returns `None` when another worker holds a
-    /// live lease.
+    /// Tries to claim `group`: creates its claim file with `create_new`
+    /// (so exactly one claimant wins) and writes a [`LeaseRecord`] into
+    /// it. Returns `None` when the file already exists. The benchmark's
+    /// `archive.try_claim_us` probe is the only caller (see the module
+    /// docs).
     ///
     /// # Errors
     ///
     /// Returns a description when the leases directory cannot be created
-    /// or the lease cannot be written.
+    /// or the claim cannot be written.
     pub fn try_claim(
         &self,
         group: usize,
@@ -911,72 +752,45 @@ impl CampaignArchive {
         let leases = self.dir.join("leases");
         std::fs::create_dir_all(&leases)
             .map_err(|e| format!("cannot create {}: {e}", leases.display()))?;
-        // one takeover attempt per call: claim, or remove a stale lease
-        // and claim again; a second AlreadyExists means someone else won
-        for attempt in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    let record = LeaseRecord {
-                        lease_version: LEASE_VERSION,
-                        spec_fingerprint: self.fingerprint,
-                        group,
-                        holder: config.holder.clone(),
-                        heartbeat_ms: epoch_ms(),
-                    };
-                    let json = serde_json::to_string(&record).map_err(|e| e.to_string())?;
-                    file.write_all(json.as_bytes())
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    return Ok(Some(WorkLease { group, path }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if attempt > 0 || self.lease_state(group, config.ttl_ms) != LeaseState::Stale {
-                        return Ok(None);
-                    }
-                    // stale: take it over via an atomic rename to a
-                    // per-claimant tombstone — exactly one reclaimer wins
-                    // the rename; losers see NotFound and re-race the
-                    // create_new above. The holder is sanitized here so
-                    // an id containing path separators cannot point the
-                    // tombstone outside the leases directory.
-                    let safe_holder: String = config
-                        .holder
-                        .chars()
-                        .map(|c| if c == '/' || c == '\\' { '-' } else { c })
-                        .collect();
-                    let tombstone = path.with_extension(format!("stale-{safe_holder}"));
-                    if std::fs::rename(&path, &tombstone).is_err() {
-                        continue;
-                    }
-                    let _ = std::fs::remove_file(&tombstone);
-                }
-                Err(e) => return Err(format!("cannot claim {}: {e}", path.display())),
-            }
-        }
-        Ok(None)
+        let mut file = match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(None),
+            Err(e) => return Err(format!("cannot claim {}: {e}", path.display())),
+        };
+        let record = LeaseRecord {
+            lease_version: LEASE_VERSION,
+            spec_fingerprint: self.fingerprint,
+            group,
+            holder: config.holder.clone(),
+            heartbeat_ms: epoch_ms(),
+        };
+        let json = serde_json::to_string(&record).map_err(|e| e.to_string())?;
+        file.write_all(json.as_bytes())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        Ok(Some(WorkLease { path }))
     }
 
-    /// Releases a held lease. Best-effort: the group's records exist by
-    /// now, so a lingering lease file only delays (never blocks) other
-    /// workers — they reclaim it after the TTL.
+    /// Releases a held claim by removing its file (best-effort). The
+    /// benchmark's `archive.try_claim_us` probe is the only caller (see
+    /// the module docs).
     pub fn release(&self, lease: WorkLease) {
         let _ = std::fs::remove_file(&lease.path);
     }
 
-    /// The lifecycle state of every grid cell: its record, else its
-    /// group's lease, else pending.
+    /// The lifecycle state of every grid cell.
     ///
-    /// Segment-archived cells are judged by index membership alone:
-    /// a cell in the `segments/` index is archived, and one only in the
-    /// separate `segments-coarse/` index is a coarse screen
+    /// Cells are judged by index membership alone: a cell in the
+    /// `segments/` index is archived, and one only in the separate
+    /// `segments-coarse/` index is a coarse screen
     /// ([`CellState::Screened`]). Every indexed frame already passed the
     /// checksum, fingerprint and version checks during the scan, so no
     /// segment payload is read or parsed here, which keeps a full-status
     /// sweep sub-second at 10^5 cells.
-    pub fn cell_states(&self, spec: &CampaignSpec, ttl_ms: u64) -> Vec<CellState> {
+    pub fn cell_states(&self, spec: &CampaignSpec) -> Vec<CellState> {
         let n = spec.scenario_count();
         let indexed = |fidelity| -> Vec<bool> {
             let mut state = self.lock(fidelity);
@@ -987,17 +801,12 @@ impl CampaignArchive {
         // a cell with only a coarse record is *screened*: ranked by the
         // fast path, but still pending as far as fine results go
         let screened = indexed(Fidelity::Coarse);
-        let lease_live: Vec<bool> = (0..spec.group_count())
-            .map(|g| matches!(self.lease_state(g, ttl_ms), LeaseState::Held { .. }))
-            .collect();
         (0..n)
             .map(|i| {
                 if archived[i] {
                     CellState::Archived
                 } else if screened[i] {
                     CellState::Screened
-                } else if lease_live[spec.group_of(i)] {
-                    CellState::Leased
                 } else {
                     CellState::Pending
                 }
@@ -1007,19 +816,25 @@ impl CampaignArchive {
 
     /// Archive hygiene: removes cell records that can never be loaded
     /// for `spec` (foreign fingerprint, stale version, corrupt JSON,
-    /// out-of-range index), segment files holding no live record,
-    /// expired/foreign lease files and takeover tombstones, and
-    /// orphaned temporary files. Live leases, valid records and the
-    /// segment files holding them are left untouched — invalid frames
-    /// *inside* a segment that also holds live records are
+    /// out-of-range index), segment files holding no live record, and
+    /// orphaned temporary files. Valid records and the segment files
+    /// holding them are left untouched — invalid frames *inside* a
+    /// segment that also holds live records are
     /// [`compact`](Self::compact)'s job, since removing them means
     /// rewriting the file.
+    ///
+    /// A writer creates its segment empty and then appends to it, so gc
+    /// would delete a segment another writer has just created, and that
+    /// writer's later records with it: gc must not run beside another
+    /// writer of the directory. `dpm serve` refuses
+    /// `POST /campaigns/{id}/gc` while it has the campaign queued or
+    /// running.
     ///
     /// # Errors
     ///
     /// Returns a description when a directory listing or a removal
-    /// fails (a missing segment or `leases/` directory is fine).
-    pub fn gc(&self, spec: &CampaignSpec, ttl_ms: u64) -> Result<GcReport, String> {
+    /// fails (a missing segment directory is fine).
+    pub fn gc(&self, spec: &CampaignSpec) -> Result<GcReport, String> {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let mut report = GcReport::default();
         let remove = |path: &Path| -> Result<(), String> {
@@ -1091,35 +906,6 @@ impl CampaignArchive {
                 let mut state = self.lock(fidelity);
                 state.index.reset();
                 let _ = state.index.refresh();
-            }
-        }
-        for entry in read_dir_or_empty(&self.dir.join("leases"))? {
-            let path = entry?;
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let group = name
-                .strip_prefix("group-")
-                .and_then(|rest| rest.strip_suffix(".lease"))
-                .and_then(|digits| digits.parse::<usize>().ok());
-            match group {
-                Some(g) if matches!(self.lease_state(g, ttl_ms), LeaseState::Held { .. }) => {
-                    report.leases_active += 1;
-                }
-                Some(_) => {
-                    remove(&path)?;
-                    report.leases_removed += 1;
-                }
-                // heartbeat-refresh temp files (tmp + rename), which
-                // earlier versions orphaned when killed mid-refresh
-                None if name.contains(".refresh-") => {
-                    remove(&path)?;
-                    report.tmp_removed += 1;
-                }
-                // takeover tombstones
-                None if name.contains(".stale-") => {
-                    remove(&path)?;
-                    report.leases_removed += 1;
-                }
-                None => {}
             }
         }
         // a kill between `campaign.toml.tmp` write and its rename leaves
@@ -1252,13 +1038,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn test_lease() -> LeaseConfig {
-        LeaseConfig {
-            ttl_ms: 60_000,
-            ..LeaseConfig::for_process()
-        }
-    }
-
     #[test]
     fn open_existing_recovers_the_spec_from_the_directory() {
         let spec = tiny_spec();
@@ -1277,115 +1056,26 @@ mod tests {
         let spec = tiny_spec();
         let dir = tmp_dir("claims");
         let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let cfg = test_lease();
+        let cfg = LeaseConfig::for_process();
         let lease = archive
             .try_claim(0, &cfg)
             .unwrap()
             .expect("first claim wins");
-        assert_eq!(lease.group(), 0);
-        match archive.lease_state(0, cfg.ttl_ms) {
-            LeaseState::Held { holder } => assert_eq!(holder, cfg.holder),
-            other => panic!("expected a held lease, got {other:?}"),
-        }
-        // a second claimant is refused while the lease is fresh
+        // the claim file holds this claimant's record
+        let text = std::fs::read_to_string(archive.lease_path(0)).unwrap();
+        let record: LeaseRecord = serde_json::from_str(&text).unwrap();
+        assert_eq!(record.lease_version, LEASE_VERSION);
+        assert_eq!(record.spec_fingerprint, archive.fingerprint());
+        assert_eq!(record.group, 0);
+        assert_eq!(record.holder, cfg.holder);
+        // a second claimant is refused while the file exists
         let other = LeaseConfig::for_process();
         assert!(archive.try_claim(0, &other).unwrap().is_none());
         // other groups are independent
         assert!(archive.try_claim(1, &other).unwrap().is_some());
         archive.release(lease);
-        assert_eq!(archive.lease_state(0, cfg.ttl_ms), LeaseState::Free);
+        assert!(!archive.lease_path(0).exists());
         assert!(archive.try_claim(0, &other).unwrap().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_leases_are_taken_over() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("stale-lease");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let dead = test_lease();
-        let lease = archive.try_claim(0, &dead).unwrap().expect("claimed");
-        // simulate a killed worker: freeze the heartbeat in the distant past
-        let stale = LeaseRecord {
-            lease_version: LEASE_VERSION,
-            spec_fingerprint: archive.fingerprint(),
-            group: 0,
-            holder: dead.holder.clone(),
-            heartbeat_ms: 0,
-        };
-        std::fs::write(
-            archive.lease_path(0),
-            serde_json::to_string(&stale).unwrap(),
-        )
-        .unwrap();
-        drop(lease); // never released
-        assert_eq!(archive.lease_state(0, 1_000), LeaseState::Stale);
-        let survivor = LeaseConfig {
-            ttl_ms: 1_000,
-            ..LeaseConfig::for_process()
-        };
-        let reclaimed = archive
-            .try_claim(0, &survivor)
-            .unwrap()
-            .expect("stale lease is reclaimable");
-        match archive.lease_state(0, survivor.ttl_ms) {
-            LeaseState::Held { holder } => assert_eq!(holder, survivor.holder),
-            other => panic!("expected the survivor to hold, got {other:?}"),
-        }
-        archive.release(reclaimed);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_version_leases_are_stale_immediately() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("foreign-lease");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        // parseable, fresh heartbeat, but written by a future binary:
-        // must be reclaimable now, not after a TTL of mtime grace
-        let future = LeaseRecord {
-            lease_version: LEASE_VERSION + 1,
-            spec_fingerprint: archive.fingerprint(),
-            group: 0,
-            holder: "future".into(),
-            heartbeat_ms: u64::MAX / 2,
-        };
-        std::fs::create_dir_all(dir.join("leases")).unwrap();
-        std::fs::write(
-            archive.lease_path(0),
-            serde_json::to_string(&future).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(archive.lease_state(0, 60_000), LeaseState::Stale);
-        // ... and a claimant takes it over despite the fresh file
-        let cfg = test_lease();
-        let lease = archive.try_claim(0, &cfg).unwrap();
-        assert!(lease.is_some(), "foreign-version lease must be reclaimable");
-        archive.release(lease.unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn takeover_survives_holders_with_path_separators() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("hostile-holder");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let dead = LeaseRecord {
-            lease_version: LEASE_VERSION,
-            spec_fingerprint: archive.fingerprint(),
-            group: 0,
-            holder: "dead".into(),
-            heartbeat_ms: 0,
-        };
-        std::fs::create_dir_all(dir.join("leases")).unwrap();
-        std::fs::write(archive.lease_path(0), serde_json::to_string(&dead).unwrap()).unwrap();
-        let hostile = LeaseConfig {
-            holder: "host/worker\\1".into(),
-            ttl_ms: 1_000,
-        };
-        let lease = archive.try_claim(0, &hostile).unwrap();
-        assert!(lease.is_some(), "sanitized tombstone must allow takeover");
-        archive.release(lease.unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1399,104 +1089,45 @@ mod tests {
             archive.store(&spec, r).unwrap();
         }
         // garbage: a corrupt record (in a second handle's segment), an
-        // orphan compaction tmp, an expired lease
+        // orphan compaction tmp, and an interrupted spec write at the root
         CampaignArchive::open(&dir, &spec)
             .unwrap()
             .append_record(1, Fidelity::Fine, "{ corrupt")
             .unwrap();
         std::fs::write(dir.join("segments").join("seg-0009.log.tmp"), "x").unwrap();
-        let cfg = test_lease();
-        let live = archive.try_claim(0, &cfg).unwrap().expect("claimed");
-        let expired = LeaseRecord {
-            lease_version: LEASE_VERSION,
-            spec_fingerprint: archive.fingerprint(),
-            group: 1,
-            holder: "dead".into(),
-            heartbeat_ms: 0,
-        };
-        std::fs::write(
-            archive.lease_path(1),
-            serde_json::to_string(&expired).unwrap(),
-        )
-        .unwrap();
+        std::fs::write(dir.join("campaign.toml.tmp"), "name = ").unwrap();
 
-        let report = archive.gc(&spec, cfg.ttl_ms).unwrap();
+        let report = archive.gc(&spec).unwrap();
         // every stored cell is a live segment frame; the corrupt record,
         // alone in its segment, is the one record removed
         assert_eq!(report.records_kept, spec.scenario_count());
         assert_eq!(report.records_removed, 1);
-        assert_eq!(report.leases_active, 1);
-        assert_eq!(report.leases_removed, 1);
-        assert_eq!(report.tmp_removed, 1);
-        // the live lease and the valid records survived
-        assert!(matches!(
-            archive.lease_state(0, cfg.ttl_ms),
-            LeaseState::Held { .. }
-        ));
+        assert_eq!(
+            report.tmp_removed, 2,
+            "the compaction tmp + the interrupted spec write"
+        );
+        assert!(!dir.join("campaign.toml.tmp").exists());
+        // sweeping hygiene never touches the spec itself
+        assert!(dir.join("campaign.toml").is_file());
+        // the valid records survived
         let load = archive.load(&spec, &spec.expand());
         assert_eq!(load.loaded, spec.scenario_count());
         assert_eq!(load.skipped, 0, "gc removed everything unloadable");
-        archive.release(live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_sweeps_refresh_orphans_of_killed_workers_as_temp_files() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("gc-refresh-orphans");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        // what a worker killed mid-heartbeat leaves behind: refresh temp
-        // files in leases/, plus an interrupted spec write at the root
-        let leases = dir.join("leases");
-        std::fs::create_dir_all(&leases).unwrap();
-        std::fs::write(leases.join("group-00000.refresh-4242-1"), "{}").unwrap();
-        std::fs::write(leases.join("group-00001.refresh-4242-7"), "{}").unwrap();
-        std::fs::write(leases.join("group-00000.stale-pid9"), "").unwrap();
-        std::fs::write(dir.join("campaign.toml.tmp"), "name = ").unwrap();
-
-        let report = archive.gc(&spec, test_lease().ttl_ms).unwrap();
-        assert_eq!(
-            report.tmp_removed, 3,
-            "two refresh orphans + the interrupted spec write"
-        );
-        assert_eq!(report.leases_removed, 1, "the takeover tombstone");
-        assert_eq!(report.leases_active, 0);
-        for name in [
-            "leases/group-00000.refresh-4242-1",
-            "leases/group-00001.refresh-4242-7",
-            "leases/group-00000.stale-pid9",
-            "campaign.toml.tmp",
-        ] {
-            assert!(!dir.join(name).exists(), "{name} must be swept");
-        }
-        // sweeping hygiene never touches the spec itself
-        assert!(dir.join("campaign.toml").is_file());
         // and a second pass finds nothing left to do
-        let again = archive.gc(&spec, test_lease().ttl_ms).unwrap();
-        assert_eq!(again.tmp_removed, 0);
-        assert_eq!(again.leases_removed, 0);
+        let again = archive.gc(&spec).unwrap();
+        assert_eq!((again.records_removed, again.tmp_removed), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn cell_states_reflect_records_and_leases() {
+    fn cell_states_reflect_records() {
         let spec = tiny_spec();
         let dir = tmp_dir("cell-states");
         let archive = CampaignArchive::open(&dir, &spec).unwrap();
         let result = run_campaign(&spec, &RunnerConfig::serial());
         archive.store(&spec, &result.results[0]).unwrap();
-        let cfg = test_lease();
-        let lease = archive
-            .try_claim(spec.group_of(1), &cfg)
-            .unwrap()
-            .expect("claimed");
-        let states = archive.cell_states(&spec, cfg.ttl_ms);
-        assert_eq!(states[0], CellState::Archived);
-        assert_eq!(states[1], CellState::Leased);
-        assert_eq!(states.len(), spec.scenario_count());
-        archive.release(lease);
-        let states = archive.cell_states(&spec, cfg.ttl_ms);
-        assert_eq!(states[1], CellState::Pending);
+        let states = archive.cell_states(&spec);
+        assert_eq!(states, [CellState::Archived, CellState::Pending]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1519,16 +1150,17 @@ mod tests {
         assert_eq!(load.loaded, 0, "screens must not stand in for fine cells");
         // cell 0 then completes at fine fidelity
         archive.store(&spec, &fine.results[0]).unwrap();
-        let got = archive
-            .load_cell(&spec, &spec.cell_at(0))
-            .expect("fine record");
-        assert_eq!(&got, &fine.results[0]);
+        let cell = [spec.cell_at(0)];
+        let got = archive.load(&spec, &cell).slots.pop().flatten();
+        assert_eq!(got.as_ref(), Some(&fine.results[0]));
         // the coarse record coexists, unshadowed — a resumed screen
         // replays byte-identically from its own store
         let got = archive
-            .load_cell_as(&spec, &spec.cell_at(0), Fidelity::Coarse)
-            .expect("coarse record");
-        assert_eq!(&got, &coarse.results[0]);
+            .load_as(&spec, &cell, Fidelity::Coarse)
+            .slots
+            .pop()
+            .flatten();
+        assert_eq!(got.as_ref(), Some(&coarse.results[0]));
         // and the fine record never leaks into coarse reads
         let screen = archive.load_as(&spec, &spec.expand(), Fidelity::Coarse);
         assert_eq!(screen.loaded, spec.scenario_count());
@@ -1571,9 +1203,6 @@ mod tests {
             assert_eq!(fine.slots[0].as_ref(), Some(result));
             let screen = handle.load_as(&spec, &cells, Fidelity::Coarse);
             assert_eq!((screen.loaded, screen.skipped), (0, 1));
-            assert!(handle
-                .load_cell_as(&spec, &cells[0], Fidelity::Coarse)
-                .is_none());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1590,8 +1219,7 @@ mod tests {
         for r in &coarse.results {
             archive.store_as(&spec, r, Fidelity::Coarse).unwrap();
         }
-        let cfg = test_lease();
-        let states = archive.cell_states(&spec, cfg.ttl_ms);
+        let states = archive.cell_states(&spec);
         assert!(
             states.iter().all(|&s| s == CellState::Screened),
             "{states:?}"
@@ -1599,7 +1227,7 @@ mod tests {
         // a fine completion promotes the cell past "screened"
         let fine = run_campaign(&spec, &RunnerConfig::serial());
         archive.store(&spec, &fine.results[0]).unwrap();
-        let states = archive.cell_states(&spec, cfg.ttl_ms);
+        let states = archive.cell_states(&spec);
         assert_eq!(states[0], CellState::Archived);
         assert_eq!(states[1], CellState::Screened);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1623,7 +1251,7 @@ mod tests {
         }
         let report = archive.compact(&spec).unwrap();
         assert_eq!(report.records, 2 * spec.scenario_count());
-        let gc = archive.gc(&spec, test_lease().ttl_ms).unwrap();
+        let gc = archive.gc(&spec).unwrap();
         assert_eq!(gc.records_kept, 2 * spec.scenario_count());
         assert_eq!(gc.records_removed, 0);
         let fine_load = archive.load(&spec, &spec.expand());
@@ -1633,44 +1261,6 @@ mod tests {
         for (slot, want) in coarse_load.slots.iter().zip(&coarse.results) {
             assert_eq!(slot.as_ref().unwrap(), want);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn future_dated_heartbeats_are_fresh_not_reclaimable() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("future-heartbeat");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        // a worker on a fast clock: heartbeat an hour in the future
-        let skewed = LeaseRecord {
-            lease_version: LEASE_VERSION,
-            spec_fingerprint: archive.fingerprint(),
-            group: 0,
-            holder: "fast-clock".into(),
-            heartbeat_ms: epoch_ms() + 3_600_000,
-        };
-        std::fs::create_dir_all(dir.join("leases")).unwrap();
-        std::fs::write(
-            archive.lease_path(0),
-            serde_json::to_string(&skewed).unwrap(),
-        )
-        .unwrap();
-        // fresh under any TTL, even one of a single millisecond
-        assert_eq!(
-            archive.lease_state(0, 1),
-            LeaseState::Held {
-                holder: "fast-clock".into()
-            },
-            "a future heartbeat must never be judged stale",
-        );
-        let claimant = LeaseConfig {
-            ttl_ms: 1,
-            ..LeaseConfig::for_process()
-        };
-        assert!(
-            archive.try_claim(0, &claimant).unwrap().is_none(),
-            "a future-dated lease must not be taken over",
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1730,7 +1320,7 @@ mod tests {
         std::fs::write(segdir.join("seg-0007.log"), &frame).unwrap();
         std::fs::write(segdir.join("seg-0008.log"), b"").unwrap();
         std::fs::write(segdir.join("seg-0009.log.tmp"), b"half a rewrite").unwrap();
-        let report = archive.gc(&spec, DEFAULT_LEASE_TTL_MS).unwrap();
+        let report = archive.gc(&spec).unwrap();
         assert_eq!(report.records_removed, 1, "the foreign frame");
         assert_eq!(report.tmp_removed, 2, "empty segment + compaction temp");
         assert!(!segdir.join("seg-0007.log").exists());

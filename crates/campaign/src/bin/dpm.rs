@@ -4,7 +4,7 @@
 //! dpm campaign run <spec.toml | --builtin> [--threads N] [--format F]
 //!                  [--per-scenario] [--out FILE] [--resume DIR]
 //! dpm campaign list <spec.toml | DIR | --builtin> [--format F]
-//! dpm campaign gc <DIR> [--ttl-ms N]
+//! dpm campaign gc <DIR>
 //! dpm campaign compact <DIR>
 //! dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto]
 //!            [--objective O] [--constraint C] [--fidelity fine|coarse|multi]
@@ -27,7 +27,7 @@ use dpm_campaign::{
     pareto_json, pareto_markdown, parse_campaign_toml, run_campaign_with, run_stats_line,
     search_ascii, search_campaign, search_json, search_markdown, spawn_server, summarize,
     CampaignArchive, CampaignSpec, Constraint, MultiObjective, Objective, ParetoSpec, RunnerConfig,
-    SearchDefaults, SearchFidelity, SearchSpec, ServeOptions, StrategyKind, DEFAULT_LEASE_TTL_MS,
+    SearchDefaults, SearchFidelity, SearchSpec, ServeOptions, StrategyKind,
 };
 use dpm_soc::experiment::{run_scenario, ScenarioId};
 use dpm_soc::report::{table2_ascii, table2_json, table2_markdown};
@@ -40,7 +40,7 @@ USAGE:
                       [--format ascii|markdown|json] [--per-scenario] [--out FILE]
                       [--resume DIR]
     dpm campaign list <spec.toml | DIR | --builtin> [--format ascii|json]
-    dpm campaign gc   <DIR> [--ttl-ms N]
+    dpm campaign gc   <DIR>
     dpm campaign compact <DIR>
     dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto]
                [--objective METRIC[,METRIC...]] [--constraint METRIC<=X]
@@ -60,11 +60,12 @@ already completed there; the aggregate report is byte-identical to a
 cold run. A campaign runs in this process on --threads threads; the
 report is byte-identical for any thread count.
 
-`dpm campaign gc DIR` removes unloadable records, expired leases and
-orphaned temp files. `dpm campaign compact DIR` rewrites all live cell
-records into a single fresh segment file, dropping torn tails and
-duplicates. `dpm campaign list DIR --format json` reports each cell's
-state (archived / leased / pending).
+`dpm campaign gc DIR` removes unloadable records, recordless segments
+and orphaned temp files. `dpm campaign compact DIR` rewrites all live
+cell records into a single fresh segment file, dropping torn tails and
+duplicates. Both delete segment files: run them only while nothing else
+writes DIR. `dpm campaign list DIR --format json` reports each cell's
+state (archived / screened / pending).
 
 `dpm serve DIR` runs the campaign service: a daemon owning DIR as a
 root of campaign directories (one per submitted spec, keyed by spec
@@ -222,7 +223,8 @@ fn load_spec(opts: &Opts) -> Result<CampaignSpec, String> {
     load_spec_full(opts).map(|(spec, _)| spec)
 }
 
-fn parse_usize_flag(opts: &Opts, name: &str) -> Result<Option<usize>, String> {
+/// The value of `--name` parsed as a `T`, if the flag was given.
+fn flag<T: std::str::FromStr>(opts: &Opts, name: &str) -> Result<Option<T>, String> {
     opts.value(name)
         .map(|v| {
             v.parse()
@@ -231,10 +233,10 @@ fn parse_usize_flag(opts: &Opts, name: &str) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-/// Like [`parse_usize_flag`], but zero is rejected (mirroring the
-/// validation the `[search]` TOML section applies to the same knobs).
+/// Like [`flag`], but zero is rejected (mirroring the validation the
+/// `[search]` TOML section applies to the same knobs).
 fn parse_positive_flag(opts: &Opts, name: &str) -> Result<Option<usize>, String> {
-    match parse_usize_flag(opts, name)? {
+    match flag(opts, name)? {
         Some(0) => Err(format!("--{name} must be positive")),
         other => Ok(other),
     }
@@ -297,11 +299,6 @@ fn render_report(
     emit_report(opts, &rendered)
 }
 
-/// Parses a `--flag MILLIS` value (lease timing knobs).
-fn parse_ms_flag(opts: &Opts, name: &str, default: u64) -> Result<u64, String> {
-    Ok(parse_usize_flag(opts, name)?.map_or(default, |n| n as u64))
-}
-
 fn campaign(args: &[String]) -> Result<(), String> {
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
@@ -324,7 +321,7 @@ fn campaign_run(args: &[String]) -> Result<(), String> {
     let format = output_format(&opts)?;
     let spec = load_spec(&opts)?;
     let config = RunnerConfig {
-        threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
+        threads: flag(&opts, "threads")?.unwrap_or(0),
         progress: true,
         ..RunnerConfig::default()
     };
@@ -373,7 +370,7 @@ fn campaign_run(args: &[String]) -> Result<(), String> {
 }
 
 fn campaign_list(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["format", "ttl-ms"], &["builtin"])?;
+    let opts = Opts::parse(args, &["format"], &["builtin"])?;
     // a campaign *directory* lists with per-cell state; a spec file (or
     // --builtin) lists the bare grid
     let (spec, archive) = match opts.positionals.first() {
@@ -383,8 +380,7 @@ fn campaign_list(args: &[String]) -> Result<(), String> {
         }
         _ => (load_spec(&opts)?, None),
     };
-    let ttl_ms = parse_ms_flag(&opts, "ttl-ms", DEFAULT_LEASE_TTL_MS)?;
-    let states = archive.map(|a| a.cell_states(&spec, ttl_ms));
+    let states = archive.map(|a| a.cell_states(&spec));
     match opts.value("format").unwrap_or("ascii") {
         "ascii" => {
             out(format_args!(
@@ -408,22 +404,17 @@ fn campaign_list(args: &[String]) -> Result<(), String> {
 }
 
 fn campaign_gc(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["ttl-ms"], &[])?;
+    let opts = Opts::parse(args, &[], &[])?;
     let dir = opts
         .positionals
         .first()
         .ok_or("expected a campaign directory")?;
-    let ttl_ms = parse_ms_flag(&opts, "ttl-ms", DEFAULT_LEASE_TTL_MS)?;
     let (archive, spec) = CampaignArchive::open_existing(Path::new(dir))?;
-    let report = archive.gc(&spec, ttl_ms)?;
+    let report = archive.gc(&spec)?;
     out(format_args!(
         "gc {dir}: kept {} records, removed {} stale/foreign records, \
-         removed {} expired leases, removed {} temp files; {} active leases",
-        report.records_kept,
-        report.records_removed,
-        report.leases_removed,
-        report.tmp_removed,
-        report.leases_active,
+         removed {} temp files",
+        report.records_kept, report.records_removed, report.tmp_removed,
     ));
     Ok(())
 }
@@ -453,7 +444,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     let options = ServeOptions {
         addr: opts.value("addr").unwrap_or("127.0.0.1:0").to_string(),
         job_slots: parse_positive_flag(&opts, "workers")?.unwrap_or(1),
-        threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
+        threads: flag(&opts, "threads")?.unwrap_or(0),
     };
     let slots = options.job_slots;
     let server = spawn_server(Path::new(dir), options)?;
@@ -469,16 +460,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     server.join();
     eprintln!("dpm serve: drained and stopped");
     Ok(())
-}
-
-/// Parses a `--flag FLOAT` value.
-fn parse_f64_flag(opts: &Opts, name: &str) -> Result<Option<f64>, String> {
-    opts.value(name)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--{name} expects a number, got '{v}'"))
-        })
-        .transpose()
 }
 
 fn search(args: &[String]) -> Result<(), String> {
@@ -554,7 +535,7 @@ fn search(args: &[String]) -> Result<(), String> {
     // per-phase fidelity itself from the SearchSpec, and pareto fronts
     // are fine-only
     let config = RunnerConfig {
-        threads: parse_usize_flag(&opts, "threads")?.unwrap_or(0),
+        threads: flag(&opts, "threads")?.unwrap_or(0),
         ..RunnerConfig::default()
     };
     let archive = match opts.value("resume") {
@@ -635,22 +616,15 @@ fn search(args: &[String]) -> Result<(), String> {
     if let Some(points) = start_points {
         search_spec.start_points = points;
     }
-    if let Some(temp) = parse_f64_flag(&opts, "initial-temp")?.or(defaults.initial_temp) {
+    if let Some(temp) = flag(&opts, "initial-temp")?.or(defaults.initial_temp) {
         search_spec.anneal.initial_temp = temp;
     }
-    if let Some(cooling) = parse_f64_flag(&opts, "cooling")?.or(defaults.cooling) {
+    if let Some(cooling) = flag(&opts, "cooling")?.or(defaults.cooling) {
         search_spec.anneal.cooling = cooling;
     }
     // parsed as u64 (not usize) so the full seed range works on any
     // target, exactly like the TOML `anneal_seed` key
-    let seed_flag = opts
-        .value("anneal-seed")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("--anneal-seed expects a number, got '{v}'"))
-        })
-        .transpose()?;
-    if let Some(seed) = seed_flag.or(defaults.anneal_seed) {
+    if let Some(seed) = flag::<u64>(&opts, "anneal-seed")?.or(defaults.anneal_seed) {
         search_spec.anneal.seed = seed;
     }
     search_spec.anneal.validate()?;
@@ -1021,16 +995,21 @@ mod tests {
 
     #[test]
     fn campaigns_have_no_process_fan_out() {
-        for extra in [&["--workers", "2"][..], &["--ttl-ms", "5"]] {
-            let mut argv = vec!["campaign", "run", "--builtin"];
-            argv.extend_from_slice(extra);
-            let err = run(&args(&argv)).unwrap_err();
+        let dir = tmp_path("no-fan-out-store");
+        let dir_arg = dir.to_str().unwrap();
+        for argv in [
+            &["campaign", "run", "--builtin", "--workers", "2"][..],
+            &["campaign", "run", "--builtin", "--ttl-ms", "5"],
+            &["campaign", "gc", dir_arg, "--ttl-ms", "5"],
+            &["campaign", "list", dir_arg, "--ttl-ms", "5"],
+        ] {
+            let flag = argv[argv.len() - 2];
+            let err = run(&args(argv)).unwrap_err();
             assert!(
-                err.contains(&format!("unknown flag '{}'", extra[0])),
-                "{extra:?}: {err}"
+                err.contains(&format!("unknown flag '{flag}'")),
+                "{argv:?}: {err}"
             );
         }
-        let dir = tmp_path("no-fan-out-store");
         let err = run(&args(&["worker", dir.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("unknown command 'worker'"), "{err}");
         for flag in ["--ttl-ms", "--poll-ms"] {

@@ -12,7 +12,7 @@
 //! | spec | [`spec`] | [`CampaignSpec`] grid, named axes, cartesian expansion |
 //! | executor | [`executor`] | the in-process scoped-thread pool |
 //! | runner | [`runner`] | work-unit dispatch, one run per distinct configuration, panic isolation |
-//! | archive | [`archive`] | cell records, lease records, gc/compaction |
+//! | archive | [`archive`] | cell records, gc/compaction, the benchmark's claim/release pair |
 //! | segments | `segment` | append-only segment files: checksummed frames + in-memory index |
 //! | objective | [`objective`] | search objectives: metric, direction, constraints, Pareto dominance |
 //! | search | [`search`] | pluggable budgeted strategies: climb, simulated annealing, Pareto fronts |
@@ -88,8 +88,7 @@ pub use aggregate::{
 };
 pub use archive::{
     spec_fingerprint, ArchiveLoad, CampaignArchive, CellRecord, CellState, CompactReport, GcReport,
-    LeaseConfig, LeaseRecord, LeaseState, WorkLease, ARCHIVE_VERSION, DEFAULT_LEASE_TTL_MS,
-    LEASE_VERSION,
+    LeaseConfig, LeaseRecord, WorkLease, ARCHIVE_VERSION, LEASE_VERSION,
 };
 pub use executor::{map_units, ThreadPool};
 pub use objective::{
@@ -116,6 +115,6 @@ pub use spec::{
 };
 pub use store::{
     best_of, completed_run, front_of, grid_json, report_json, status_of, CampaignStatus,
-    CampaignStore, Submission, DEFAULT_STORE_TTL_MS,
+    CampaignStore, Submission,
 };
 pub use toml_spec::{parse_campaign_toml, SearchDefaults};

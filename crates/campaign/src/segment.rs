@@ -44,8 +44,9 @@
 //! byte-identical.
 //!
 //! The in-memory [`SegmentIndex`] maps grid index → (segment, offset,
-//! length); duplicate records for one cell (bounded lease overlap) are
-//! byte-identical by construction, so first-frame-wins is safe.
+//! length); duplicate records for one cell (two writers of one
+//! directory running the same cell) are byte-identical by
+//! construction, so first-frame-wins is safe.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;

@@ -7,13 +7,13 @@
 //! | Method | Path | Meaning |
 //! |---|---|---|
 //! | `POST` | `/campaigns` | submit a TOML (or JSON) spec; dedups by spec fingerprint |
-//! | `GET`  | `/campaigns` | list campaigns with archived/leased/pending counts |
+//! | `GET`  | `/campaigns` | list campaigns with archived/pending counts |
 //! | `GET`  | `/campaigns/{id}` | the grid with per-cell lifecycle states |
 //! | `GET`  | `/campaigns/{id}/report` | the campaign report (`?per_scenario=1` for full results) |
 //! | `GET`  | `/campaigns/{id}/best` | best cell under `?objective=` (default `energy_saving`) |
 //! | `GET`  | `/campaigns/{id}/pareto` | non-dominated front under `?objectives=a,b` |
 //! | `GET`  | `/campaigns/{id}/events` | chunked NDJSON long-poll of cell completions |
-//! | `POST` | `/campaigns/{id}/gc` | archive hygiene, returns the [`GcReport`] |
+//! | `POST` | `/campaigns/{id}/gc` | archive hygiene, returns the [`crate::archive::GcReport`]; `409` while the campaign is queued or running |
 //! | `POST` | `/campaigns/{id}/compact` | rewrite the archive into one segment, returns the [`crate::archive::CompactReport`]; `409` while the campaign is queued or running |
 //! | `GET`  | `/healthz` | liveness probe |
 //! | `POST` | `/shutdown` | graceful shutdown (each slot finishes its current baseline group) |
@@ -33,11 +33,11 @@
 //!   one baseline group at a time through [`run_cells_with`], checking
 //!   for shutdown between groups, so a drained daemon leaves each group
 //!   fully archived or untouched. The slot takes no lease; the daemon's
-//!   own job board keeps compaction off a campaign it is running. The
-//!   daemon runs only campaigns POSTed to it; a campaign left in the
-//!   store by anyone else stays as it is until submitted. Two daemons
-//!   sharing one store each run what is POSTed to them: they duplicate
-//!   work but write identical records.
+//!   own job board keeps gc and compaction off a campaign it has queued
+//!   or running. The daemon runs only campaigns POSTed to it; a campaign
+//!   left in the store by anyone else stays as it is until submitted.
+//!   Two daemons sharing one store each run what is POSTed to them: they
+//!   duplicate work but write identical records.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,7 +45,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::archive::{CampaignArchive, GcReport, DEFAULT_LEASE_TTL_MS};
+use crate::archive::CampaignArchive;
 use crate::http::{
     error_body, read_request, write_error, write_json, BoundedPool, ChunkedWriter, HttpError,
     Request,
@@ -214,7 +214,7 @@ impl ServerState {
     /// any number of times.
     fn refresh_events(&self, id: &str) -> Result<(), String> {
         let (archive, spec) = self.store.open_campaign(id)?;
-        let states = archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS);
+        let states = archive.cell_states(&spec);
         let cells = spec.expand();
         let active = self.job_active(id);
         let mut logs = self.events.lock().expect("event log poisoned");
@@ -531,8 +531,10 @@ fn route(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std:
         ("GET", ["campaigns", id, "best"]) => best(state, id, request, stream),
         ("GET", ["campaigns", id, "pareto"]) => pareto(state, id, request, stream),
         ("GET", ["campaigns", id, "events"]) => events(state, id, request, stream),
-        ("POST", ["campaigns", id, "gc"]) => gc(state, id, stream),
-        ("POST", ["campaigns", id, "compact"]) => compact(state, id, stream),
+        ("POST", ["campaigns", id, "gc"]) => maintain(state, id, stream, "gc", CampaignStore::gc),
+        ("POST", ["campaigns", id, "compact"]) => {
+            maintain(state, id, stream, "compact", CampaignStore::compact)
+        }
         (_, [] | ["healthz"] | ["shutdown"] | ["campaigns", ..]) => write_error(
             stream,
             405,
@@ -566,12 +568,7 @@ fn submit(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std
         Ok(s) => s,
         Err(e) => return write_error(stream, 400, &e),
     };
-    let status = status_of(
-        &submission.id,
-        &submission.archive,
-        &submission.spec,
-        DEFAULT_LEASE_TTL_MS,
-    );
+    let status = status_of(&submission.id, &submission.archive, &submission.spec);
     let job = if status.complete() {
         state.set_status(&submission.id, JobStatus::Complete);
         JobStatus::Complete.label()
@@ -598,7 +595,7 @@ fn submit(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std
 
 /// `GET /campaigns`: every campaign in the store, with job status.
 fn list(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<()> {
-    let statuses = match state.store.list(DEFAULT_LEASE_TTL_MS) {
+    let statuses = match state.store.list() {
         Ok(s) => s,
         Err(e) => return write_error(stream, 500, &e),
     };
@@ -630,7 +627,7 @@ fn campaign_grid(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::
         Ok(pair) => pair,
         Err(e) => return write_error(stream, 404, &e),
     };
-    let states = archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS);
+    let states = archive.cell_states(&spec);
     write_json(stream, 200, &grid_json(&spec, Some(&states)))
 }
 
@@ -846,45 +843,38 @@ fn events(
     writer.finish()
 }
 
-/// `POST /campaigns/{id}/gc`: archive hygiene, reported as JSON.
-fn gc(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<()> {
-    match state.store.gc(id, DEFAULT_LEASE_TTL_MS) {
-        Ok(report) => {
-            let body = serde_json::to_string_pretty::<GcReport>(&report)
-                .expect("shim serializer never fails");
-            write_json(stream, 200, &body)
-        }
-        Err(e) => write_error(stream, 404, &e),
-    }
-}
-
-/// `POST /campaigns/{id}/compact`: rewrite the archive into a single
-/// fresh segment, reported as JSON. Compaction deletes every old
-/// segment, the one a running slot appends to included, so a campaign
-/// this daemon has queued or running refuses with 409 naming its job
-/// state, as does one with unexpired work leases; the client retries
-/// once the campaign completes. The job board stays locked while the
-/// archive is rewritten, so no slot can start the campaign meanwhile.
-fn compact(state: &ServerState, id: &str, stream: &mut TcpStream) -> std::io::Result<()> {
+/// `POST /campaigns/{id}/gc` and `POST /campaigns/{id}/compact`: archive
+/// maintenance by `op`, reported as JSON. Both delete segment files: gc
+/// deletes a segment holding no complete frame, which includes the one a
+/// running slot has just created and not yet appended to, and compaction
+/// deletes every old segment. So a campaign this daemon has queued or
+/// running refuses with 409 naming its job state; the client retries
+/// once the campaign's events report complete. The job board stays
+/// locked while `op` runs, so no slot can start the campaign meanwhile.
+fn maintain<R: serde::Serialize>(
+    state: &ServerState,
+    id: &str,
+    stream: &mut TcpStream,
+    verb: &str,
+    op: impl FnOnce(&CampaignStore, &str) -> Result<R, String>,
+) -> std::io::Result<()> {
     let jobs = state.jobs.lock().expect("job board poisoned");
     if let Some(job) = jobs.status.get(id).filter(|job| job.is_active()) {
         let busy = format!(
-            "cannot compact: campaign {id} is {} on this daemon; retry once its events \
+            "cannot {verb}: campaign {id} is {} on this daemon; retry once its events \
              report complete",
             job.label()
         );
         drop(jobs);
         return write_error(stream, 409, &busy);
     }
-    let compacted = state.store.compact(id);
+    let outcome = op(&state.store, id);
     drop(jobs);
-    match compacted {
+    match outcome {
         Ok(report) => {
-            let body = serde_json::to_string_pretty::<crate::archive::CompactReport>(&report)
-                .expect("shim serializer never fails");
+            let body = serde_json::to_string_pretty(&report).expect("shim serializer never fails");
             write_json(stream, 200, &body)
         }
-        Err(e) if e.contains("unexpired lease") => write_error(stream, 409, &e),
         Err(e) => write_error(stream, 404, &e),
     }
 }

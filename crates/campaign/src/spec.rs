@@ -520,8 +520,9 @@ impl CampaignSpec {
     }
 
     /// The baseline-group id of a grid index (see [`Self::group_count`]).
-    /// Work leases claim whole groups so that a group's shared baseline is
-    /// simulated by exactly one worker process.
+    /// A `dpm serve` slot runs a campaign one group at a time, so a
+    /// shutdown between groups leaves each group fully archived or
+    /// untouched.
     ///
     /// # Panics
     ///

@@ -10,7 +10,7 @@
 //! <root>/
 //!   c-2f9a63b41c70de85/      # one campaign directory per spec
 //!     campaign.toml          # (exactly the layout crate::archive owns)
-//!     segments/ segments-coarse/ leases/
+//!     segments/ segments-coarse/
 //!   c-88d1c02b94a6f7e1/
 //! ```
 //!
@@ -28,7 +28,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::aggregate::summarize;
-use crate::archive::{CampaignArchive, CellState, DEFAULT_LEASE_TTL_MS};
+use crate::archive::{CampaignArchive, CellState};
 use crate::objective::{MultiObjective, Objective};
 use crate::report::campaign_json;
 use crate::runner::{CampaignResult, RunStats, ScenarioResult};
@@ -70,9 +70,7 @@ pub struct CampaignStatus {
     pub cells: usize,
     /// Cells with a valid archived record.
     pub archived: usize,
-    /// Cells under a live work lease.
-    pub leased: usize,
-    /// Cells with no record and no live lease.
+    /// Cells without one.
     pub pending: usize,
     /// `"complete"` when every cell is archived, else `"incomplete"`.
     pub state: String,
@@ -184,7 +182,7 @@ impl CampaignStore {
     /// # Errors
     ///
     /// Returns a description when the root cannot be listed.
-    pub fn list(&self, ttl_ms: u64) -> Result<Vec<CampaignStatus>, String> {
+    pub fn list(&self) -> Result<Vec<CampaignStatus>, String> {
         let entries = std::fs::read_dir(&self.root)
             .map_err(|e| format!("cannot list store root {}: {e}", self.root.display()))?;
         let mut ids: Vec<String> = entries
@@ -198,21 +196,21 @@ impl CampaignStore {
             let Ok((archive, spec)) = CampaignArchive::open_existing(&self.root.join(&id)) else {
                 continue;
             };
-            out.push(status_of(&id, &archive, &spec, ttl_ms));
+            out.push(status_of(&id, &archive, &spec));
         }
         Ok(out)
     }
 
-    /// Runs archive hygiene on one campaign: unloadable records, expired
-    /// leases and orphaned temp files go (see [`CampaignArchive::gc`]).
+    /// Runs archive hygiene on one campaign: unloadable records and
+    /// orphaned temp files go (see [`CampaignArchive::gc`]).
     ///
     /// # Errors
     ///
     /// Returns a description when the campaign does not exist or a
     /// listing/removal fails.
-    pub fn gc(&self, id: &str, ttl_ms: u64) -> Result<crate::archive::GcReport, String> {
+    pub fn gc(&self, id: &str) -> Result<crate::archive::GcReport, String> {
         let (archive, spec) = self.open_campaign(id)?;
-        archive.gc(&spec, ttl_ms)
+        archive.gc(&spec)
     }
 
     /// Compacts one campaign's archive: every live record is rewritten
@@ -229,24 +227,16 @@ impl CampaignStore {
     }
 }
 
-/// One campaign's status, derived from its archive (records + leases).
-pub fn status_of(
-    id: &str,
-    archive: &CampaignArchive,
-    spec: &CampaignSpec,
-    ttl_ms: u64,
-) -> CampaignStatus {
-    let states = archive.cell_states(spec, ttl_ms);
+/// One campaign's status, derived from its archived records.
+pub fn status_of(id: &str, archive: &CampaignArchive, spec: &CampaignSpec) -> CampaignStatus {
+    let states = archive.cell_states(spec);
     let archived = states.iter().filter(|s| **s == CellState::Archived).count();
-    let leased = states.iter().filter(|s| **s == CellState::Leased).count();
-    let pending = states.len() - archived - leased;
     CampaignStatus {
         id: id.to_string(),
         name: spec.name.clone(),
         cells: states.len(),
         archived,
-        leased,
-        pending,
+        pending: states.len() - archived,
         state: if archived == states.len() {
             "complete"
         } else {
@@ -421,10 +411,6 @@ pub fn grid_json(spec: &CampaignSpec, states: Option<&[CellState]>) -> String {
     doc.to_json_pretty()
 }
 
-/// The default lease TTL the store judges liveness with when the caller
-/// has no opinion.
-pub const DEFAULT_STORE_TTL_MS: u64 = DEFAULT_LEASE_TTL_MS;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,7 +467,7 @@ mod tests {
             .unwrap();
         assert!(second.existed);
         assert_eq!(first.id, second.id);
-        let listed = store.list(60_000).unwrap();
+        let listed = store.list().unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].id, first.id);
         assert_eq!(listed[0].state, "incomplete");
@@ -519,7 +505,7 @@ mod tests {
             report_json(&served, false).unwrap(),
             report_json(&run.result, false).unwrap()
         );
-        let status = status_of(&sub.id, &sub.archive, &sub.spec, 60_000);
+        let status = status_of(&sub.id, &sub.archive, &sub.spec);
         assert!(status.complete());
         let _ = std::fs::remove_dir_all(&root);
     }

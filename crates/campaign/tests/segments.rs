@@ -9,9 +9,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
     campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignArchive, CampaignResult,
-    CampaignSpec, ControllerAxis, Fidelity, LeaseConfig, LeaseRecord, RunnerConfig,
-    ScenarioMetrics, ScenarioResult, ThermalAxis, TuningAxis, WorkloadAxis, DEFAULT_LEASE_TTL_MS,
-    LEASE_VERSION,
+    CampaignSpec, ControllerAxis, Fidelity, RunnerConfig, ScenarioMetrics, ScenarioResult,
+    ThermalAxis, TuningAxis, WorkloadAxis,
 };
 use proptest::prelude::*;
 
@@ -210,56 +209,6 @@ fn torn_final_record_reruns_exactly_that_cell() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn compact_refuses_under_a_live_lease_and_proceeds_once_it_is_gone() {
-    // the two-writer race compaction must refuse to enter: a worker
-    // holding a group lease may append a record to the current segments
-    // at any moment; compaction rewrites-and-deletes those segments, so
-    // running the two concurrently would silently drop the append
-    let spec = spec_with(vec![1, 2]);
-    let dir = scratch_dir();
-    let archive = CampaignArchive::open(&dir, &spec).expect("open");
-    let stored = synthetic_result(&spec, 0, &[0.25, -3.5e17], &[7]);
-    archive.store(&spec, &stored).expect("store");
-
-    let lease_cfg = LeaseConfig::for_process();
-    let lease = archive
-        .try_claim(0, &lease_cfg)
-        .expect("claim io")
-        .expect("group 0 free");
-    let err = archive
-        .compact(&spec)
-        .expect_err("compact must refuse while a lease is live");
-    assert!(err.contains("unexpired lease"), "unexpected error: {err}");
-    // the refusal left the store untouched: the record still loads
-    assert_eq!(archive.load(&spec, &spec.expand()).loaded, 1);
-
-    // released lease -> compaction proceeds and keeps every record
-    archive.release(lease);
-    let report = archive.compact(&spec).expect("compact after release");
-    assert_eq!(report.records, 1);
-
-    // a *stale* lease — the on-disk residue of a killed worker — must
-    // not block compaction forever: only unexpired claims refuse
-    let dead = LeaseRecord {
-        lease_version: LEASE_VERSION,
-        spec_fingerprint: archive.fingerprint(),
-        group: 1,
-        holder: "dead-worker".into(),
-        heartbeat_ms: 0,
-    };
-    std::fs::write(
-        archive.lease_path(1),
-        serde_json::to_string(&dead).expect("serialize lease"),
-    )
-    .expect("write stale lease");
-    let report = archive
-        .compact(&spec)
-        .expect("stale leases never block compaction");
-    assert_eq!(report.records, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Every fine record a fresh handle on `dir` loads, one slot per cell.
 fn loaded_slots(dir: &std::path::Path, spec: &CampaignSpec) -> Vec<Option<ScenarioResult>> {
     let archive = CampaignArchive::open(dir, spec).expect("open");
@@ -306,11 +255,8 @@ fn a_damaged_segment_never_panics_and_never_loads_a_wrong_record() {
                 assert_eq!(result, original, "a damaged segment loaded a wrong record");
             }
         }
-        assert_eq!(
-            archive.cell_states(&spec, DEFAULT_LEASE_TTL_MS).len(),
-            stored.len()
-        );
-        archive.gc(&spec, DEFAULT_LEASE_TTL_MS).expect("gc");
+        assert_eq!(archive.cell_states(&spec).len(), stored.len());
+        archive.gc(&spec).expect("gc");
         assert_eq!(loaded_slots(&dir, &spec), loaded, "gc changed what loads");
         archive.compact(&spec).expect("compact");
         assert_eq!(

@@ -3,7 +3,8 @@
 //! report bytes `dpm campaign run` would print — plus the edges: idempotent
 //! concurrent submission, JSON errors for malformed specs and unknown
 //! routes, the 409 completeness gate that guarantees a `GET` never
-//! simulates, compaction refused while the daemon runs the campaign, and
+//! simulates, gc and compaction refused while the daemon runs the
+//! campaign, and
 //! a shutdown that stops a campaign between baseline groups.
 //!
 //! The suite speaks raw HTTP/1.1 over `TcpStream` — the same protocol
@@ -17,8 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
     campaign_json, completed_run, parse_campaign_toml, run_campaign_with, spawn_server, summarize,
-    CampaignArchive, CampaignSpec, CampaignStore, CellState, LeaseConfig, RunnerConfig,
-    ServeOptions, DEFAULT_LEASE_TTL_MS,
+    CampaignArchive, CampaignSpec, CampaignStore, CellState, RunnerConfig, ServeOptions,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -82,11 +82,7 @@ fn cli_report(toml: &str) -> String {
 /// Per baseline group of `spec`: (archived cells, cells).
 fn archived_per_group(archive: &CampaignArchive, spec: &CampaignSpec) -> Vec<(usize, usize)> {
     let mut groups = vec![(0, 0); spec.group_count()];
-    for (i, state) in archive
-        .cell_states(spec, DEFAULT_LEASE_TTL_MS)
-        .into_iter()
-        .enumerate()
-    {
+    for (i, state) in archive.cell_states(spec).into_iter().enumerate() {
         let group = &mut groups[spec.group_of(i)];
         group.0 += usize::from(state == CellState::Archived);
         group.1 += 1;
@@ -691,42 +687,12 @@ fn events_longpoll_releases_promptly_on_shutdown() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// `POST /campaigns/{id}/compact` refuses with `409 Conflict` while a
-/// worker holds an unexpired lease on the campaign — the HTTP face of
-/// the compaction/append race fix — and proceeds once it is released.
-#[test]
-fn compact_conflicts_while_a_worker_holds_a_lease() {
-    let root = scratch_dir();
-    let id = unsubmitted_campaign(&root);
-    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
-    let addr = server.addr();
-
-    // another holder claims a group, as a leased run does
-    let store = CampaignStore::open(&root).expect("open store");
-    let (archive, _) = store.open_campaign(&id).expect("open campaign");
-    let lease = archive
-        .try_claim(0, &LeaseConfig::for_process())
-        .expect("claim io")
-        .expect("group 0 free");
-
-    let refused = http(addr, "POST", &format!("/campaigns/{id}/compact"), None);
-    assert_eq!(refused.status, 409, "{}", refused.body);
-    assert!(refused.body.contains("unexpired lease"), "{}", refused.body);
-
-    // released -> the same request compacts cleanly
-    archive.release(lease);
-    let compacted = http(addr, "POST", &format!("/campaigns/{id}/compact"), None);
-    assert_eq!(compacted.status, 200, "{}", compacted.body);
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// `POST /campaigns/{id}/compact` answers 409 while this daemon has the
-/// campaign queued or running: its slot appends without a lease, so the
-/// archive's own lease check cannot see it, and compaction would delete
-/// the segment the slot appends to. Once `/events` reports `complete`
-/// compaction proceeds, and the report still matches the CLI's.
+/// `POST /campaigns/{id}/compact` and `POST /campaigns/{id}/gc` answer
+/// 409 while this daemon has the campaign queued or running: both delete
+/// segment files, compaction every old one and gc one the slot has
+/// created but not yet appended to, so the slot's later records would be
+/// lost. Once `/events` reports `complete` both proceed, and the report
+/// still matches the CLI's.
 #[test]
 fn compact_conflicts_while_the_daemon_has_the_campaign_queued_or_running() {
     let root = scratch_dir();
@@ -741,19 +707,30 @@ fn compact_conflicts_while_the_daemon_has_the_campaign_queued_or_running() {
     // the slow campaign takes the one slot, so the quick one waits queued
     let slow = submit(SLOW_SPEC_TOML);
     let quick = submit(SPEC_TOML);
-    let refused = http(addr, "POST", &format!("/campaigns/{quick}/compact"), None);
-    assert_eq!(refused.status, 409, "{}", refused.body);
-    assert!(refused.body.contains("is queued"), "{}", refused.body);
-    let refused = http(addr, "POST", &format!("/campaigns/{slow}/compact"), None);
-    assert_eq!(refused.status, 409, "{}", refused.body);
-    assert!(
-        refused.body.contains("is running") || refused.body.contains("is queued"),
-        "{}",
-        refused.body
-    );
+    for endpoint in ["compact", "gc"] {
+        let refused = http(
+            addr,
+            "POST",
+            &format!("/campaigns/{quick}/{endpoint}"),
+            None,
+        );
+        assert_eq!(refused.status, 409, "{endpoint}: {}", refused.body);
+        assert!(
+            refused.body.contains("is queued"),
+            "{endpoint}: {}",
+            refused.body
+        );
+        let refused = http(addr, "POST", &format!("/campaigns/{slow}/{endpoint}"), None);
+        assert_eq!(refused.status, 409, "{endpoint}: {}", refused.body);
+        assert!(
+            refused.body.contains("is running") || refused.body.contains("is queued"),
+            "{endpoint}: {}",
+            refused.body
+        );
+    }
 
     // `complete` is announced once the slot is done with the campaign,
-    // so compaction then goes through
+    // so compaction and gc then go through
     let events = http(
         addr,
         "GET",
@@ -765,13 +742,16 @@ fn compact_conflicts_while_the_daemon_has_the_campaign_queued_or_running() {
         "{}",
         events.body
     );
-    let compacted = http(addr, "POST", &format!("/campaigns/{quick}/compact"), None);
-    assert_eq!(compacted.status, 200, "{}", compacted.body);
-    assert!(
-        compacted.body.contains("\"records\": 4"),
-        "{}",
-        compacted.body
-    );
+    for (endpoint, kept) in [("compact", "\"records\": 4"), ("gc", "\"records_kept\": 4")] {
+        let done = http(
+            addr,
+            "POST",
+            &format!("/campaigns/{quick}/{endpoint}"),
+            None,
+        );
+        assert_eq!(done.status, 200, "{endpoint}: {}", done.body);
+        assert!(done.body.contains(kept), "{endpoint}: {}", done.body);
+    }
     let report = http(
         addr,
         "GET",

@@ -12,7 +12,7 @@
 //!
 //! [`Deserialize`] impls read their value from a [`Decoder`], a cursor
 //! over the text, without building a tree first; only a [`Value`] target
-//! builds one. The decoder reads untrusted text (archive records, leases,
+//! builds one. The decoder reads untrusted text (archive records and
 //! HTTP request bodies) in time linear in its length, and rejects
 //! documents nested deeper than 128 arrays/objects with an [`Error`]
 //! instead of recursing until the stack overflows.
