@@ -185,10 +185,14 @@ impl Opts {
                     .chain(bare_flags)
                     .map(|f| format!("--{f}"))
                     .collect();
-                return Err(format!(
-                    "unknown flag '--{name}' (expected one of: {})",
-                    known.join(", ")
-                ));
+                return Err(if known.is_empty() {
+                    format!("unknown flag '--{name}' (this command takes no flags)")
+                } else {
+                    format!(
+                        "unknown flag '--{name}' (expected one of: {})",
+                        known.join(", ")
+                    )
+                });
             };
             flags.push((name.to_string(), value));
         }
@@ -1000,7 +1004,6 @@ mod tests {
         for argv in [
             &["campaign", "run", "--builtin", "--workers", "2"][..],
             &["campaign", "run", "--builtin", "--ttl-ms", "5"],
-            &["campaign", "gc", dir_arg, "--ttl-ms", "5"],
             &["campaign", "list", dir_arg, "--ttl-ms", "5"],
         ] {
             let flag = argv[argv.len() - 2];
@@ -1008,6 +1011,18 @@ mod tests {
             assert!(
                 err.contains(&format!("unknown flag '{flag}'")),
                 "{argv:?}: {err}"
+            );
+        }
+        // gc and compact take no flags, and say so instead of listing none
+        for argv in [
+            &["campaign", "gc", dir_arg, "--ttl-ms", "5"][..],
+            &["campaign", "compact", dir_arg, "--x"],
+        ] {
+            let err = run(&args(argv)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown flag '{}' (this command takes no flags)", argv[3]),
+                "{argv:?}"
             );
         }
         let err = run(&args(&["worker", dir.to_str().unwrap()])).unwrap_err();

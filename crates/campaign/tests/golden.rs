@@ -1,7 +1,8 @@
 //! Golden-report regression corpus: the text / markdown / json
 //! renderings of `SearchReport` (climb + anneal) and
-//! `ParetoReport` on `specs/quick.toml` are checked in under
-//! `tests/golden/` and diffed
+//! `ParetoReport` on `specs/quick.toml`, and the per-scenario JSON
+//! `campaign run` report of a 40-cell grid at the full 200 ms horizon,
+//! are checked in under `tests/golden/` and diffed
 //! byte-for-byte here, so report-format changes are always deliberate.
 //!
 //! To regenerate after an *intentional* format change:
@@ -17,9 +18,10 @@
 use std::path::{Path, PathBuf};
 
 use dpm_campaign::{
-    pareto_ascii, pareto_campaign, pareto_json, pareto_markdown, parse_campaign_toml, search_ascii,
-    search_campaign, search_json, search_markdown, CampaignSpec, MultiObjective, ParetoSpec,
-    RunnerConfig, SearchSpec, StrategyKind,
+    campaign_json, pareto_ascii, pareto_campaign, pareto_json, pareto_markdown,
+    parse_campaign_toml, run_campaign_with, search_ascii, search_campaign, search_json,
+    search_markdown, summarize, CampaignSpec, MultiObjective, ParetoSpec, RunnerConfig, SearchSpec,
+    StrategyKind,
 };
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -98,4 +100,32 @@ fn pareto_report_matches_the_golden_corpus() {
     assert_golden("pareto-quick.txt", &pareto_ascii(&outcome.report));
     assert_golden("pareto-quick.md", &pareto_markdown(&outcome.report));
     assert_golden("pareto-quick.json", &pareto_json(&outcome.report).unwrap());
+}
+
+/// Every controller on both workloads, both SoC sizes and both thermal
+/// scenarios, one seed, at the sweep's 200 ms horizon. The quick goldens
+/// stop at 15 ms with three controllers and a cool package, so they pin
+/// neither the timeout controllers, nor a hot start, nor a long run.
+const FULL_HORIZON_TOML: &str = "\
+name = \"full-horizon\"
+horizon_ms = 200
+master_seed = 2005
+initial_soc = 0.95
+
+[axes]
+controllers = [\"dpm\", \"always_on\", \"timeout_500us\", \"timeout_2ms\", \"oracle\"]
+tunings = [\"paper\"]
+workloads = [\"low\", \"high\"]
+seeds = [1]
+batteries = [\"linear\"]
+thermals = [\"cool\", \"hot\"]
+ip_counts = [1, 4]
+";
+
+#[test]
+fn full_horizon_campaign_report_matches_the_golden_corpus() {
+    let (spec, _) = parse_campaign_toml(FULL_HORIZON_TOML).expect("parse the full-horizon grid");
+    let run = run_campaign_with(&spec, &RunnerConfig::default(), None).expect("campaign run");
+    let json = campaign_json(&summarize(&run.result), Some(&run.result)).unwrap();
+    assert_golden("campaign-full-horizon.json", &json);
 }

@@ -1,4 +1,8 @@
 //! SoC construction: wires Fig. 1 of the paper.
+//!
+//! Fig. 1 also routes service requests between the IPs over a shared
+//! bus. That bus is not simulated: no DPM decision and no metric reads
+//! it, so it would only add events to every run.
 
 use dpm_battery::{
     Battery, BatteryClassifier, BatteryMonitor, BatteryMonitorHandles, KibamBattery, LinearBattery,
@@ -13,9 +17,7 @@ use dpm_power::{PowerState, TransitionTable};
 use dpm_thermal::{
     ThermalClassifier, ThermalMonitor, ThermalMonitorHandles, ThermalNetwork, ThermalNetworkConfig,
 };
-use dpm_units::SimDuration;
 
-use crate::bus::{Bus, BusHandles, BusTransaction};
 use crate::config::{BatteryKind, ControllerKind, SocConfig};
 use crate::ip::{IpBlock, IpPorts};
 use crate::util::Adder;
@@ -54,8 +56,6 @@ pub struct SocHandles {
     pub thermal: ThermalMonitorHandles,
     /// GEM handles, when configured.
     pub gem: Option<dpm_core::gem::GemHandles>,
-    /// Service-request bus handles.
-    pub bus: BusHandles,
     /// Fan control signal (driven by the GEM, or constant `false`).
     pub fan_on: Signal<bool>,
     /// Cycle-accurate clocks (one per IP, mirroring SystemC's per-module
@@ -86,7 +86,7 @@ fn make_battery(cfg: &SocConfig) -> Box<dyn Battery> {
     }
 }
 
-/// Builds the complete SoC of the paper's Fig. 1 into `sim`.
+/// Builds the SoC of the paper's Fig. 1, less its bus, into `sim`.
 ///
 /// # Panics
 ///
@@ -95,7 +95,6 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
     cfg.validate();
     let n = cfg.ips.len();
 
-    let bus = Bus::spawn(sim, "bus");
     let fan_on = sim.signal("fan.on", false);
 
     // Per-IP plumbing: PSM, power signals, heat adders.
@@ -235,8 +234,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
             psm_busy: psm_ports_v[i].busy,
             power: power_sigs[i],
         };
-        let ip_pid = IpBlock::spawn(sim, name, ip_cfg.model.clone(), &ip_cfg.trace, ip_ports)
-            .with_bus(sim, bus.requests, i as u8);
+        let ip_pid = IpBlock::spawn(sim, name, ip_cfg.model.clone(), &ip_cfg.trace, ip_ports);
         ips.push(IpHandles {
             name: name.clone(),
             ip: ip_pid,
@@ -273,40 +271,15 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
         battery,
         thermal,
         gem,
-        bus,
         fan_on,
         clocks,
-    }
-}
-
-/// Extension trait so `IpBlock::spawn(...)` can chain the bus hookup.
-trait WithBus {
-    fn with_bus(
-        self,
-        sim: &mut Simulation,
-        bus: dpm_kernel::Fifo<BusTransaction>,
-        ip_index: u8,
-    ) -> Self;
-}
-
-impl WithBus for ProcessId {
-    fn with_bus(
-        self,
-        sim: &mut Simulation,
-        bus: dpm_kernel::Fifo<BusTransaction>,
-        ip_index: u8,
-    ) -> Self {
-        sim.with_process_mut::<IpBlock, _>(self, |ip| {
-            ip.attach_bus(bus, ip_index, SimDuration::from_nanos(200));
-        });
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpm_units::SimTime;
+    use dpm_units::{SimDuration, SimTime};
     use dpm_workload::{ActivityLevel, BurstyGenerator, PriorityWeights, TraceGenerator};
 
     fn small_trace(seed: u64) -> dpm_workload::TaskTrace {

@@ -15,8 +15,6 @@ use dpm_workload::{TaskSpec, TaskTrace};
 
 use dpm_core::msg::{TaskGrant, TaskRequest};
 
-use crate::bus::BusTransaction;
-
 /// The IP-side port bundle (complements [`dpm_core::LemPorts`]).
 #[derive(Debug, Clone, Copy)]
 pub struct IpPorts {
@@ -59,6 +57,8 @@ struct Exec {
     speed_hz: f64,
     last_update: SimTime,
     granted_at: SimTime,
+    /// When `exec_done` is scheduled to fire, if it is.
+    due: Option<SimTime>,
 }
 
 /// The functional IP process.
@@ -73,8 +73,6 @@ pub struct IpBlock {
     done: u64,
     records: Vec<TaskRecord>,
     meter: EnergyMeter,
-    /// Optional service-request bus: `(fifo, ip index, transaction time)`.
-    bus: Option<(Fifo<BusTransaction>, u8, SimDuration)>,
 }
 
 impl IpBlock {
@@ -99,7 +97,6 @@ impl IpBlock {
             done: 0,
             records: Vec::new(),
             meter: EnergyMeter::new(SimTime::ZERO, PowerState::On1, Power::ZERO),
-            bus: None,
         };
         let pid = sim.add_process(name, ip);
         sim.sensitize(pid, arrival);
@@ -131,12 +128,6 @@ impl IpBlock {
         self.meter.finish(now)
     }
 
-    /// Routes this IP's service requests over the shared bus as
-    /// transactions of `duration` each (call between elaboration and run).
-    pub fn attach_bus(&mut self, bus: Fifo<BusTransaction>, ip_index: u8, duration: SimDuration) {
-        self.bus = Some((bus, ip_index, duration));
-    }
-
     fn schedule_next_arrival(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(spec) = self.trace.get(self.next_arrival) {
             let delay = spec.arrival.saturating_duration_since(ctx.now());
@@ -162,8 +153,8 @@ impl IpBlock {
     }
 
     /// Settles execution progress up to now, completes the task if done,
-    /// and re-schedules the completion event. Returns `true` when a task
-    /// completed in this call.
+    /// and re-schedules the completion event when its time moved. Returns
+    /// `true` when a task completed in this call.
     fn settle_execution(&mut self, ctx: &mut Ctx<'_>) -> bool {
         let now = ctx.now();
         let Some(exec) = self.current.as_mut() else {
@@ -185,15 +176,24 @@ impl IpBlock {
             ctx.cancel(self.exec_done);
             return true;
         }
-        // re-time the completion under the (possibly new) speed
+        // re-time the completion under the (possibly new) speed; a wake-up
+        // that leaves the completion time where it was (an arrival, a grant
+        // for a later task) keeps the pending notification
         let speed = self.speed_now(ctx);
         let exec = self.current.as_mut().expect("still executing");
         exec.speed_hz = speed;
-        ctx.cancel(self.exec_done);
-        if speed > 0.0 {
-            let dt = SimDuration::from_secs_f64(exec.remaining_cycles / speed);
-            ctx.notify(self.exec_done, dt.max(SimDuration::from_ps(1)));
+        let delay = (speed > 0.0).then(|| {
+            SimDuration::from_secs_f64(exec.remaining_cycles / speed).max(SimDuration::from_ps(1))
+        });
+        let due = delay.map(|d| now + d);
+        if due.is_some() && due == exec.due && ctx.is_pending(self.exec_done) {
+            return false;
         }
+        ctx.cancel(self.exec_done);
+        if let Some(delay) = delay {
+            ctx.notify(self.exec_done, delay);
+        }
+        exec.due = due;
         false
     }
 
@@ -229,11 +229,6 @@ impl Process for IpBlock {
             self.next_arrival += 1;
             ctx.fifo_push(self.ports.requests, TaskRequest { spec })
                 .unwrap_or_else(|_| panic!("request fifo overflow"));
-            if let Some((bus, ip, duration)) = self.bus {
-                // best effort: a saturated bus drops the accounting
-                // transaction, never the request itself
-                let _ = ctx.fifo_push(bus, BusTransaction { ip, duration });
-            }
             self.schedule_next_arrival(ctx);
         }
         // 2. settle execution progress against the current PSM state
@@ -248,6 +243,7 @@ impl Process for IpBlock {
                     speed_hz: 0.0,
                     last_update: ctx.now(),
                     granted_at: ctx.now(),
+                    due: None,
                 });
                 self.settle_execution(ctx);
             }
@@ -386,6 +382,23 @@ mod tests {
         let upper = model.mix_power(PowerState::On1, &InstructionMix::default())
             * SimDuration::from_millis(2);
         assert!(total <= upper);
+    }
+
+    #[test]
+    fn arrivals_during_a_task_leave_its_completion_alone() {
+        // tasks 1 and 2 arrive while task 0 runs at ON1; each arrival
+        // wakes the IP, but the running task's completion time does not
+        // move, so it is scheduled once
+        let tasks = 3;
+        let mut r = rig(trace(&[100, 150, 200], 200_000));
+        r.sim.run_until(SimTime::from_millis(10));
+        assert_eq!(r.sim.peek(r.done), tasks);
+        let records = r
+            .sim
+            .with_process::<IpBlock, _>(r.ip, |ip| ip.records().to_vec());
+        assert!(records[0].finished_at > SimTime::from_micros(200));
+        // one arrival and one completion per task
+        assert_eq!(r.sim.stats().timed_notifications, 2 * tasks);
     }
 
     #[test]

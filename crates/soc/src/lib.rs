@@ -1,15 +1,14 @@
 //! SoC assembly for the DATE'05 DPM architecture (paper Fig. 1).
 //!
 //! This crate wires the `dpm-core` managers to traffic-generating IP
-//! blocks, the shared bus, and the battery/thermal monitors, then runs
-//! the paper's experiments:
+//! blocks and the battery/thermal monitors, then runs the paper's
+//! experiments. Fig. 1's shared service-request bus is not simulated: no
+//! DPM decision and no metric reads it.
 //!
 //! * [`IpBlock`] — the functional IP: replays a [`dpm_workload::TaskTrace`],
 //!   sends a task request to its LEM before each task, executes grants at
 //!   the PSM-published speed (pausing through sleep states and
 //!   transitions) and publishes its instantaneous power draw.
-//! * [`Bus`] — service-request transport with occupancy accounting (the
-//!   GEM input the paper mentions).
 //! * [`SocConfig`] / [`build_soc`] — declarative SoC construction: any
 //!   number of IPs, LEM/baseline controller choice, battery model and
 //!   starting charge, thermal scenario, optional GEM, optional
@@ -30,7 +29,6 @@
 #![warn(missing_docs)]
 
 mod build;
-mod bus;
 mod coarse;
 mod config;
 pub mod experiment;
@@ -40,7 +38,6 @@ pub mod report;
 mod util;
 
 pub use build::{build_soc, SocHandles};
-pub use bus::{Bus, BusStats};
 pub use coarse::{run_config_coarse, CoarsePlan};
 pub use config::{BatteryKind, ControllerKind, IpConfig, LemTuning, SocConfig, ThermalScenario};
 pub use ip::{IpBlock, IpPorts, TaskRecord};

@@ -1,11 +1,11 @@
-//! Dimensionless ratios (state of charge, savings, occupancy).
+//! Dimensionless ratios (state of charge, savings).
 
 use core::fmt;
 
 /// A dimensionless ratio where `1.0` is 100 %.
 ///
-/// Used for battery state of charge, bus occupancy and the relative
-/// metrics reported by the experiment harness.
+/// Used for battery state of charge and the relative metrics reported
+/// by the experiment harness.
 ///
 /// # Examples
 ///
