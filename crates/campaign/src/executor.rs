@@ -80,11 +80,16 @@ impl ThreadPool {
 
 /// Index-ordered parallel map over a [`ThreadPool`]: `job(i)` for `i in
 /// 0..n`, results in index order regardless of execution interleaving.
+/// At width 1 the jobs run in index order straight into the result, with
+/// no slot table: a runner call maps once per trace key and phase.
 pub fn map_units<T: Send + Sync>(
     pool: &ThreadPool,
     n: usize,
     job: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
+    if pool.parallelism().min(n) <= 1 {
+        return (0..n).map(job).collect();
+    }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     pool.execute(n, &|i| {
         // each index is scheduled exactly once, so the slot is empty

@@ -40,8 +40,9 @@
 //!    shared atomic counter, or run on the caller's thread when only one
 //!    thread would.
 //! 2. **Batches** ([`runner::run_cells_with`]): resume-from-archive,
-//!    one run per distinct configuration and panic isolation around a
-//!    set of cells — the one execution path, always in one process.
+//!    one run per distinct configuration, one trace set per trace key
+//!    and panic isolation around a set of cells — the one execution
+//!    path, always in one process.
 //! 3. **Campaigns**, as batches: `campaign run` calls
 //!    [`runner::run_campaign_with`] (one batch of the whole grid),
 //!    [`search::drive_strategy`] one batch per round, and each `dpm

@@ -11,7 +11,7 @@
 //! [`crate::search::drive_strategy`], and each baseline group a `dpm
 //! serve` executor slot runs (see [`crate::server`]).
 //!
-//! Three optimizations sit on top of that plan, all result-preserving:
+//! Four optimizations sit on top of that plan, all result-preserving:
 //!
 //! * **One run per distinct configuration**: every evaluation is keyed
 //!   by its *run key* — the cell's axes and the fidelity, with the
@@ -29,20 +29,23 @@
 //!   or whose record was read and failed, is served from it, as from any
 //!   cached key. A cell whose key no other cell of the grid shares reads
 //!   its own record.
+//! * **One trace set per trace key**: a call works one trace key —
+//!   (workload, seed, IP count) — at a time, in trace-key order: it takes
+//!   the key's trace *skeleton* from the [`BaselineCache`] or generates
+//!   it, runs the key's new baselines, then its own runs. No run copies
+//!   a trace: a fine run builds its SoC from the cell's own settings on
+//!   the skeleton's IPs ([`dpm_soc::build_soc_on`]), the SoC
+//!   [`ScenarioSpec::build_config`] describes, and a coarse one walks the
+//!   skeleton's [`CoarsePlan`], built by the key's first coarse
+//!   evaluation, which reads the IPs, their traces and their model
+//!   tables by reference. A call given no cache drops each key's
+//!   skeleton and baselines after the key's runs: holding every trace
+//!   set of a sweep raised the benchmark sweep's (80 cells, 200 ms) peak
+//!   RSS from 6.6 to 7.9 MiB.
 //! * **Cross-call reuse**, only when the caller holds a [`BaselineCache`]
 //!   (the search driver across its rounds, a `dpm serve` slot within
 //!   one baseline group): a configuration any earlier call ran is served
-//!   from the cache, and each (workload, seed, IP count)
-//!   generates its traces once. A fine config is a clone of that
-//!   skeleton with the cell's own settings applied — equal to what
-//!   [`ScenarioSpec::build_config`] builds. A coarse evaluation clones
-//!   no trace: it applies the cell's settings to the skeleton's IP-less
-//!   settings and walks the skeleton's [`CoarsePlan`], built by the
-//!   first coarse evaluation of the key, which reads the IPs, their
-//!   traces and their model tables by reference. One-shot runs build
-//!   every config from scratch: holding every trace set of the call
-//!   raised the benchmark sweep's (80 cells, 200 ms) peak RSS from 6.6
-//!   to 7.9 MiB, and its fine simulations dwarf the build.
+//!   from the cache, and so is each trace skeleton.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -55,7 +58,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dpm_kernel::Simulation;
 use dpm_soc::experiment::table2_row;
 use dpm_soc::{
-    build_soc, collect_metrics, CoarsePlan, ControllerKind, IpConfig, SocConfig, SocMetrics,
+    build_soc_on, collect_metrics, CoarsePlan, ControllerKind, IpConfig, SocConfig, SocMetrics,
 };
 use dpm_units::SimTime;
 
@@ -333,9 +336,9 @@ impl RunStats {
     }
 }
 
-/// Cross-call cache of runs by run key (see the module docs) — each
-/// always-`ON1` baseline run and each finished or archived cell's
-/// outcome — and of trace skeletons, keyed by the axes traces depend on
+/// Cache of runs by run key (see the module docs) — each always-`ON1`
+/// baseline run and each finished or archived cell's outcome — and of
+/// trace skeletons, one per trace key, the axes traces depend on
 /// (workload, seed, IP count).
 ///
 /// One exhaustive sweep runs each distinct configuration exactly once; a
@@ -346,12 +349,11 @@ impl RunStats {
 /// first use and is served from memory afterwards. A baseline is kept
 /// whole, behind an [`Arc`], so a batch borrows it rather than copying
 /// its task records; any other run is kept as the outcome it gave its
-/// cell. Likewise each trace set is generated once. A fine config is a
-/// clone of its skeleton with the cell's settings applied; a coarse
-/// evaluation walks the skeleton's [`CoarsePlan`] (built on the key's
-/// first coarse evaluation) and copies no trace. Results are
+/// cell. Likewise each trace set is generated once. Results are
 /// deterministic, so serving from the cache never changes any metric. A
-/// cache belongs to one spec.
+/// cache belongs to one spec. A [`run_cells_with`] call given no cache
+/// uses one of its own, which drops each trace key's skeleton and
+/// baselines once the key's runs are done.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     baselines: HashMap<RunKey, Result<Arc<SocMetrics>, String>>,
@@ -360,8 +362,8 @@ pub struct BaselineCache {
     skeletons: HashMap<TraceKey, Result<Skeleton, String>>,
 }
 
-/// One cached trace skeleton, split so a coarse evaluation reads its
-/// IPs in place instead of cloning them.
+/// One cached trace skeleton, split so every evaluation reads its IPs
+/// in place instead of cloning them.
 #[derive(Debug)]
 struct Skeleton {
     /// Every setting of the skeleton but its IPs (`ips` is empty).
@@ -382,12 +384,32 @@ impl Skeleton {
         }
     }
 
-    /// The whole skeleton as one config.
-    fn config(&self) -> SocConfig {
-        SocConfig {
-            ips: self.ips.clone(),
-            ..self.settings.clone()
-        }
+    /// Evaluates `cell`, or its always-`ON1` baseline when `baseline`, on
+    /// this skeleton's traces (see the module docs). A panic is the
+    /// error.
+    fn run(
+        &self,
+        spec: &CampaignSpec,
+        cell: &ScenarioSpec,
+        baseline: bool,
+        fidelity: Fidelity,
+    ) -> Result<SocMetrics, String> {
+        let horizon = spec.horizon();
+        let configure = |settings: SocConfig| {
+            let cfg = cell.configure(spec, settings);
+            if baseline {
+                cfg.with_controller(ControllerKind::AlwaysOn)
+            } else {
+                cfg
+            }
+        };
+        caught(|| match fidelity {
+            Fidelity::Fine => simulate_fine(&configure(self.settings.clone()), &self.ips, horizon),
+            Fidelity::Coarse => {
+                let plan = self.plan.get_or_init(|| CoarsePlan::new(&self.ips));
+                plan.run(&configure(self.settings.clone()), &self.ips, horizon)
+            }
+        })
     }
 }
 
@@ -424,61 +446,12 @@ pub struct CampaignRun {
     pub archive_errors: Vec<String>,
 }
 
-fn run_to_metrics(cfg: &SocConfig, horizon: SimTime, fidelity: Fidelity) -> SocMetrics {
-    match fidelity {
-        Fidelity::Fine => {
-            let mut sim = Simulation::new();
-            let handles = build_soc(&mut sim, cfg);
-            sim.run_until(horizon);
-            collect_metrics(&mut sim, &handles, horizon)
-        }
-        Fidelity::Coarse => dpm_soc::run_config_coarse(cfg, horizon),
-    }
-}
-
-/// Where one run's SoC configs come from: built from scratch per cell,
-/// or taken from the caller's cached skeleton of the cell's trace key
-/// with the cell's own settings applied.
-struct Configs<'a> {
-    spec: &'a CampaignSpec,
-    skeletons: Option<&'a HashMap<TraceKey, Result<Skeleton, String>>>,
-}
-
-impl Configs<'_> {
-    /// Evaluates `cell`, or its always-`ON1` baseline when `baseline`. A
-    /// panic while building the config is the error, with the message a
-    /// per-cell [`ScenarioSpec::build_config`] would give.
-    fn run(
-        &self,
-        cell: &ScenarioSpec,
-        baseline: bool,
-        fidelity: Fidelity,
-    ) -> Result<SocMetrics, String> {
-        let horizon = self.spec.horizon();
-        let configure = |skeleton: SocConfig| {
-            let cfg = cell.configure(self.spec, skeleton);
-            if baseline {
-                cfg.with_controller(ControllerKind::AlwaysOn)
-            } else {
-                cfg
-            }
-        };
-        let Some(skeletons) = self.skeletons else {
-            let build = || configure(cell.build_skeleton(self.spec));
-            return caught(|| run_to_metrics(&build(), horizon, fidelity));
-        };
-        let skeleton = skeletons[&cell.trace_key()]
-            .as_ref()
-            .map_err(Clone::clone)?;
-        caught(|| match fidelity {
-            Fidelity::Fine => run_to_metrics(&configure(skeleton.config()), horizon, fidelity),
-            Fidelity::Coarse => {
-                let plan = skeleton.plan.get_or_init(|| CoarsePlan::new(&skeleton.ips));
-                let cfg = configure(skeleton.settings.clone());
-                plan.run(&cfg, &skeleton.ips, horizon)
-            }
-        })
-    }
+/// One fine (full-kernel) simulation of `cfg` on `ips` up to `horizon`.
+fn simulate_fine(cfg: &SocConfig, ips: &[IpConfig], horizon: SimTime) -> SocMetrics {
+    let mut sim = Simulation::new();
+    let handles = build_soc_on(&mut sim, cfg, ips);
+    sim.run_until(horizon);
+    collect_metrics(&mut sim, &handles, horizon)
 }
 
 /// Executes one scenario at *fine* fidelity: the configured run plus its
@@ -487,8 +460,8 @@ pub fn run_scenario_cell(spec: &CampaignSpec, cell: &ScenarioSpec) -> ScenarioMe
     let horizon = spec.horizon();
     let cfg = cell.build_config(spec);
     let baseline_cfg = cfg.clone().with_controller(ControllerKind::AlwaysOn);
-    let dpm = run_to_metrics(&cfg, horizon, Fidelity::Fine);
-    let baseline = run_to_metrics(&baseline_cfg, horizon, Fidelity::Fine);
+    let dpm = simulate_fine(&cfg, &cfg.ips, horizon);
+    let baseline = simulate_fine(&baseline_cfg, &baseline_cfg.ips, horizon);
     ScenarioMetrics::from_runs(&dpm, &baseline, horizon)
 }
 
@@ -655,16 +628,19 @@ pub fn run_campaign_with(
 /// and run sharing as a full run: the one execution path, taken by a
 /// whole campaign, a search batch and a `dpm serve` slot's baseline
 /// group alike. It resumes from the archive, runs each configuration of
-/// the missing cells once on the configured [`ThreadPool`] (baselines
-/// first, then the cells' own runs) and stores fresh records. Results
-/// come back in `cells` order; archive records are keyed by **grid**
-/// index, so batches and exhaustive sweeps share one cache.
+/// the missing cells once on the configured [`ThreadPool`] and stores
+/// fresh records as they land. The runs go one trace key at a time:
+/// the key's skeleton, its new baselines, then its cells' own runs.
+/// Results come back in `cells` order; archive records are keyed by
+/// **grid** index, so batches and exhaustive sweeps share one cache.
 ///
 /// An optional [`BaselineCache`] carries runs and trace skeletons across
 /// calls: a configuration already cached is served from memory instead
 /// of re-simulating, which restores exhaustive-sweep sharing to a
-/// sequence of batches, and each trace set is generated once. All
-/// determinism guarantees of [`run_campaign_with`] hold per batch.
+/// sequence of batches, and each trace set is generated once. Without
+/// one, the call keeps one skeleton at a time: it drops each trace key's
+/// skeleton and baselines once the key's runs are done. All determinism
+/// guarantees of [`run_campaign_with`] hold per batch.
 ///
 /// # Errors
 ///
@@ -684,11 +660,11 @@ pub fn run_cells_with(
     let fidelity = config.fidelity;
     let is_spec = speculative_flags(cells, config);
 
-    // a one-shot run shares runs through a cache of its own that keeps
-    // no trace skeletons: it builds every config from scratch, so a
-    // sweep never holds every trace set in memory at once
+    // a call without a cache shares runs through one of its own, which
+    // drops each trace key's skeleton and baselines once the key's runs
+    // are done, so a sweep holds one trace set at a time
+    let owned = cache.is_none();
     let mut own_cache = BaselineCache::new();
-    let keep_skeletons = cache.is_some();
     let BaselineCache {
         baselines,
         outcomes,
@@ -736,49 +712,38 @@ pub fn run_cells_with(
         .count();
     let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
 
-    // each distinct run key of the missing cells, in first-appearance
-    // order, with the cells it serves; then the baselines of the keys
-    // no earlier call ran. A run is accounted as speculative (prefetch)
-    // work only when every cell it serves is speculative.
-    let runs = grouped(
+    // each distinct run key of the missing cells with the cells it
+    // serves, one trace key after another, in trace-key order; then the
+    // baselines of the keys no earlier call ran, in the same order. A run
+    // is accounted as speculative (prefetch) work only when every cell it
+    // serves is speculative.
+    let mut runs = grouped(
         missing
             .iter()
             .map(|&i| (RunKey::of(&cells[i], fidelity), i)),
     );
-    let fresh: Vec<&(RunKey, Vec<usize>)> = runs
+    runs.sort_by_key(|(_, served)| cells[served[0]].trace_key());
+    // the runs no earlier call or record gave an outcome for
+    let fresh: Vec<bool> = runs
         .iter()
-        .filter(|(key, _)| !outcomes.contains_key(key))
+        .map(|(key, _)| !outcomes.contains_key(key))
         .collect();
-    let new_baselines: Vec<(RunKey, Vec<usize>)> = grouped(
-        fresh
-            .iter()
-            .flat_map(|(key, served)| served.iter().map(|&i| (key.baseline(), i))),
-    )
-    .into_iter()
-    .filter(|(key, _)| !baselines.contains_key(key))
-    .collect();
+    let fresh_runs = || {
+        runs.iter()
+            .zip(&fresh)
+            .filter_map(|(run, &f)| f.then_some(run))
+    };
+    let new_baselines: Vec<(RunKey, Vec<usize>)> =
+        grouped(fresh_runs().flat_map(|(key, served)| served.iter().map(|&i| (key.baseline(), i))))
+            .into_iter()
+            .filter(|(key, _)| !baselines.contains_key(key))
+            .collect();
     let speculative = |served: &[usize]| served.iter().all(|&i| is_spec[i]);
     // the runs phase B simulates; every other missing cell is served by
     // a run made for another cell
-    let own_runs = fresh
-        .iter()
+    let own_runs = fresh_runs()
         .filter(|(key, _)| *key != key.baseline())
         .count();
-
-    // with a cross-call cache, each trace key generates its traces once
-    // and configs take them from there
-    if keep_skeletons {
-        for (_, served) in &fresh {
-            let cell = &cells[served[0]];
-            skeletons
-                .entry(cell.trace_key())
-                .or_insert_with(|| caught(|| Skeleton::new(cell.build_skeleton(spec))));
-        }
-    }
-    let configs = Configs {
-        spec,
-        skeletons: keep_skeletons.then_some(&*skeletons),
-    };
 
     let pool = ThreadPool::new(config.threads);
     let progress = Progress::new(config.progress, new_baselines.len() + own_runs);
@@ -793,74 +758,110 @@ pub fn run_cells_with(
         Fidelity::Fine => (&fine_sims, &spec_fine_sims),
         Fidelity::Coarse => (&coarse_sims, &spec_coarse_sims),
     };
-    // one simulation for the cells `served`: the first one's own run,
-    // or its baseline when `baseline`; counted, and ticked when done
-    let simulate = |served: &[usize], baseline: bool| {
-        let counter = if speculative(served) { spec_sims } else { sims };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let out = configs.run(&cells[served[0]], baseline, fidelity);
-        progress.tick();
-        out.map(Arc::new)
-    };
+    // one evaluation on the trace key's skeleton for the cells `served`:
+    // the first one's own run, or its baseline when `baseline`; counted,
+    // and ticked when done. A skeleton whose build panicked fails it.
+    let simulate =
+        |skeleton: Option<&Result<Skeleton, String>>, served: &[usize], baseline: bool| {
+            let counter = if speculative(served) { spec_sims } else { sims };
+            counter.fetch_add(1, Ordering::Relaxed);
+            let out = skeleton
+                .expect("a trace key with a run to simulate has a skeleton")
+                .as_ref()
+                .map_err(Clone::clone)
+                .and_then(|s| s.run(spec, &cells[served[0]], baseline, fidelity));
+            progress.tick();
+            out.map(Arc::new)
+        };
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let archive_broken = AtomicBool::new(false);
 
-    // phase A: the baselines (each config is built inside the catch — a
-    // panicking trace generator must fail the cells that need it, not
-    // the whole campaign)
-    let fresh_baselines = map_units(&pool, new_baselines.len(), |b| {
-        simulate(&new_baselines[b].1, true)
-    });
-    baselines.extend(
-        new_baselines
-            .iter()
-            .map(|(key, _)| *key)
-            .zip(fresh_baselines),
-    );
-
-    // phase B: each key's own run and the outcome of the cells it serves
-    // (an always-ON1 key's own run is its baseline), storing fresh
-    // results as they land, so a killed sweep keeps everything finished
-    // so far
-    let done = map_units(&pool, runs.len(), |r| {
-        let (key, served) = &runs[r];
-        let outcome = outcomes.get(key).cloned().unwrap_or_else(|| {
-            let baseline = &baselines[&key.baseline()];
-            if *key == key.baseline() {
-                return outcome_of(baseline, baseline, horizon);
-            }
-            outcome_of(&simulate(served, false), baseline, horizon)
+    let mut pending_baselines = new_baselines.as_slice();
+    let mut pending_fresh = fresh.as_slice();
+    for runs_of_key in
+        runs.chunk_by(|(_, a), (_, b)| cells[a[0]].trace_key() == cells[b[0]].trace_key())
+    {
+        let first = &cells[runs_of_key[0].1[0]];
+        let (key_fresh, rest) = pending_fresh.split_at(runs_of_key.len());
+        pending_fresh = rest;
+        let (key_baselines, rest) = pending_baselines.split_at(
+            pending_baselines
+                .iter()
+                .take_while(|(_, served)| cells[served[0]].trace_key() == first.trace_key())
+                .count(),
+        );
+        pending_baselines = rest;
+        // the key's skeleton, when a run of the key simulates: the
+        // cache's, or generated here (a panicking trace generator fails
+        // the cells that need it, not the whole campaign)
+        let skeleton = key_fresh.contains(&true).then(|| {
+            &*skeletons
+                .entry(first.trace_key())
+                .or_insert_with(|| caught(|| Skeleton::new(first.build_skeleton(spec))))
         });
-        let results: Vec<ScenarioResult> = served
-            .iter()
-            .map(|&i| result_of(&cells[i], &outcome))
-            .collect();
-        if let Some(a) = archive {
-            for result in &results {
-                if archive_broken.load(Ordering::Relaxed) {
-                    break;
+
+        // phase A: the key's new baselines
+        let fresh_baselines = map_units(&pool, key_baselines.len(), |b| {
+            simulate(skeleton, &key_baselines[b].1, true)
+        });
+        baselines.extend(
+            key_baselines
+                .iter()
+                .map(|(key, _)| *key)
+                .zip(fresh_baselines),
+        );
+
+        // phase B: each run key's own run and the outcome of the cells it
+        // serves (an always-ON1 key's own run is its baseline), storing
+        // fresh results as they land, so a killed sweep keeps everything
+        // finished so far
+        let done = map_units(&pool, runs_of_key.len(), |r| {
+            let (key, served) = &runs_of_key[r];
+            let outcome = if key_fresh[r] {
+                let baseline = &baselines[&key.baseline()];
+                let own = (*key != key.baseline()).then(|| simulate(skeleton, served, false));
+                outcome_of(own.as_ref().unwrap_or(baseline), baseline, horizon)
+            } else {
+                outcomes[key].clone()
+            };
+            let results: Vec<ScenarioResult> = served
+                .iter()
+                .map(|&i| result_of(&cells[i], &outcome))
+                .collect();
+            if let Some(a) = archive {
+                for result in &results {
+                    if archive_broken.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    if let Err(e) = a.store_as(spec, result, fidelity) {
+                        archive_broken.store(true, Ordering::Relaxed);
+                        store_errors
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner)
+                            .push(e);
+                    }
                 }
-                if let Err(e) = a.store_as(spec, result, fidelity) {
-                    archive_broken.store(true, Ordering::Relaxed);
-                    store_errors
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(e);
-                }
+            }
+            (outcome, results)
+        });
+        for ((key, served), (outcome, results)) in runs_of_key.iter().zip(done) {
+            outcomes.insert(*key, outcome);
+            for (&i, result) in served.iter().zip(results) {
+                slots[i] = Some(result);
             }
         }
-        (outcome, results)
-    });
+
+        if owned {
+            skeletons.remove(&first.trace_key());
+            for (key, _) in key_baselines {
+                baselines.remove(key);
+            }
+        }
+    }
 
     let archive_errors = store_errors
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    for ((key, served), (outcome, results)) in runs.iter().zip(done) {
-        outcomes.insert(*key, outcome);
-        for (&i, result) in served.iter().zip(results) {
-            slots[i] = Some(result);
-        }
-    }
     let results: Vec<ScenarioResult> = slots
         .into_iter()
         .map(|slot| slot.expect("every scenario slot is filled"))

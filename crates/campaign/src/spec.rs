@@ -158,7 +158,9 @@ impl TuningAxis {
 /// Each value's doc states the load it offers one IP: Σ `ON1` service
 /// time of its trace ÷ horizon, median over seeds at 200 ms. A load
 /// above 1 is more work than an always-`ON1` IP can finish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum WorkloadAxis {
     /// `ActivityLevel::Low` bursty preset (~0.28 load).
     Low,

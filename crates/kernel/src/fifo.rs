@@ -4,6 +4,8 @@
 //! same delta, in process-id order, which is deterministic); the
 //! *data-written* and *data-read* events are notified for the **next** delta
 //! cycle so consumers and producers wake up exactly once per transfer burst.
+//! The data-read event is notified only while some process is sensitive to
+//! it.
 
 use core::any::Any;
 use core::fmt;
@@ -29,7 +31,9 @@ impl<T> Fifo<T> {
         self.written
     }
 
-    /// Event notified (next delta) after one or more successful pops.
+    /// Event notified (next delta) after one or more successful pops,
+    /// while some process is sensitive to it: a pop that no process can
+    /// hear notifies nothing.
     #[inline]
     pub const fn read_event(self) -> EventId {
         self.read
@@ -65,8 +69,6 @@ pub(crate) trait AnyFifo: Any {
     fn name(&self) -> &str;
     fn len(&self) -> usize;
     fn capacity(&self) -> usize;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 pub(crate) struct FifoRecord<T: 'static> {
@@ -97,14 +99,6 @@ impl<T: 'static> AnyFifo for FifoRecord<T> {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

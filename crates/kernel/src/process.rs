@@ -64,7 +64,9 @@ impl Ctx<'_> {
 
     /// Buffers a write to `sig`, committed in this delta's update phase.
     /// The last write in a delta wins. Sensitive processes wake up one
-    /// delta later, and only if the value actually changed.
+    /// delta later, and only if the value actually changed. A write of
+    /// the current value while no write of the delta is pending queues
+    /// nothing.
     #[inline]
     pub fn write<T: SignalValue>(&mut self, sig: Signal<T>, value: T) {
         self.sched.write_signal(sig, value);

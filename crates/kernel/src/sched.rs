@@ -4,6 +4,7 @@
 //! in [`crate::sim::Simulation`]), so a running process can borrow the
 //! scheduler mutably through its [`crate::Ctx`] while being borrowed itself.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -245,26 +246,31 @@ impl Sched {
         self.signal_record(sig).current.clone()
     }
 
+    /// Buffers a write; one that leaves the committed value as it is while
+    /// no write is pending queues nothing (see [`crate::signal`]).
     pub(crate) fn write_signal<T: SignalValue>(&mut self, sig: Signal<T>, value: T) {
         let rec = self.signal_record_mut(sig);
-        rec.next = Some(value);
-        if !rec.update_pending {
-            rec.update_pending = true;
-            self.update_queue.push(sig.idx);
+        if rec.update_pending {
+            rec.next = Some(value);
+            return;
         }
+        if value == rec.current {
+            return;
+        }
+        rec.next = Some(value);
+        rec.update_pending = true;
+        self.update_queue.push(sig.idx);
     }
 
     fn signal_record<T: SignalValue>(&self, sig: Signal<T>) -> &SignalRecord<T> {
-        self.signals[sig.index()]
-            .as_any()
-            .downcast_ref::<SignalRecord<T>>()
+        let any: &dyn Any = &*self.signals[sig.index()];
+        any.downcast_ref()
             .expect("signal handle used with a different value type")
     }
 
     fn signal_record_mut<T: SignalValue>(&mut self, sig: Signal<T>) -> &mut SignalRecord<T> {
-        self.signals[sig.index()]
-            .as_any_mut()
-            .downcast_mut::<SignalRecord<T>>()
+        let any: &mut dyn Any = &mut *self.signals[sig.index()];
+        any.downcast_mut()
             .expect("signal handle used with a different value type")
     }
 
@@ -303,10 +309,11 @@ impl Sched {
         Ok(())
     }
 
+    /// Pops the oldest value. The data-read event is notified only when
+    /// some process is sensitive to it: nothing else can observe it.
     pub(crate) fn fifo_pop<T: 'static>(&mut self, fifo: Fifo<T>) -> Option<T> {
-        let rec = self.fifo_record_mut(fifo);
-        let value = rec.queue.pop_front();
-        if value.is_some() {
+        let value = self.fifo_record_mut(fifo).queue.pop_front();
+        if value.is_some() && !self.events[fifo.read.index()].subscribers.is_empty() {
             self.notify_delta(fifo.read);
         }
         value
@@ -317,9 +324,8 @@ impl Sched {
     }
 
     fn fifo_record_mut<T: 'static>(&mut self, fifo: Fifo<T>) -> &mut FifoRecord<T> {
-        self.fifos[fifo.index()]
-            .as_any_mut()
-            .downcast_mut::<FifoRecord<T>>()
+        let any: &mut dyn Any = &mut *self.fifos[fifo.index()];
+        any.downcast_mut()
             .expect("fifo handle used with a different value type")
     }
 
@@ -457,6 +463,41 @@ mod tests {
         s.commit_updates();
         assert_eq!(s.read_signal(sig), 2);
         assert_eq!(s.stats.signal_updates, 1, "one pending slot per signal");
+    }
+
+    #[test]
+    fn writing_the_committed_value_queues_no_update() {
+        let mut s = Sched::new();
+        let sig = s.new_signal("s".into(), 7u32);
+        s.register_process_slot();
+        s.subscribe(ProcessId(0), sig.changed_event());
+        s.write_signal(sig, 7);
+        s.commit_updates();
+        assert_eq!(s.stats.signal_updates, 0, "no write was queued");
+        assert!(!s.dispatch_deltas(), "no process wakes");
+        // a pending write is still replaced: the last write wins
+        s.write_signal(sig, 8);
+        s.write_signal(sig, 7);
+        s.commit_updates();
+        assert_eq!(s.read_signal(sig), 7);
+        assert_eq!(s.stats.signal_changes, 0);
+        assert!(!s.dispatch_deltas(), "no change event");
+    }
+
+    #[test]
+    fn fifo_read_event_is_notified_only_when_heard() {
+        let mut s = Sched::new();
+        let f = s.new_fifo::<u32>("f".into(), 2);
+        s.register_process_slot();
+        assert!(s.fifo_push(f, 1).is_ok());
+        assert_eq!(s.fifo_pop(f), Some(1));
+        s.dispatch_deltas();
+        assert_eq!(s.stats.events_fired, 1, "only the written event fires");
+        s.subscribe(ProcessId(0), f.read_event());
+        assert!(s.fifo_push(f, 2).is_ok());
+        assert_eq!(s.fifo_pop(f), Some(2));
+        assert!(s.dispatch_deltas(), "the sensitive process wakes");
+        assert_eq!(s.stats.events_fired, 3);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! slot; the scheduler commits it in the update phase and, only if the
 //! committed value differs from the current one, notifies the signal's
 //! value-changed event for the following delta cycle.
+//!
+//! As in `sc_signal::write`, a write that equals the committed value
+//! while no write of the delta is pending stops at the write: it queues
+//! no update, so it costs the update phase nothing. A write on top of a
+//! pending one always replaces it, so the last write of a delta wins,
+//! even when it restores the committed value.
 
 use core::any::Any;
 use core::fmt;
@@ -74,8 +80,6 @@ pub(crate) trait AnySignal: Any {
     fn name(&self) -> &str;
     /// Current value formatted for traces.
     fn debug_value(&self) -> String;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Concrete storage for a `Signal<T>`.
@@ -122,14 +126,6 @@ impl<T: SignalValue> AnySignal for SignalRecord<T> {
 
     fn debug_value(&self) -> String {
         format!("{:?}", self.current)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -208,9 +208,8 @@ impl Simulation {
     /// Clones the queued contents of a fifo (between runs; for tests and
     /// post-mortem inspection).
     pub fn peek_fifo<T: Clone + 'static>(&self, fifo: Fifo<T>) -> Vec<T> {
-        self.sched.fifos[fifo.index()]
-            .as_any()
-            .downcast_ref::<crate::fifo::FifoRecord<T>>()
+        let any: &dyn std::any::Any = &*self.sched.fifos[fifo.index()];
+        any.downcast_ref::<crate::fifo::FifoRecord<T>>()
             .expect("fifo handle used with a different value type")
             .queue
             .iter()

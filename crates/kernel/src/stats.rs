@@ -21,7 +21,8 @@ pub struct KernelStats {
     pub delta_cycles: u64,
     /// Distinct simulation time points visited.
     pub timesteps: u64,
-    /// Signal writes committed in update phases.
+    /// Signal writes committed in update phases. A write of the current
+    /// value while no write is pending never reaches one.
     pub signal_updates: u64,
     /// Committed writes that changed the signal value.
     pub signal_changes: u64,

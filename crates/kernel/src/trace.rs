@@ -73,9 +73,8 @@ pub(crate) struct TraceSet {
 }
 
 fn getter_for<T: Traceable>(signal: &dyn AnySignal) -> VcdValue {
-    signal
-        .as_any()
-        .downcast_ref::<SignalRecord<T>>()
+    let any: &dyn std::any::Any = signal;
+    any.downcast_ref::<SignalRecord<T>>()
         .expect("traced signal type mismatch")
         .current
         .vcd_value()

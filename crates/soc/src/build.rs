@@ -18,7 +18,7 @@ use dpm_thermal::{
     ThermalClassifier, ThermalMonitor, ThermalMonitorHandles, ThermalNetwork, ThermalNetworkConfig,
 };
 
-use crate::config::{BatteryKind, ControllerKind, SocConfig};
+use crate::config::{BatteryKind, ControllerKind, IpConfig, SocConfig};
 use crate::ip::{IpBlock, IpPorts};
 use crate::util::Adder;
 
@@ -92,12 +92,25 @@ fn make_battery(cfg: &SocConfig) -> Box<dyn Battery> {
 ///
 /// Panics on an invalid configuration (see [`SocConfig::validate`]).
 pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
-    cfg.validate();
-    let n = cfg.ips.len();
+    build_soc_on(sim, cfg, &cfg.ips)
+}
+
+/// [`build_soc`] on `ips` in place of `cfg.ips`, which is not read: a
+/// caller holding one set of IPs builds any number of IP-less
+/// configurations on them without copying a trace.
+///
+/// # Panics
+///
+/// Panics when `cfg` with `ips` fails [`SocConfig::validate`].
+pub fn build_soc_on(sim: &mut Simulation, cfg: &SocConfig, ips: &[IpConfig]) -> SocHandles {
+    cfg.validate_on(ips);
+    let n = ips.len();
 
     let fan_on = sim.signal("fan.on", false);
 
-    // Per-IP plumbing: PSM, power signals, heat adders.
+    // Per-IP plumbing: PSM, power signals, heat adders. Each IP's
+    // transition table serves its PSM and its controller.
+    let mut tables = Vec::with_capacity(n);
     let mut psm_ports_v: Vec<PsmPorts> = Vec::with_capacity(n);
     let mut psm_pids = Vec::with_capacity(n);
     let mut power_sigs = Vec::with_capacity(n);
@@ -105,10 +118,11 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
     let mut done_sigs = Vec::with_capacity(n);
     let mut req_fifos = Vec::with_capacity(n);
     let mut grant_fifos = Vec::with_capacity(n);
-    for ip in &cfg.ips {
+    for ip in ips {
         let name = &ip.name;
         let table = TransitionTable::for_model(&ip.model);
-        let (psm_ports, psm_pid) = Psm::spawn(sim, &format!("{name}.psm"), table, PowerState::On1);
+        let (psm_ports, psm_pid) =
+            Psm::spawn(sim, &format!("{name}.psm"), table.clone(), PowerState::On1);
         let power = sim.signal(&format!("{name}.power"), 0.0f64);
         let heat = sim.signal(&format!("{name}.heat"), 0.0f64);
         Adder::spawn(
@@ -120,6 +134,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
         let done_count = sim.signal(&format!("{name}.done_count"), 0u64);
         let requests = sim.fifo(&format!("{name}.requests"), 1024);
         let grants = sim.fifo(&format!("{name}.grants"), 1024);
+        tables.push(table);
         psm_ports_v.push(psm_ports);
         psm_pids.push(psm_pid);
         power_sigs.push(power);
@@ -163,7 +178,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
     // GEM, when configured.
     let gem = cfg.with_gem.then(|| {
         let gem_cfg = GemConfig {
-            static_priorities: cfg.ips.iter().map(|ip| ip.static_rank).collect(),
+            static_priorities: ips.iter().map(|ip| ip.static_rank).collect(),
             high_priority_cutoff: (n as u8).div_ceil(2),
             source: cfg.source,
         };
@@ -171,10 +186,9 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
     });
 
     // Controllers and functional IPs.
-    let mut ips = Vec::with_capacity(n);
-    for (i, ip_cfg) in cfg.ips.iter().enumerate() {
+    let mut handles = Vec::with_capacity(n);
+    for ((i, ip_cfg), table) in ips.iter().enumerate().zip(tables) {
         let name = &ip_cfg.name;
-        let table = TransitionTable::for_model(&ip_cfg.model);
         let lem_ports = LemPorts {
             requests: req_fifos[i],
             grants: grant_fifos[i],
@@ -221,7 +235,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
                     &format!("{name}.ctrl"),
                     lem_ports,
                     &ip_cfg.model,
-                    table.clone(),
+                    table,
                     arrivals,
                 )
             }
@@ -235,7 +249,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
             power: power_sigs[i],
         };
         let ip_pid = IpBlock::spawn(sim, name, ip_cfg.model.clone(), &ip_cfg.trace, ip_ports);
-        ips.push(IpHandles {
+        handles.push(IpHandles {
             name: name.clone(),
             ip: ip_pid,
             psm: psm_pids[i],
@@ -251,8 +265,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
     // Cycle-accurate clocks for simulation-speed measurements: one per
     // IP, as a SystemC model with clocked modules would evaluate.
     let clocks = if cfg.cycle_accurate {
-        cfg.ips
-            .iter()
+        ips.iter()
             .map(|ip_cfg| {
                 let period = ip_cfg
                     .model
@@ -267,7 +280,7 @@ pub fn build_soc(sim: &mut Simulation, cfg: &SocConfig) -> SocHandles {
     };
 
     SocHandles {
-        ips,
+        ips: handles,
         battery,
         thermal,
         gem,
@@ -296,6 +309,29 @@ mod tests {
         let done = sim.peek(handles.ips[0].done_count);
         assert!(done > 0, "tasks must complete");
         assert_eq!(done as usize, handles.ips[0].trace_len);
+    }
+
+    #[test]
+    fn building_on_separate_ips_matches_the_whole_config() {
+        let ips = (0..2)
+            .map(|i| IpConfig::new(format!("ip{i}"), small_trace(i as u64), i as u8 + 1))
+            .collect();
+        let whole = SocConfig::multi_ip(ips);
+        let settings = SocConfig {
+            ips: Vec::new(),
+            ..whole.clone()
+        };
+        let horizon = SimTime::from_millis(40);
+        let run = |build: &dyn Fn(&mut Simulation) -> SocHandles| {
+            let mut sim = Simulation::new();
+            let handles = build(&mut sim);
+            sim.run_until(horizon);
+            format!("{:?}", crate::collect_metrics(&mut sim, &handles, horizon))
+        };
+        assert_eq!(
+            run(&|sim| build_soc(sim, &whole)),
+            run(&|sim| build_soc_on(sim, &settings, &whole.ips))
+        );
     }
 
     #[test]

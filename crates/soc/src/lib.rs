@@ -37,7 +37,7 @@ mod metrics;
 pub mod report;
 mod util;
 
-pub use build::{build_soc, SocHandles};
+pub use build::{build_soc, build_soc_on, SocHandles};
 pub use coarse::{run_config_coarse, CoarsePlan};
 pub use config::{BatteryKind, ControllerKind, IpConfig, LemTuning, SocConfig, ThermalScenario};
 pub use ip::{IpBlock, IpPorts, TaskRecord};

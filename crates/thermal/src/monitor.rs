@@ -43,10 +43,6 @@ pub struct ThermalMonitor {
     elevation_integral_ks: f64,
     max_temp: Celsius,
     fan_on_time: SimDuration,
-    /// Last published outputs, to skip no-op writes (the monitor runs on
-    /// every IP power event; unconditional writes would push three no-op
-    /// updates through the kernel's update queue each activation).
-    published: (f64, ThermalClass, f64),
 }
 
 impl ThermalMonitor {
@@ -103,7 +99,6 @@ impl ThermalMonitor {
             elevation_integral_ks: 0.0,
             max_temp: t0,
             fan_on_time: SimDuration::ZERO,
-            published: (t0.as_celsius(), class0, 0.0),
         };
         let pid = sim.add_process(name, monitor);
         sim.sensitize(pid, tick);
@@ -188,21 +183,9 @@ impl ThermalMonitor {
         } else {
             0.0
         };
-        // Publish only on change — a write of an equal value never fires a
-        // change event, so skipping it is behaviour-preserving while
-        // avoiding redundant update-queue work on zero-dt activations.
-        if self.published.0 != hottest.as_celsius() {
-            self.published.0 = hottest.as_celsius();
-            ctx.write(self.temp_out, hottest.as_celsius());
-        }
-        if self.published.1 != class {
-            self.published.1 = class;
-            ctx.write(self.class_out, class);
-        }
-        if self.published.2 != fan_power {
-            self.published.2 = fan_power;
-            ctx.write(self.fan_power_out, fan_power);
-        }
+        ctx.write(self.temp_out, hottest.as_celsius());
+        ctx.write(self.class_out, class);
+        ctx.write(self.fan_power_out, fan_power);
     }
 }
 
