@@ -326,7 +326,10 @@ fn print_archive_scale_summary() {
             .expect("store cell");
     }
     let cells = spec.expand();
-    let before = handles[0].load(&spec, &cells);
+    // a handle opened after both stored indexes both segments
+    let before = CampaignArchive::open(&dir, &spec)
+        .expect("reopen archive")
+        .load(&spec, &cells);
     assert_eq!(before.loaded, COMPACT_CELLS);
     let reference = result_bytes(&spec, before.slots.into_iter().flatten().collect());
     let report = handles[0].compact(&spec).expect("compact");

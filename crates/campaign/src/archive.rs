@@ -15,11 +15,15 @@
 //!
 //! Records are **appended to segment files** — length-prefixed,
 //! checksummed frames in `segments/seg-NNNN.log`, one private segment
-//! per writing process — and located through an in-memory index built
-//! on open (see `segment.rs`). A segment directory exists once a
-//! record has been stored in it. [`CampaignArchive::compact`] rewrites
-//! each store's live records into a single fresh segment via an atomic
-//! tmp+rename, dropping torn tails and duplicates.
+//! per writing process — and located through an in-memory index (see
+//! `segment.rs`). A handle's index is one scan of the directory at open
+//! plus the records the handle appends itself, so a handle never sees
+//! records another handle appends after it opened: an observer that
+//! wants them opens a new handle, as every `dpm serve` query does. A
+//! segment directory exists once a record has been stored in it.
+//! [`CampaignArchive::compact`] rewrites each store's live records into
+//! a single fresh segment via an atomic tmp+rename, dropping torn tails
+//! and duplicates.
 //!
 //! Records carry the archive format version, a fingerprint of the spec,
 //! and the full seed derivation (`master_seed` + the cell's
@@ -57,11 +61,11 @@
 //! Nothing else in the archive reads `leases/`.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::runner::{Fidelity, ScenarioMetrics, ScenarioResult};
-use crate::segment::{self, IndexEntry, SegmentIndex, SegmentWriter};
+use crate::segment::{self, SegmentIndex, SegmentWriter};
 use crate::spec::{CampaignSpec, ScenarioSpec};
 
 /// Archive format version; bump when [`CellRecord`]'s layout changes.
@@ -224,13 +228,13 @@ pub struct ArchiveLoad {
     /// Records accepted.
     pub loaded: usize,
     /// Indexed records that did not load (stale version, foreign spec,
-    /// mismatched cell, unparseable JSON, or dropped by another handle's
-    /// compaction during the read); those cells re-run.
+    /// mismatched cell, unparseable JSON, or a segment that another
+    /// handle's gc or compaction deleted); those cells re-run.
     pub skipped: usize,
 }
 
-/// One batch's reads of one fidelity's segment store, from
-/// [`CampaignArchive::records`].
+/// One batch's reads of one fidelity's segment store through the
+/// handle's index, from [`CampaignArchive::records`].
 pub(crate) struct RecordReader<'a> {
     archive: &'a CampaignArchive,
     spec: &'a CampaignSpec,
@@ -250,13 +254,9 @@ impl RecordReader<'_> {
 
     /// Reads `cell`'s record and validates it against the cell, the
     /// spec and the reader's fidelity: its metrics, or `None` when the
-    /// record is invalid or is gone (a hit whose segment another
-    /// handle compacted away heals through one index refresh).
+    /// record is invalid or cannot be read.
     pub(crate) fn read(&mut self, cell: &ScenarioSpec) -> Option<ScenarioMetrics> {
-        let payload = self
-            .state
-            .index
-            .read_refreshing(cell.index, &mut self.open)?;
+        let payload = self.state.index.read(cell.index, &mut self.open)?;
         let text = std::str::from_utf8(&payload).ok()?;
         self.archive
             .valid_record(self.spec, cell, text, Some(self.fidelity))
@@ -265,9 +265,9 @@ impl RecordReader<'_> {
 }
 
 /// The segment-store half of an archive handle: the in-memory index
-/// plus this process's private append handle. Shared across clones so
-/// worker threads storing cells and the poll loop reading them see one
-/// coherent index.
+/// plus this handle's private append handle, behind one lock so that
+/// the worker threads storing cells and a batch reading them share one
+/// index.
 #[derive(Debug)]
 struct SegmentState {
     index: SegmentIndex,
@@ -283,12 +283,16 @@ struct SegmentState {
 /// two. Keeping the stores apart preserves that invariant and lets a
 /// cell hold a coarse screen *and* a fine result at once — each read
 /// fidelity hits its own cache.
-#[derive(Debug, Clone)]
+///
+/// Each store's index is the scan made at open plus this handle's own
+/// appends; only this handle's [`gc`](Self::gc) and
+/// [`compact`](Self::compact) rescan it.
+#[derive(Debug)]
 pub struct CampaignArchive {
     dir: PathBuf,
     fingerprint: u64,
-    fine: Arc<Mutex<SegmentState>>,
-    coarse: Arc<Mutex<SegmentState>>,
+    fine: Mutex<SegmentState>,
+    coarse: Mutex<SegmentState>,
 }
 
 /// The segment directory of one fidelity's store under `dir`.
@@ -318,12 +322,12 @@ impl CampaignArchive {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create campaign directory {}: {e}", dir.display()))?;
         let spec_path = dir.join("campaign.toml");
-        let toml = spec.to_toml();
+        let fingerprint = spec_fingerprint(spec);
         match std::fs::read_to_string(&spec_path) {
             Ok(existing) => {
                 let archived = CampaignSpec::from_toml(&existing)
                     .map_err(|e| format!("{} is not a campaign spec: {e}", spec_path.display()))?;
-                if spec_fingerprint(&archived) != spec_fingerprint(spec) {
+                if spec_fingerprint(&archived) != fingerprint {
                     return Err(format!(
                         "archive {} holds campaign '{}' with a different grid; \
                          refusing to resume '{}' into it",
@@ -337,31 +341,14 @@ impl CampaignArchive {
                 // tmp + rename, like cell records: a kill mid-write must
                 // not leave a truncated campaign.toml that blocks resume
                 let tmp = dir.join("campaign.toml.tmp");
-                std::fs::write(&tmp, &toml)
+                std::fs::write(&tmp, spec.to_toml())
                     .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
                 std::fs::rename(&tmp, &spec_path)
                     .map_err(|e| format!("cannot finalize {}: {e}", spec_path.display()))?;
             }
             Err(e) => return Err(format!("cannot read {}: {e}", spec_path.display())),
         }
-        let fingerprint = spec_fingerprint(spec);
-        // build the indexes up front: one sequential scan of the segment
-        // files, no JSON parsing — sub-second even at 10^5 cells
-        let store = |fidelity| -> Result<Arc<Mutex<SegmentState>>, String> {
-            let mut index =
-                SegmentIndex::new(segments_dir(dir, fidelity), fingerprint, ARCHIVE_VERSION);
-            index.refresh()?;
-            Ok(Arc::new(Mutex::new(SegmentState {
-                index,
-                writer: SegmentWriter::default(),
-            })))
-        };
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            fingerprint,
-            fine: store(Fidelity::Fine)?,
-            coarse: store(Fidelity::Coarse)?,
-        })
+        Self::scan(dir, fingerprint)
     }
 
     /// Opens a campaign directory that already exists, recovering the
@@ -384,8 +371,31 @@ impl CampaignArchive {
         })?;
         let spec = CampaignSpec::from_toml(&text)
             .map_err(|e| format!("{} is not a campaign spec: {e}", spec_path.display()))?;
-        let archive = Self::open(dir, &spec)?;
+        let archive = Self::scan(dir, spec_fingerprint(&spec))?;
         Ok((archive, spec))
+    }
+
+    /// The handle on the campaign directory `dir` of the spec with
+    /// `fingerprint`: each store's index is built up front by one
+    /// sequential scan of its segment files, with no JSON parsing —
+    /// sub-second even at 10^5 cells.
+    fn scan(dir: &Path, fingerprint: u64) -> Result<Self, String> {
+        let store = |fidelity| -> Result<Mutex<SegmentState>, String> {
+            Ok(Mutex::new(SegmentState {
+                index: SegmentIndex::scan(
+                    segments_dir(dir, fidelity),
+                    fingerprint,
+                    ARCHIVE_VERSION,
+                )?,
+                writer: SegmentWriter::default(),
+            }))
+        };
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            fingerprint,
+            fine: store(Fidelity::Fine)?,
+            coarse: store(Fidelity::Coarse)?,
+        })
     }
 
     /// The campaign directory.
@@ -398,7 +408,7 @@ impl CampaignArchive {
         self.fingerprint
     }
 
-    /// This process's state of one fidelity's segment store
+    /// This handle's state of one fidelity's segment store
     /// (poison-recovering: a worker thread panicking mid-store must not
     /// wedge every later archive access). Code touching both stores
     /// must take the fine lock before the coarse one.
@@ -447,26 +457,20 @@ impl CampaignArchive {
     }
 
     /// A batch's reader of `fidelity`'s segment store: it answers which
-    /// of `cells` have a record, and reads and validates records through
-    /// one open segment handle. The index is refreshed only when some of
-    /// `cells` is not indexed, which may be a record another handle
-    /// appended since. The reader holds the store's lock, and its
-    /// segment handle, until it is dropped.
+    /// cells have a record in this handle's index, and reads and
+    /// validates records through one open segment handle. The reader
+    /// holds the store's lock, and its segment handle, until it is
+    /// dropped.
     pub(crate) fn records<'a>(
         &'a self,
         spec: &'a CampaignSpec,
-        cells: &[ScenarioSpec],
         fidelity: Fidelity,
     ) -> RecordReader<'a> {
-        let mut state = self.lock(fidelity);
-        if cells.iter().any(|cell| !state.index.contains(cell.index)) {
-            let _ = state.index.refresh();
-        }
         RecordReader {
             archive: self,
             spec,
             fidelity,
-            state,
+            state: self.lock(fidelity),
             open: None,
         }
     }
@@ -486,9 +490,8 @@ impl CampaignArchive {
     /// somehow ended up there counts as `skipped` (its cell runs fresh
     /// at the requested fidelity — never served across the boundary).
     ///
-    /// The segment index is refreshed only when some requested cell is
-    /// not indexed, and the batch's reads reuse one open handle per
-    /// segment; no handle outlives the call.
+    /// The batch's reads reuse one open handle per segment; no handle
+    /// outlives the call.
     pub fn load_as(
         &self,
         spec: &CampaignSpec,
@@ -498,7 +501,7 @@ impl CampaignArchive {
         let mut slots: Vec<Option<ScenarioResult>> = vec![None; cells.len()];
         let mut loaded = 0;
         let mut skipped = 0;
-        let mut records = self.records(spec, cells, fidelity);
+        let mut records = self.records(spec, fidelity);
         for (slot, cell) in slots.iter_mut().zip(cells) {
             if !records.contains(cell) {
                 continue;
@@ -562,24 +565,14 @@ impl CampaignArchive {
     fn append_record(&self, index: usize, fidelity: Fidelity, json: &str) -> Result<(), String> {
         let dir = segments_dir(&self.dir, fidelity);
         let mut state = self.lock(fidelity);
-        let appended = state.writer.append(
+        let entry = state.writer.append(
             &dir,
             index,
             self.fingerprint,
             ARCHIVE_VERSION,
             json.as_bytes(),
         )?;
-        let path = segment::segment_path(&dir, appended.segment);
-        state.index.insert_local(
-            index,
-            IndexEntry {
-                segment: appended.segment,
-                payload_offset: appended.payload_offset,
-                payload_len: appended.payload_len,
-            },
-            &path,
-            appended.end,
-        );
+        state.index.insert(index, entry);
         Ok(())
     }
 
@@ -646,10 +639,10 @@ impl CampaignArchive {
         let n = spec.scenario_count();
         let dir = &segments_dir(&self.dir, fidelity);
         let mut state = self.lock(fidelity);
-        // our own open segment is rewritten like any other
+        // our own open segment is rewritten like any other, and so is
+        // every record other handles appended since this one opened
         state.writer.close();
-        state.index.reset();
-        state.index.refresh()?;
+        state.index.rescan()?;
         let old_segments = segment::list_segments(dir)?;
         for path in old_segments.values() {
             report.bytes_before += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -725,8 +718,7 @@ impl CampaignArchive {
                 report.segments_removed += 1;
             }
         }
-        state.index.reset();
-        state.index.refresh()?;
+        state.index.rescan()?;
         Ok(())
     }
 
@@ -781,7 +773,8 @@ impl CampaignArchive {
         let _ = std::fs::remove_file(&lease.path);
     }
 
-    /// The lifecycle state of every grid cell.
+    /// The lifecycle state of every grid cell, as this handle's index
+    /// knows it (see [`CampaignArchive`]).
     ///
     /// Cells are judged by index membership alone: a cell in the
     /// `segments/` index is archived, and one only in the separate
@@ -793,8 +786,7 @@ impl CampaignArchive {
     pub fn cell_states(&self, spec: &CampaignSpec) -> Vec<CellState> {
         let n = spec.scenario_count();
         let indexed = |fidelity| -> Vec<bool> {
-            let mut state = self.lock(fidelity);
-            let _ = state.index.refresh();
+            let state = self.lock(fidelity);
             (0..n).map(|i| state.index.contains(i)).collect()
         };
         let archived = indexed(Fidelity::Fine);
@@ -853,7 +845,7 @@ impl CampaignArchive {
                 if segment::parse_segment_name(name).is_none() {
                     continue; // not ours; leave unknown files alone
                 }
-                let (frames, _) = segment::scan_segment(&path, 0)
+                let frames = segment::scan_segment(&path)
                     .map_err(|e| format!("cannot scan {}: {e}", path.display()))?;
                 let mut valid = 0;
                 let mut invalid = 0;
@@ -900,12 +892,10 @@ impl CampaignArchive {
             }
         }
         // removing dead segments invalidates any index entries into
-        // them; the next refresh rebuilds
+        // them: rebuild both indexes
         if report.records_removed > 0 || report.tmp_removed > 0 {
             for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-                let mut state = self.lock(fidelity);
-                state.index.reset();
-                let _ = state.index.refresh();
+                self.lock(fidelity).index.rescan()?;
             }
         }
         // a kill between `campaign.toml.tmp` write and its rename leaves
@@ -1274,7 +1264,8 @@ mod tests {
         let b = CampaignArchive::open(&dir, &spec).unwrap();
         a.store(&spec, &result.results[0]).unwrap();
         b.store(&spec, &result.results[1]).unwrap();
-        let before = archive_reference(&a, &spec);
+        // a handle opened after both stores indexes both segments
+        let before = archive_reference(&CampaignArchive::open(&dir, &spec).unwrap(), &spec);
 
         let report = a.compact(&spec).unwrap();
         assert_eq!(report.records, spec.scenario_count());

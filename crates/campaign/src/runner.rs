@@ -682,7 +682,7 @@ pub fn run_cells_with(
     // of this run's fidelity count (see `CampaignArchive`).
     let mut slots: Vec<Option<ScenarioResult>> = vec![None; total];
     if let Some(archive) = archive {
-        let mut records = archive.records(spec, cells, fidelity);
+        let mut records = archive.records(spec, fidelity);
         for (i, cell) in cells.iter().enumerate() {
             if !records.contains(cell) {
                 continue;

@@ -34,19 +34,21 @@
 //!
 //! Every writing process appends to its **own** segment file, allocated
 //! with `create_new` semantics — segment files written by other
-//! processes are read-only, so readers never race an append they cannot
-//! detect. A reader scans each file sequentially and stops at the first
+//! processes are read-only, so no two writers ever interleave within a
+//! file. A scan reads each file sequentially and stops at the first
 //! incomplete or corrupt frame (torn tail: a writer killed mid-append,
-//! or a read racing an in-flight append); the scan resumes from that
-//! offset on the next refresh, so a transiently-torn tail heals once
-//! the append completes, and a permanently-torn one simply hides the
-//! final record — that cell re-runs, and determinism makes the re-run
-//! byte-identical.
+//! or an append still in flight while the scan ran). A permanently-torn
+//! tail simply hides the final record — that cell re-runs, and
+//! determinism makes the re-run byte-identical; an in-flight one is
+//! whole for any later scan.
 //!
 //! The in-memory [`SegmentIndex`] maps grid index → (segment, offset,
-//! length); duplicate records for one cell (two writers of one
-//! directory running the same cell) are byte-identical by
-//! construction, so first-frame-wins is safe.
+//! length). It is one scan of the directory plus the records its owner
+//! appends, and only its owner's gc and compaction rebuild it: records
+//! another handle appends later are seen by a handle opened afterwards.
+//! Duplicate records for one cell (two writers of one directory running
+//! the same cell) are byte-identical by construction, so
+//! first-frame-wins is safe.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
@@ -103,17 +105,14 @@ pub(crate) fn encode_frame(index: u64, fingerprint: u64, version: u32, payload: 
     buf
 }
 
-/// Scans a segment file from byte offset `from`, returning every valid
-/// frame and the offset one past the last of them. The scan stops at
+/// Scans a segment file, returning every valid frame. The scan stops at
 /// the first incomplete or corrupt frame (bad magic, absurd length,
 /// checksum mismatch, truncated read): everything past it is a torn
-/// tail to retry on the next refresh.
-pub(crate) fn scan_segment(path: &Path, from: u64) -> std::io::Result<(Vec<Frame>, u64)> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(from))?;
-    let mut reader = std::io::BufReader::new(file);
+/// tail.
+pub(crate) fn scan_segment(path: &Path) -> std::io::Result<Vec<Frame>> {
+    let mut reader = std::io::BufReader::new(File::open(path)?);
     let mut frames = Vec::new();
-    let mut pos = from;
+    let mut pos = 0;
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut payload = Vec::new();
     loop {
@@ -147,7 +146,7 @@ pub(crate) fn scan_segment(path: &Path, from: u64) -> std::io::Result<(Vec<Frame
         });
         pos += (FRAME_HEADER_LEN + len as usize) as u64;
     }
-    Ok((frames, pos))
+    Ok(frames)
 }
 
 /// `read_exact` that maps a short read (including zero bytes) to
@@ -211,17 +210,8 @@ pub(crate) struct IndexEntry {
     pub payload_len: u32,
 }
 
-/// Per-file scan cursor: how far a segment has been validated.
-#[derive(Debug, Clone)]
-struct FileState {
-    path: PathBuf,
-    /// Bytes scanned and proven valid; refreshes resume here, so a
-    /// torn tail is retried (it may be an append still in flight).
-    scanned: u64,
-}
-
-/// In-memory map of grid index → segment record, built by scanning
-/// `segments/` on open and kept current by incremental refreshes.
+/// In-memory map of grid index → segment record: one scan of the
+/// segment directory plus the records its owner appends.
 ///
 /// Only frames carrying the expected fingerprint and record version are
 /// indexed; foreign frames are skipped (their cells read as missing).
@@ -231,20 +221,54 @@ pub(crate) struct SegmentIndex {
     dir: PathBuf,
     fingerprint: u64,
     version: u32,
-    files: BTreeMap<u64, FileState>,
+    /// Every segment the index knows, by number.
+    segments: BTreeMap<u64, PathBuf>,
     entries: HashMap<usize, IndexEntry>,
 }
 
 impl SegmentIndex {
-    /// An empty index over `<dir>` (the `segments/` directory itself).
-    pub(crate) fn new(dir: PathBuf, fingerprint: u64, version: u32) -> Self {
-        Self {
+    /// Indexes every segment file in `dir` (the `segments/` directory
+    /// itself; a missing one is empty) in one pass.
+    pub(crate) fn scan(dir: PathBuf, fingerprint: u64, version: u32) -> Result<Self, String> {
+        let segments = list_segments(&dir)?;
+        let mut entries = HashMap::new();
+        for (&segment, path) in &segments {
+            let frames = match scan_segment(path) {
+                Ok(frames) => frames,
+                // deleted since the listing by a gc or compaction of
+                // another handle: absent
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(format!("cannot scan {}: {e}", path.display())),
+            };
+            for frame in frames {
+                if frame.fingerprint != fingerprint || frame.version != version {
+                    continue;
+                }
+                let Ok(index) = usize::try_from(frame.index) else {
+                    continue;
+                };
+                entries.entry(index).or_insert(IndexEntry {
+                    segment,
+                    payload_offset: frame.payload_offset,
+                    payload_len: frame.payload_len,
+                });
+            }
+        }
+        Ok(Self {
             dir,
             fingerprint,
             version,
-            files: BTreeMap::new(),
-            entries: HashMap::new(),
-        }
+            segments,
+            entries,
+        })
+    }
+
+    /// Replaces the index with a fresh [`scan`](Self::scan) of its
+    /// directory (after gc or compaction rewrote the segment set). On
+    /// an error the index stays as it was.
+    pub(crate) fn rescan(&mut self) -> Result<(), String> {
+        *self = Self::scan(self.dir.clone(), self.fingerprint, self.version)?;
+        Ok(())
     }
 
     /// Number of indexed records.
@@ -263,81 +287,12 @@ impl SegmentIndex {
         self.entries.keys().copied()
     }
 
-    /// Brings the index up to date with the directory: newly appeared
-    /// segment files are scanned, grown files are scanned from their
-    /// recorded cursor, and files that vanished (compaction in another
-    /// process) are dropped together with their entries.
-    pub(crate) fn refresh(&mut self) -> Result<(), String> {
-        let present = list_segments(&self.dir)?;
-        let gone: Vec<u64> = self
-            .files
-            .keys()
-            .filter(|n| !present.contains_key(n))
-            .copied()
-            .collect();
-        if !gone.is_empty() {
-            for number in &gone {
-                self.files.remove(number);
-            }
-            self.entries
-                .retain(|_, entry| !gone.contains(&entry.segment));
-        }
-        for (number, path) in present {
-            let scanned = self.files.get(&number).map_or(0, |f| f.scanned);
-            let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            if size > scanned {
-                match scan_segment(&path, scanned) {
-                    Ok((frames, end)) => {
-                        for frame in frames {
-                            self.admit(number, frame);
-                        }
-                        self.files
-                            .entry(number)
-                            .and_modify(|f| f.scanned = end)
-                            .or_insert(FileState {
-                                path: path.clone(),
-                                scanned: end,
-                            });
-                    }
-                    // vanished between listing and scan (compaction
-                    // race): treat as absent; the next refresh settles
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(format!("cannot scan {}: {e}", path.display())),
-                }
-            } else {
-                self.files
-                    .entry(number)
-                    .or_insert(FileState { path, scanned: 0 });
-            }
-        }
-        Ok(())
-    }
-
-    /// Indexes one scanned frame if it belongs to this grid.
-    fn admit(&mut self, segment: u64, frame: Frame) {
-        if frame.fingerprint != self.fingerprint || frame.version != self.version {
-            return;
-        }
-        let Ok(index) = usize::try_from(frame.index) else {
-            return;
-        };
-        self.entries.entry(index).or_insert(IndexEntry {
-            segment,
-            payload_offset: frame.payload_offset,
-            payload_len: frame.payload_len,
-        });
-    }
-
-    /// Registers a record this process just appended, so its own reads
-    /// are index hits without rescanning its own segment.
-    pub(crate) fn insert_local(&mut self, index: usize, entry: IndexEntry, path: &Path, end: u64) {
-        self.files
+    /// Registers a record its owner just appended to its segment in
+    /// this index's directory, so the owner's reads of it are hits.
+    pub(crate) fn insert(&mut self, index: usize, entry: IndexEntry) {
+        self.segments
             .entry(entry.segment)
-            .and_modify(|f| f.scanned = end)
-            .or_insert(FileState {
-                path: path.to_path_buf(),
-                scanned: end,
-            });
+            .or_insert_with(|| segment_path(&self.dir, entry.segment));
         self.entries.entry(index).or_insert(entry);
     }
 
@@ -347,12 +302,13 @@ impl SegmentIndex {
     /// (one archive load, one compaction pass) with `None` and drop the
     /// handle when the batch ends, so no handle outlives it to pin a
     /// segment that compaction deleted. `None` when the cell is not
-    /// indexed or its segment vanished under us (compaction in another
-    /// process) — the caller treats that as a miss and may refresh.
+    /// indexed or its record cannot be read (a gc or compaction of
+    /// another handle deleted its segment) — the caller treats that as
+    /// a miss.
     pub(crate) fn read(&self, index: usize, open: &mut Option<(u64, File)>) -> Option<Vec<u8>> {
         let entry = self.entries.get(&index)?;
         if !matches!(open, Some((segment, _)) if *segment == entry.segment) {
-            let path = &self.files.get(&entry.segment)?.path;
+            let path = self.segments.get(&entry.segment)?;
             *open = Some((entry.segment, File::open(path).ok()?));
         }
         let (_, file) = open.as_mut()?;
@@ -360,29 +316,6 @@ impl SegmentIndex {
         let mut payload = vec![0u8; entry.payload_len as usize];
         file.read_exact(&mut payload).ok()?;
         Some(payload)
-    }
-
-    /// [`read`](Self::read), retrying once through a refresh — heals a
-    /// lookup that raced a compaction in another process. The retry
-    /// drops `open` and reopens its segment by path.
-    pub(crate) fn read_refreshing(
-        &mut self,
-        index: usize,
-        open: &mut Option<(u64, File)>,
-    ) -> Option<Vec<u8>> {
-        if let Some(payload) = self.read(index, open) {
-            return Some(payload);
-        }
-        *open = None;
-        self.refresh().ok()?;
-        self.read(index, open)
-    }
-
-    /// Drops every entry and cursor; the next refresh rebuilds from the
-    /// directory (used after compaction rewrites the segment set).
-    pub(crate) fn reset(&mut self) {
-        self.files.clear();
-        self.entries.clear();
     }
 }
 
@@ -405,20 +338,10 @@ struct OpenSegment {
     end: u64,
 }
 
-/// Where an append landed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Appended {
-    pub segment: u64,
-    pub payload_offset: u64,
-    pub payload_len: u32,
-    /// File length after the append.
-    pub end: u64,
-}
-
 impl SegmentWriter {
     /// Appends one frame to this process's segment under `dir`,
     /// creating the directory and allocating a fresh segment file on
-    /// first use (or after a failed append).
+    /// first use (or after a failed append). Returns where it landed.
     pub(crate) fn append(
         &mut self,
         dir: &Path,
@@ -426,7 +349,7 @@ impl SegmentWriter {
         fingerprint: u64,
         version: u32,
         payload: &[u8],
-    ) -> Result<Appended, String> {
+    ) -> Result<IndexEntry, String> {
         if self.open.is_none() {
             self.open = Some(Self::allocate(dir)?);
         }
@@ -440,11 +363,10 @@ impl SegmentWriter {
         }
         let payload_offset = seg.end + FRAME_HEADER_LEN as u64;
         seg.end += frame.len() as u64;
-        Ok(Appended {
+        Ok(IndexEntry {
             segment: seg.number,
             payload_offset,
             payload_len: payload.len() as u32,
-            end: seg.end,
         })
     }
 
@@ -505,9 +427,13 @@ mod tests {
         let segs = list_segments(&dir).unwrap();
         assert_eq!(segs.len(), 1, "one writer, one segment");
         let path = segs.values().next().unwrap();
-        let (frames, end) = scan_segment(path, 0).unwrap();
+        let frames = scan_segment(path).unwrap();
         assert_eq!(frames.len(), payloads.len());
-        assert_eq!(end, std::fs::metadata(path).unwrap().len());
+        let last = frames.last().unwrap();
+        assert_eq!(
+            last.payload_offset + u64::from(last.payload_len),
+            std::fs::metadata(path).unwrap().len()
+        );
         for (i, (frame, p)) in frames.iter().zip(&payloads).enumerate() {
             assert_eq!(frame.index, i as u64);
             assert_eq!(frame.fingerprint, 0xFEED);
@@ -530,10 +456,10 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(torn_len).unwrap();
         drop(f);
-        let (frames, end) = scan_segment(&path, 0).unwrap();
+        let frames = scan_segment(&path).unwrap();
         assert_eq!(frames.len(), 1, "torn frame is skipped");
         assert_eq!(frames[0].index, 0);
-        let torn_start = end;
+        let torn_start = frames[0].payload_offset + u64::from(frames[0].payload_len);
         assert!(torn_start < torn_len);
         // the append completes (simulated): restore the missing bytes
         let mut restored = std::fs::read(&path).unwrap();
@@ -541,9 +467,9 @@ mod tests {
         restored.truncate(torn_start as usize);
         restored.extend_from_slice(&replay);
         std::fs::write(&path, &restored).unwrap();
-        let (frames, _) = scan_segment(&path, torn_start).unwrap();
-        assert_eq!(frames.len(), 1, "healed tail scans from the cursor");
-        assert_eq!(frames[0].index, 1);
+        let frames = scan_segment(&path).unwrap();
+        assert_eq!(frames.len(), 2, "a later scan sees the completed frame");
+        assert_eq!(frames[1].index, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -555,8 +481,7 @@ mod tests {
         writer.append(&dir, 1, 99, 1, b"foreign fp").unwrap();
         writer.append(&dir, 2, 42, 2, b"foreign version").unwrap();
         writer.append(&dir, 0, 42, 1, b"duplicate").unwrap();
-        let mut index = SegmentIndex::new(dir.clone(), 42, 1);
-        index.refresh().unwrap();
+        let index = SegmentIndex::scan(dir.clone(), 42, 1).unwrap();
         assert_eq!(index.len(), 1);
         assert_eq!(index.read(0, &mut None).unwrap(), b"ours");
         assert!(!index.contains(1));
@@ -565,16 +490,20 @@ mod tests {
     }
 
     #[test]
-    fn refresh_drops_entries_of_vanished_segments() {
-        let dir = tmp_dir("vanish");
+    fn rescan_drops_vanished_segments_and_indexes_new_ones() {
+        let dir = tmp_dir("rescan");
         let mut writer = SegmentWriter::default();
-        let a = writer.append(&dir, 3, 5, 1, b"doomed").unwrap();
-        let mut index = SegmentIndex::new(dir.clone(), 5, 1);
-        index.refresh().unwrap();
+        let doomed = writer.append(&dir, 3, 5, 1, b"doomed").unwrap();
+        let mut index = SegmentIndex::scan(dir.clone(), 5, 1).unwrap();
         assert!(index.contains(3));
-        std::fs::remove_file(segment_path(&dir, a.segment)).unwrap();
-        index.refresh().unwrap();
+        std::fs::remove_file(segment_path(&dir, doomed.segment)).unwrap();
+        SegmentWriter::default()
+            .append(&dir, 4, 5, 1, b"later")
+            .unwrap();
+        assert!(!index.contains(4), "a scan does not follow other writers");
+        index.rescan().unwrap();
         assert!(!index.contains(3), "entry dropped with its segment");
+        assert_eq!(index.read(4, &mut None).unwrap(), b"later");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -586,8 +515,7 @@ mod tests {
         let wa = a.append(&dir, 0, 1, 1, b"a").unwrap();
         let wb = b.append(&dir, 1, 1, 1, b"b").unwrap();
         assert_ne!(wa.segment, wb.segment);
-        let mut index = SegmentIndex::new(dir.clone(), 1, 1);
-        index.refresh().unwrap();
+        let index = SegmentIndex::scan(dir.clone(), 1, 1).unwrap();
         assert_eq!(index.read(0, &mut None).unwrap(), b"a");
         assert_eq!(index.read(1, &mut None).unwrap(), b"b");
         let _ = std::fs::remove_dir_all(&dir);
@@ -604,8 +532,7 @@ mod tests {
                 .append(&dir, i, 1, 1, format!("cell {i}").as_bytes())
                 .unwrap();
         }
-        let mut index = SegmentIndex::new(dir.clone(), 1, 1);
-        index.refresh().unwrap();
+        let index = SegmentIndex::scan(dir.clone(), 1, 1).unwrap();
         let mut open = None;
         for i in [0, 2, 4, 1, 3, 5, 0, 1, 2, 3] {
             let payload = index.read(i, &mut open).unwrap();

@@ -207,12 +207,13 @@ impl ServerState {
         jobs.status.insert(id.to_string(), status);
     }
 
-    /// Scans the archive and appends an event line for every newly
-    /// archived cell, plus the terminal `complete` line once the grid
-    /// drains and no slot of this daemon has the campaign, so a client
-    /// that saw `complete` may compact it. Safe to call from any thread,
-    /// any number of times.
-    fn refresh_events(&self, id: &str) -> Result<(), String> {
+    /// Opens the campaign afresh, so its scan sees every record on disk
+    /// (a handle sees no record appended after it opened), and appends
+    /// an event line for every newly archived cell, plus the terminal
+    /// `complete` line once the grid drains and no slot of this daemon
+    /// has the campaign, so a client that saw `complete` may compact it.
+    /// Safe to call from any thread, any number of times.
+    fn update_events(&self, id: &str) -> Result<(), String> {
         let (archive, spec) = self.store.open_campaign(id)?;
         let states = archive.cell_states(&spec);
         let cells = spec.expand();
@@ -393,7 +394,7 @@ fn executor_loop(state: &ServerState) {
         };
         let status = run_one(state, &id);
         state.set_status(&id, status);
-        let _ = state.refresh_events(&id);
+        let _ = state.update_events(&id);
     }
 }
 
@@ -575,7 +576,7 @@ fn submit(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std
     } else {
         state.enqueue(&submission.id)
     };
-    let _ = state.refresh_events(&submission.id);
+    let _ = state.update_events(&submission.id);
     let mut doc = match serde::Serialize::to_value(&status) {
         serde_json::Value::Object(fields) => fields,
         _ => unreachable!("a struct serializes to an object"),
@@ -813,13 +814,13 @@ fn events(
     let mut writer = ChunkedWriter::begin(&mut *stream, 200, "application/x-ndjson")?;
     let mut cursor = since;
     loop {
-        if let Err(e) = state.refresh_events(id) {
+        if let Err(e) = state.update_events(id) {
             writer.chunk(format!("{}\n", error_body(500, &e)).as_bytes())?;
             break;
         }
         let (fresh, terminal) = {
             let logs = state.events.lock().expect("event log poisoned");
-            let log = logs.get(id).expect("refresh_events created the log");
+            let log = logs.get(id).expect("update_events created the log");
             let fresh: Vec<String> = log.lines.get(cursor..).unwrap_or(&[]).to_vec();
             (fresh, log.terminal)
         };

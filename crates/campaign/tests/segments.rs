@@ -1,15 +1,15 @@
 //! Segment-store contract: records round-trip bit-identically through
 //! the append-only segment files, torn tails re-run exactly the cell
 //! they hid, a damaged segment never panics and never loads a wrong
-//! record, and one handle's loads stay whole while another handle
-//! compacts or appends.
+//! record, and a handle sees the records on disk when it opened plus
+//! its own appends, until its own compaction rescans the directory.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
     campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignArchive, CampaignResult,
-    CampaignSpec, ControllerAxis, Fidelity, RunnerConfig, ScenarioMetrics, ScenarioResult,
+    CampaignSpec, CellState, ControllerAxis, RunnerConfig, ScenarioMetrics, ScenarioResult,
     ThermalAxis, TuningAxis, WorkloadAxis,
 };
 use proptest::prelude::*;
@@ -269,73 +269,36 @@ fn a_damaged_segment_never_panics_and_never_loads_a_wrong_record() {
     let _ = std::fs::remove_dir_all(&source);
 }
 
-/// Stores `results` at both fidelities through a handle that is dropped
-/// before returning, so later handles know them only from a scan.
-fn store_both(dir: &std::path::Path, spec: &CampaignSpec, results: &[ScenarioResult]) {
-    let writer = CampaignArchive::open(dir, spec).expect("open writer");
-    for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-        for r in results {
-            writer.store_as(spec, r, fidelity).expect("store");
-        }
-    }
-}
-
 #[test]
-fn a_batch_of_hits_survives_another_handle_compacting_under_it() {
-    // handle A has every cell indexed, so its loads refresh nothing up
-    // front; handle B then compacts away the segments A's index points
-    // into, and A's reads must heal through a refresh
-    let spec = spec_with(vec![1, 2, 3, 4]);
+fn a_handle_sees_its_open_time_scan_and_its_own_appends() {
+    // handle A indexes the directory once, when it opens: a record that
+    // handle B stores later is a miss for A, while A's own append reads
+    // back; a handle opened afterwards sees both, and so does A once its
+    // own compaction has rescanned the directory
+    let spec = spec_with(vec![1, 2]);
     let dir = scratch_dir();
     let stored: Vec<ScenarioResult> = (0..spec.scenario_count())
-        .map(|i| synthetic_result(&spec, i, &[0.5, -1.25e-7, 3.0e12], &[i, 11]))
+        .map(|i| synthetic_result(&spec, i, &[1.5, -3.0e-4, 6.0e9], &[i, 5]))
         .collect();
-    store_both(&dir, &spec, &stored);
     let cells = spec.expand();
     let a = CampaignArchive::open(&dir, &spec).expect("open A");
-    for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-        assert_eq!(a.load_as(&spec, &cells, fidelity).loaded, stored.len());
-    }
     let b = CampaignArchive::open(&dir, &spec).expect("open B");
-    let report = b.compact(&spec).expect("compact");
-    assert_eq!(report.records, 2 * stored.len());
-    assert_eq!(report.segments_removed, 2, "A's segments are gone");
-    for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-        let load = a.load_as(&spec, &cells, fidelity);
-        assert_eq!(load.skipped, 0, "{fidelity:?}");
-        let loaded: Vec<ScenarioResult> = load.slots.into_iter().map(Option::unwrap).collect();
-        assert_eq!(loaded, stored, "{fidelity:?}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_miss_in_a_batch_of_hits_finds_another_handles_new_record() {
-    // handle B stores a cell handle A has never indexed: A's next load of
-    // a batch mixing indexed cells with that one must refresh and find it
-    let spec = spec_with(vec![1, 2, 3, 4]);
-    let dir = scratch_dir();
-    let stored: Vec<ScenarioResult> = (0..spec.scenario_count())
-        .map(|i| synthetic_result(&spec, i, &[2.5e-3, 7.0, -0.0], &[3 * i]))
-        .collect();
-    let (known, fresh) = stored.split_at(stored.len() - 1);
-    store_both(&dir, &spec, known);
-    let cells = spec.expand();
-    let a = CampaignArchive::open(&dir, &spec).expect("open A");
-    for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-        let load = a.load_as(&spec, &cells, fidelity);
-        assert_eq!(load.loaded, known.len(), "{fidelity:?}");
-    }
-    let b = CampaignArchive::open(&dir, &spec).expect("open B");
-    let new = fresh[0].scenario.index;
-    let batch = [cells[0], cells[new], cells[1]];
-    for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
-        b.store_as(&spec, &fresh[0], fidelity).expect("store in B");
-        let load = a.load_as(&spec, &batch, fidelity);
-        assert_eq!(load.loaded, batch.len(), "{fidelity:?}");
-        assert_eq!(load.slots[0].as_ref(), Some(&stored[0]));
-        assert_eq!(load.slots[1].as_ref(), Some(&fresh[0]), "{fidelity:?}");
-        assert_eq!(load.slots[2].as_ref(), Some(&stored[1]));
-    }
+    b.store(&spec, &stored[0]).expect("store in B");
+    a.store(&spec, &stored[1]).expect("store in A");
+    let slots = |archive: &CampaignArchive| archive.load(&spec, &cells).slots;
+    assert_eq!(
+        slots(&a),
+        [None, Some(stored[1].clone())],
+        "A misses B's record"
+    );
+    assert_eq!(
+        a.cell_states(&spec),
+        [CellState::Pending, CellState::Archived]
+    );
+    let both: Vec<Option<ScenarioResult>> = stored.into_iter().map(Some).collect();
+    let later = CampaignArchive::open(&dir, &spec).expect("open after both stores");
+    assert_eq!(slots(&later), both);
+    a.compact(&spec).expect("compact");
+    assert_eq!(slots(&a), both, "A's compaction rescans the directory");
     let _ = std::fs::remove_dir_all(&dir);
 }

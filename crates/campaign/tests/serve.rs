@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
     campaign_json, completed_run, parse_campaign_toml, run_campaign_with, spawn_server, summarize,
-    CampaignArchive, CampaignSpec, CampaignStore, CellState, RunnerConfig, ServeOptions,
+    CampaignStore, CellState, RunnerConfig, ServeOptions,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -79,10 +79,13 @@ fn cli_report(toml: &str) -> String {
     campaign_json(&summarize(&cli.result), Some(&cli.result)).expect("render")
 }
 
-/// Per baseline group of `spec`: (archived cells, cells).
-fn archived_per_group(archive: &CampaignArchive, spec: &CampaignSpec) -> Vec<(usize, usize)> {
+/// Per baseline group of campaign `id`: (archived cells, cells). Each
+/// call opens its own handle, since a handle sees only the records on
+/// disk when it opened and its own appends.
+fn archived_per_group(store: &CampaignStore, id: &str) -> Vec<(usize, usize)> {
+    let (archive, spec) = store.open_campaign(id).expect("open campaign");
     let mut groups = vec![(0, 0); spec.group_count()];
-    for (i, state) in archive.cell_states(spec).into_iter().enumerate() {
+    for (i, state) in archive.cell_states(&spec).into_iter().enumerate() {
         let group = &mut groups[spec.group_of(i)];
         group.0 += usize::from(state == CellState::Archived);
         group.1 += 1;
@@ -779,12 +782,9 @@ fn a_shutdown_mid_campaign_keeps_whole_groups_and_a_new_daemon_completes_it() {
     let id = json_str(&created.body, "id").expect("id").to_string();
 
     // shut down as soon as the first group is archived
-    let (archive, spec) = CampaignStore::open(&root)
-        .expect("open store")
-        .open_campaign(&id)
-        .expect("open campaign");
+    let store = CampaignStore::open(&root).expect("open store");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while archived_per_group(&archive, &spec)
+    while archived_per_group(&store, &id)
         .iter()
         .all(|&(done, _)| done == 0)
     {
@@ -795,7 +795,7 @@ fn a_shutdown_mid_campaign_keeps_whole_groups_and_a_new_daemon_completes_it() {
     assert_eq!(bye.status, 200);
     server.join();
 
-    let groups = archived_per_group(&archive, &spec);
+    let groups = archived_per_group(&store, &id);
     assert!(
         groups
             .iter()

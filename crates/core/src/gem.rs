@@ -59,7 +59,7 @@ impl GemConfig {
         assert!(n > 0, "GEM needs at least one IP");
         Self {
             static_priorities: (1..=n as u8).collect(),
-            high_priority_cutoff: (n as u8).div_ceil(2),
+            high_priority_cutoff: high_priority_cutoff(n),
             source,
         }
     }
@@ -74,6 +74,30 @@ impl GemConfig {
             "priority ranks start at 1"
         );
         assert!(self.high_priority_cutoff >= 1, "cutoff must be >= 1");
+    }
+}
+
+/// The lowest static rank that counts as high priority among `n` IPs:
+/// the top half, rounded up.
+pub fn high_priority_cutoff(n: usize) -> u8 {
+    (n as u8).div_ceil(2)
+}
+
+/// The paper's enable rule (see the module docs) for one IP, given
+/// whether its static rank counts as high priority: whether it stays
+/// enabled, and whether the supplementary fan runs. On mains the
+/// battery never gates anything.
+pub fn enable_rule(
+    source: PowerSource,
+    battery: BatteryClass,
+    temperature: ThermalClass,
+    high_priority: bool,
+) -> (bool, bool) {
+    let battery_fine = source == PowerSource::Mains || battery >= BatteryClass::Medium;
+    if temperature <= ThermalClass::Medium {
+        (battery_fine || high_priority, false)
+    } else {
+        (false, true)
     }
 }
 
@@ -185,25 +209,23 @@ impl Gem {
         &self.stats
     }
 
-    /// The paper's enable algorithm for the current classes. Returns
+    /// [`enable_rule`] for every IP under the current classes. Returns
     /// `(enable_mask, fan_on)`.
     fn evaluate(&self, battery: BatteryClass, temperature: ThermalClass) -> (Vec<bool>, bool) {
-        // On mains the battery never gates anything.
-        let battery_fine = self.cfg.source == PowerSource::Mains || battery >= BatteryClass::Medium;
-        let temp_fine = temperature <= ThermalClass::Medium;
-        if battery_fine && temp_fine {
-            (vec![true; self.enables.len()], false)
-        } else if !battery_fine && temp_fine {
-            let mask = self
-                .cfg
-                .static_priorities
-                .iter()
-                .map(|rank| *rank <= self.cfg.high_priority_cutoff)
-                .collect();
-            (mask, false)
-        } else {
-            (vec![false; self.enables.len()], true)
-        }
+        let mut fan = false;
+        let mask = self
+            .cfg
+            .static_priorities
+            .iter()
+            .map(|&rank| {
+                let high_priority = rank <= self.cfg.high_priority_cutoff;
+                let (enabled, fan_on) =
+                    enable_rule(self.cfg.source, battery, temperature, high_priority);
+                fan = fan_on;
+                enabled
+            })
+            .collect();
+        (mask, fan)
     }
 }
 

@@ -179,7 +179,7 @@ pub fn build_soc_on(sim: &mut Simulation, cfg: &SocConfig, ips: &[IpConfig]) -> 
     let gem = cfg.with_gem.then(|| {
         let gem_cfg = GemConfig {
             static_priorities: ips.iter().map(|ip| ip.static_rank).collect(),
-            high_priority_cutoff: (n as u8).div_ceil(2),
+            high_priority_cutoff: dpm_core::gem::high_priority_cutoff(n),
             source: cfg.source,
         };
         Gem::spawn(sim, "gem", gem_cfg, battery.class, thermal.class, fan_on)

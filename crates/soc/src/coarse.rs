@@ -20,7 +20,8 @@
 //! * **thermal** — a first-order package response toward the steady
 //!   state of the interval-average power (`T_ss = T_amb + R · P̄`),
 //!   with the fan switching the package resistance, mirroring the fine
-//!   RC network's dominant pole.
+//!   RC network's dominant pole; R and C are the fine network's own
+//!   [`PackageParams::default_package`].
 //!
 //! The controller policies are evaluated *exactly* (the same
 //! [`PolicyTable`], [`BreakEvenTable`] and GEM enable rule as the fine
@@ -46,9 +47,11 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use dpm_battery::PowerSource;
+use dpm_core::gem;
 use dpm_core::policy::table1;
 use dpm_core::{EndOfTaskEstimator, PolicyInputs, PolicyTable, SleepSelection};
 use dpm_power::{BreakEvenTable, InstructionMix, IpPowerModel, PowerState, TransitionTable};
+use dpm_thermal::PackageParams;
 use dpm_units::{Energy, Frequency, Power, SimDuration, SimTime};
 use dpm_workload::TaskSpec;
 
@@ -56,14 +59,6 @@ use crate::config::{ControllerKind, IpConfig, SocConfig};
 use crate::ip::TaskRecord;
 use crate::metrics::{IpMetrics, SocMetrics};
 use dpm_core::PsmStats;
-
-/// Package thermal resistance without the fan (K/W), matching
-/// `PackageParams::default_package`.
-const R_PKG_NO_FAN: f64 = 40.0;
-/// Package thermal resistance with the fan running (K/W).
-const R_PKG_FAN: f64 = 8.0;
-/// Package thermal capacitance (J/K).
-const C_PKG: f64 = 2.5e-3;
 
 /// Shared SoC state of the coarse walk: battery, package temperature and
 /// the fan, advanced lazily to each decision instant.
@@ -78,6 +73,9 @@ struct SharedState {
     ambient: f64,
     /// Package temperature (°C) at `now`.
     temp: f64,
+    /// The fine thermal network's package: its capacitance and its
+    /// resistance to ambient with and without the fan.
+    package: PackageParams,
     fan_draw: Power,
     fan_on: bool,
     fan_time: SimDuration,
@@ -98,6 +96,7 @@ impl SharedState {
             drawn_at_advance: Energy::ZERO,
             ambient: cfg.thermal.ambient.as_celsius(),
             temp: t0,
+            package: PackageParams::default_package(),
             fan_draw: cfg.thermal.fan_draw,
             fan_on: false,
             fan_time: SimDuration::ZERO,
@@ -128,8 +127,12 @@ impl SharedState {
             self.fan_time += dt;
             self.drawn += self.fan_draw * dt;
         }
-        let r = if self.fan_on { R_PKG_FAN } else { R_PKG_NO_FAN };
-        let tau = C_PKG * r;
+        let r = if self.fan_on {
+            self.package.resistance_with_fan
+        } else {
+            self.package.resistance_to_ambient
+        };
+        let tau = self.package.capacitance * r;
         let t_ss = self.ambient + r * p_ip.as_watts();
         let before = self.temp;
         let after = t_ss + (before - t_ss) * (-dt.as_secs_f64() / tau).exp();
@@ -390,30 +393,6 @@ impl<'p> IpWalk<'p> {
     }
 }
 
-/// The coarse counterpart of the fine GEM enable rule (see
-/// `dpm_core::gem::Gem::evaluate`): returns whether the IP with
-/// `rank` stays enabled and whether the fan runs.
-fn gem_gate(
-    estimator: &EndOfTaskEstimator,
-    source: PowerSource,
-    cutoff: u8,
-    rank: u8,
-    soc: f64,
-    temp_c: f64,
-) -> (bool, bool) {
-    let battery = estimator.classify_battery(soc);
-    let temperature = estimator.classify_temperature(dpm_units::Celsius::new(temp_c));
-    let battery_fine = source == PowerSource::Mains || battery >= dpm_battery::BatteryClass::Medium;
-    let temp_fine = temperature <= dpm_thermal::ThermalClass::Medium;
-    if battery_fine && temp_fine {
-        (true, false)
-    } else if !battery_fine && temp_fine {
-        (rank <= cutoff, false)
-    } else {
-        (false, true)
-    }
-}
-
 /// Handles the idle gap `[ready, until)` for one IP, per controller.
 /// `wake_for_service` is true when a task arrival ends the gap (so wake
 /// latency must be charged before service can start); the final gap to
@@ -551,13 +530,12 @@ fn step_task(
             loop {
                 shared.advance_to(t0);
                 if cfg.with_gem {
-                    let (enabled, fan) = gem_gate(
-                        estimator,
+                    // the fine GEM's rule, on the coarse observables
+                    let (enabled, fan) = gem::enable_rule(
                         cfg.source,
-                        gem_cutoff,
-                        ip.static_rank,
-                        shared.soc(),
-                        shared.temp,
+                        estimator.classify_battery(shared.soc()),
+                        estimator.classify_temperature(dpm_units::Celsius::new(shared.temp)),
+                        ip.static_rank <= gem_cutoff,
                     );
                     shared.fan_on = fan;
                     if !enabled {
@@ -659,7 +637,7 @@ impl CoarsePlan {
             .zip(&self.ips)
             .map(|(ip, plan)| IpWalk::new(ip, plan, horizon))
             .collect();
-        let gem_cutoff = (ips.len() as u8).div_ceil(2);
+        let gem_cutoff = gem::high_priority_cutoff(ips.len());
         let policy = table1_lookup();
         let mut estimator = EndOfTaskEstimator::new(cfg.battery_capacity);
         estimator.ambient = cfg.thermal.ambient;
