@@ -5,7 +5,7 @@
 //! units** through a [`ThreadPool`] (self-scheduling over an atomic
 //! counter). A call whose width — the pool's parallelism capped at the
 //! unit count — is 1 spawns nothing: it runs its units in index order on
-//! the caller's thread, so `--threads 1` runs and one-unit phases pay no
+//! the caller's thread, so `--threads 1` runs and one-unit maps pay no
 //! thread spawn and join. Results are byte-identical for any width
 //! because every result is keyed by unit index and every simulation is
 //! deterministic.
@@ -81,7 +81,7 @@ impl ThreadPool {
 /// Index-ordered parallel map over a [`ThreadPool`]: `job(i)` for `i in
 /// 0..n`, results in index order regardless of execution interleaving.
 /// At width 1 the jobs run in index order straight into the result, with
-/// no slot table: a runner call maps once per trace key and phase.
+/// no slot table: a runner call maps once per trace key.
 pub fn map_units<T: Send + Sync>(
     pool: &ThreadPool,
     n: usize,

@@ -32,20 +32,20 @@
 //! * **One trace set per trace key**: a call works one trace key —
 //!   (workload, seed, IP count) — at a time, in trace-key order: it takes
 //!   the key's trace *skeleton* from the [`BaselineCache`] or generates
-//!   it, runs the key's new baselines, then its own runs. No run copies
-//!   a trace: a fine run builds its SoC from the cell's own settings on
-//!   the skeleton's IPs ([`dpm_soc::build_soc_on`]), the SoC
-//!   [`ScenarioSpec::build_config`] describes, and a coarse one walks the
-//!   skeleton's [`CoarsePlan`], built by the key's first coarse
-//!   evaluation, which reads the IPs, their traces and their model
-//!   tables by reference. A call given no cache drops each key's
-//!   skeleton and baselines after the key's runs: holding every trace
-//!   set of a sweep raised the benchmark sweep's (80 cells, 200 ms) peak
-//!   RSS from 6.6 to 7.9 MiB.
+//!   it, then maps once over the key's runs. The first run that needs a
+//!   baseline the cache lacks simulates it, and other runs of that
+//!   baseline wait for it. No run copies a trace: a fine run builds its
+//!   SoC from the cell's own settings on the skeleton's IPs
+//!   ([`dpm_soc::build_soc_on`]), the SoC [`ScenarioSpec::build_config`]
+//!   describes, and a coarse one walks the skeleton's [`CoarsePlan`],
+//!   built by the key's first coarse evaluation, which reads the IPs,
+//!   their traces and their model tables by reference. A call given no
+//!   cache drops each key's skeleton and baselines after the key's runs:
+//!   holding every trace set of a sweep raised the benchmark sweep's (80
+//!   cells, 200 ms) peak RSS from 6.6 to 7.9 MiB.
 //! * **Cross-call reuse**, only when the caller holds a [`BaselineCache`]
-//!   (the search driver across its rounds, a `dpm serve` slot within
-//!   one baseline group): a configuration any earlier call ran is served
-//!   from the cache, and so is each trace skeleton.
+//!   (the search driver across its rounds): a configuration any earlier
+//!   call ran is served from the cache, and so is each trace skeleton.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -53,7 +53,7 @@ use std::hash::Hash;
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use dpm_kernel::Simulation;
 use dpm_soc::experiment::table2_row;
@@ -347,16 +347,17 @@ impl RunStats {
 /// every time a batch touches it. Threading one `BaselineCache` through
 /// the sequence restores the exhaustive sharing: a configuration runs on
 /// first use and is served from memory afterwards. A baseline is kept
-/// whole, behind an [`Arc`], so a batch borrows it rather than copying
-/// its task records; any other run is kept as the outcome it gave its
-/// cell. Likewise each trace set is generated once. Results are
-/// deterministic, so serving from the cache never changes any metric. A
-/// cache belongs to one spec. A [`run_cells_with`] call given no cache
-/// uses one of its own, which drops each trace key's skeleton and
-/// baselines once the key's runs are done.
+/// whole, so a batch borrows it rather than copying its task records;
+/// any other run is kept as the outcome it gave its cell. Likewise each
+/// trace set is generated once. Results are deterministic, so serving
+/// from the cache never changes any metric. A cache belongs to one spec.
+/// A [`run_cells_with`] call given no cache uses one of its own, which
+/// drops each trace key's skeleton and baselines once the key's runs are
+/// done.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
-    baselines: HashMap<RunKey, Result<Arc<SocMetrics>, String>>,
+    /// Each baseline, set by the first run that needs it.
+    baselines: HashMap<RunKey, OnceLock<Result<SocMetrics, String>>>,
     outcomes: HashMap<RunKey, Result<ScenarioMetrics, String>>,
     /// Each skeleton, or the panic message of its build.
     skeletons: HashMap<TraceKey, Result<Skeleton, String>>,
@@ -528,10 +529,10 @@ fn grouped<K: Copy + Eq + Hash, V>(items: impl IntoIterator<Item = (K, V)>) -> V
     groups
 }
 
-/// Shared progress line over the phases of one run: bumps a counter each
-/// time a simulation finishes and writes what [`progress_text`] says to
-/// stderr. Units that simulate nothing (a cell served by another cell's
-/// run) neither count nor tick.
+/// Shared progress line over the trace keys of one run: bumps a counter
+/// each time a simulation finishes and writes what [`progress_text`]
+/// says to stderr. Units that simulate nothing (a cell served by another
+/// cell's run) neither count nor tick.
 struct Progress {
     enabled: bool,
     terminal: bool,
@@ -582,8 +583,8 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// run's error first, then the baseline's, as if the cell had run both
 /// itself in that order.
 fn outcome_of(
-    own: &Result<Arc<SocMetrics>, String>,
-    baseline: &Result<Arc<SocMetrics>, String>,
+    own: &Result<SocMetrics, String>,
+    baseline: &Result<SocMetrics, String>,
     horizon: SimTime,
 ) -> Result<ScenarioMetrics, String> {
     let own = own.as_ref().map_err(Clone::clone)?;
@@ -627,12 +628,16 @@ pub fn run_campaign_with(
 /// Runs an arbitrary subset of a campaign's cells, with the same archive
 /// and run sharing as a full run: the one execution path, taken by a
 /// whole campaign, a search batch and a `dpm serve` slot's baseline
-/// group alike. It resumes from the archive, runs each configuration of
-/// the missing cells once on the configured [`ThreadPool`] and stores
-/// fresh records as they land. The runs go one trace key at a time:
-/// the key's skeleton, its new baselines, then its cells' own runs.
-/// Results come back in `cells` order; archive records are keyed by
-/// **grid** index, so batches and exhaustive sweeps share one cache.
+/// group alike. It resumes from the archive, plans the missing cells'
+/// runs (which simulate, which baselines are new, which of each are
+/// speculative: the [`RunStats`] and the progress total come from the
+/// plan), runs each configuration once on the configured [`ThreadPool`]
+/// and stores fresh records as they land. The runs go one trace key at
+/// a time, one map over the key's runs on its skeleton; the first run
+/// to need a new baseline simulates it, and later runs of the same
+/// baseline wait for it. Results come back in `cells` order; archive
+/// records are keyed by **grid** index, so batches and exhaustive
+/// sweeps share one cache.
 ///
 /// An optional [`BaselineCache`] carries runs and trace skeletons across
 /// calls: a configuration already cached is served from memory instead
@@ -712,117 +717,99 @@ pub fn run_cells_with(
         .count();
     let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
 
-    // each distinct run key of the missing cells with the cells it
-    // serves, one trace key after another, in trace-key order; then the
-    // baselines of the keys no earlier call ran, in the same order. A run
-    // is accounted as speculative (prefetch) work only when every cell it
-    // serves is speculative.
+    // the plan: each distinct run key of the missing cells with the cells
+    // it serves, one trace key after another, in trace-key order. A key
+    // no earlier call or record gave an outcome is fresh: it runs itself
+    // unless it is an always-ON1 key, and needs its baseline, which
+    // simulates once if the cache lacks it. A simulation is accounted as
+    // speculative (prefetch) work only when every cell it serves is
+    // speculative; the work counts and the progress total come from here.
     let mut runs = grouped(
         missing
             .iter()
             .map(|&i| (RunKey::of(&cells[i], fidelity), i)),
     );
     runs.sort_by_key(|(_, served)| cells[served[0]].trace_key());
-    // the runs no earlier call or record gave an outcome for
-    let fresh: Vec<bool> = runs
-        .iter()
-        .map(|(key, _)| !outcomes.contains_key(key))
-        .collect();
-    let fresh_runs = || {
-        runs.iter()
-            .zip(&fresh)
-            .filter_map(|(run, &f)| f.then_some(run))
-    };
-    let new_baselines: Vec<(RunKey, Vec<usize>)> =
-        grouped(fresh_runs().flat_map(|(key, served)| served.iter().map(|&i| (key.baseline(), i))))
-            .into_iter()
-            .filter(|(key, _)| !baselines.contains_key(key))
-            .collect();
     let speculative = |served: &[usize]| served.iter().all(|&i| is_spec[i]);
-    // the runs phase B simulates; every other missing cell is served by
-    // a run made for another cell
-    let own_runs = fresh_runs()
-        .filter(|(key, _)| *key != key.baseline())
+    // each new baseline's speculative flag, and each own run's; a new
+    // baseline's empty slot goes into the cache here, for its first run
+    // to fill
+    let mut new_baselines: HashMap<RunKey, bool> = HashMap::new();
+    let mut own_runs: Vec<bool> = Vec::new();
+    for (key, served) in runs.iter().filter(|(key, _)| !outcomes.contains_key(key)) {
+        if baselines.entry(key.baseline()).or_default().get().is_none() {
+            *new_baselines.entry(key.baseline()).or_insert(true) &= speculative(served);
+        }
+        if *key != key.baseline() {
+            own_runs.push(speculative(served));
+        }
+    }
+    let planned = new_baselines.len() + own_runs.len();
+    let spec_sims = new_baselines
+        .values()
+        .chain(&own_runs)
+        .filter(|&&s| s)
         .count();
+    // this call's evaluations all have its fidelity
+    let by_fidelity = |n: usize| match fidelity {
+        Fidelity::Fine => (n, 0),
+        Fidelity::Coarse => (0, n),
+    };
+    let (simulations, coarse_simulations) = by_fidelity(planned - spec_sims);
+    let (speculative_simulations, speculative_coarse) = by_fidelity(spec_sims);
 
     let pool = ThreadPool::new(config.threads);
-    let progress = Progress::new(config.progress, new_baselines.len() + own_runs);
-    // one counter per (fidelity, speculative) pair; this run's
-    // evaluations all land in the pair matching `config.fidelity`, with
-    // prefetched runs accounted separately
-    let fine_sims = AtomicUsize::new(0);
-    let coarse_sims = AtomicUsize::new(0);
-    let spec_fine_sims = AtomicUsize::new(0);
-    let spec_coarse_sims = AtomicUsize::new(0);
-    let (sims, spec_sims) = match fidelity {
-        Fidelity::Fine => (&fine_sims, &spec_fine_sims),
-        Fidelity::Coarse => (&coarse_sims, &spec_coarse_sims),
-    };
-    // one evaluation on the trace key's skeleton for the cells `served`:
-    // the first one's own run, or its baseline when `baseline`; counted,
-    // and ticked when done. A skeleton whose build panicked fails it.
+    let progress = Progress::new(config.progress, planned);
+    // one evaluation of `cell` on the trace key's skeleton: its own run,
+    // or its baseline when `baseline`, ticked when done. A skeleton whose
+    // build panicked fails it.
     let simulate =
-        |skeleton: Option<&Result<Skeleton, String>>, served: &[usize], baseline: bool| {
-            let counter = if speculative(served) { spec_sims } else { sims };
-            counter.fetch_add(1, Ordering::Relaxed);
+        |skeleton: Option<&Result<Skeleton, String>>, cell: &ScenarioSpec, baseline: bool| {
             let out = skeleton
                 .expect("a trace key with a run to simulate has a skeleton")
                 .as_ref()
                 .map_err(Clone::clone)
-                .and_then(|s| s.run(spec, &cells[served[0]], baseline, fidelity));
+                .and_then(|s| s.run(spec, cell, baseline, fidelity));
             progress.tick();
-            out.map(Arc::new)
+            out
         };
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let archive_broken = AtomicBool::new(false);
 
-    let mut pending_baselines = new_baselines.as_slice();
-    let mut pending_fresh = fresh.as_slice();
     for runs_of_key in
         runs.chunk_by(|(_, a), (_, b)| cells[a[0]].trace_key() == cells[b[0]].trace_key())
     {
         let first = &cells[runs_of_key[0].1[0]];
-        let (key_fresh, rest) = pending_fresh.split_at(runs_of_key.len());
-        pending_fresh = rest;
-        let (key_baselines, rest) = pending_baselines.split_at(
-            pending_baselines
-                .iter()
-                .take_while(|(_, served)| cells[served[0]].trace_key() == first.trace_key())
-                .count(),
-        );
-        pending_baselines = rest;
-        // the key's skeleton, when a run of the key simulates: the
+        // the key's skeleton, when a run of the key is fresh: the
         // cache's, or generated here (a panicking trace generator fails
         // the cells that need it, not the whole campaign)
-        let skeleton = key_fresh.contains(&true).then(|| {
-            &*skeletons
-                .entry(first.trace_key())
-                .or_insert_with(|| caught(|| Skeleton::new(first.build_skeleton(spec))))
-        });
+        let skeleton = runs_of_key
+            .iter()
+            .any(|(key, _)| !outcomes.contains_key(key))
+            .then(|| {
+                &*skeletons
+                    .entry(first.trace_key())
+                    .or_insert_with(|| caught(|| Skeleton::new(first.build_skeleton(spec))))
+            });
 
-        // phase A: the key's new baselines
-        let fresh_baselines = map_units(&pool, key_baselines.len(), |b| {
-            simulate(skeleton, &key_baselines[b].1, true)
-        });
-        baselines.extend(
-            key_baselines
-                .iter()
-                .map(|(key, _)| *key)
-                .zip(fresh_baselines),
-        );
-
-        // phase B: each run key's own run and the outcome of the cells it
-        // serves (an always-ON1 key's own run is its baseline), storing
-        // fresh results as they land, so a killed sweep keeps everything
-        // finished so far
+        // each run key's outcome and the results of the cells it serves,
+        // storing fresh results as they land, so a killed sweep keeps
+        // everything finished so far. A fresh key takes its baseline from
+        // the cache, where the first run to need a new one simulates it
+        // and later runs wait on it: every cell of a baseline key
+        // configures the same always-ON1 run. Then it runs itself (an
+        // always-ON1 key's own run is its baseline).
         let done = map_units(&pool, runs_of_key.len(), |r| {
             let (key, served) = &runs_of_key[r];
-            let outcome = if key_fresh[r] {
-                let baseline = &baselines[&key.baseline()];
-                let own = (*key != key.baseline()).then(|| simulate(skeleton, served, false));
-                outcome_of(own.as_ref().unwrap_or(baseline), baseline, horizon)
-            } else {
-                outcomes[key].clone()
+            let outcome = match outcomes.get(key) {
+                Some(outcome) => outcome.clone(),
+                None => {
+                    let cell = &cells[served[0]];
+                    let baseline =
+                        baselines[&key.baseline()].get_or_init(|| simulate(skeleton, cell, true));
+                    let own = (*key != key.baseline()).then(|| simulate(skeleton, cell, false));
+                    outcome_of(own.as_ref().unwrap_or(baseline), baseline, horizon)
+                }
             };
             let results: Vec<ScenarioResult> = served
                 .iter()
@@ -853,8 +840,8 @@ pub fn run_cells_with(
 
         if owned {
             skeletons.remove(&first.trace_key());
-            for (key, _) in key_baselines {
-                baselines.remove(key);
+            for (key, _) in runs_of_key {
+                baselines.remove(&key.baseline());
             }
         }
     }
@@ -878,16 +865,13 @@ pub fn run_cells_with(
             total_cells: total,
             archived_cells,
             executed_cells: missing.iter().filter(|&&i| !is_spec[i]).count(),
-            simulations: fine_sims.into_inner(),
-            baseline_groups: new_baselines
-                .iter()
-                .filter(|(_, served)| !speculative(served))
-                .count(),
-            reused_runs: missing.len() - own_runs,
-            coarse_simulations: coarse_sims.into_inner(),
+            simulations,
+            baseline_groups: new_baselines.values().filter(|&&s| !s).count(),
+            reused_runs: missing.len() - own_runs.len(),
+            coarse_simulations,
             speculative_cells: missing.iter().filter(|&&i| is_spec[i]).count(),
-            speculative_simulations: spec_fine_sims.into_inner(),
-            speculative_coarse: spec_coarse_sims.into_inner(),
+            speculative_simulations,
+            speculative_coarse,
         },
         archive_errors,
     })

@@ -52,7 +52,7 @@ use crate::http::{
 };
 use crate::objective::{Constraint, MultiObjective, Objective};
 use crate::report::run_stats_line;
-use crate::runner::{run_cells_with, BaselineCache, RunStats, RunnerConfig};
+use crate::runner::{run_cells_with, RunStats, RunnerConfig};
 use crate::spec::{CampaignSpec, ScenarioSpec};
 use crate::store::{completed_run, grid_json, report_json, status_of, CampaignStore};
 use crate::toml_spec::SearchDefaults;
@@ -216,7 +216,6 @@ impl ServerState {
     fn update_events(&self, id: &str) -> Result<(), String> {
         let (archive, spec) = self.store.open_campaign(id)?;
         let states = archive.cell_states(&spec);
-        let cells = spec.expand();
         let active = self.job_active(id);
         let mut logs = self.events.lock().expect("event log poisoned");
         let log = logs.entry(id.to_string()).or_default();
@@ -237,7 +236,7 @@ impl ServerState {
                     ("seq", serde::Serialize::to_value(&seq)),
                     ("event", serde_json::Value::String("cell".into())),
                     ("index", serde::Serialize::to_value(&i)),
-                    ("label", serde_json::Value::String(cells[i].label())),
+                    ("label", serde_json::Value::String(spec.cell_at(i).label())),
                 ]));
             }
         }
@@ -425,9 +424,10 @@ fn run_one(state: &ServerState, id: &str) -> JobStatus {
 }
 
 /// Runs `spec` one baseline group at a time ([`CampaignSpec::group_of`])
-/// through [`run_cells_with`], each group with a [`BaselineCache`] of its
-/// own: a group holds every run its cells share and its one trace
-/// skeleton, so dropping the cache between groups loses nothing.
+/// through [`run_cells_with`], each group a cache-less call: a group
+/// lies inside one trace key and holds every run its cells share, so the
+/// call drops its one skeleton and baseline once the group's runs are
+/// done and the next group loses nothing.
 /// `cancel` is checked before each group, so a cancelled run leaves
 /// every group it reached fully archived and the rest untouched.
 /// Returns the summed work, or `None` once `cancel` is seen.
@@ -452,13 +452,7 @@ fn run_by_group(
         if cancel.load(Ordering::Relaxed) {
             return Ok(None);
         }
-        let run = run_cells_with(
-            spec,
-            cells,
-            config,
-            Some(archive),
-            Some(&mut BaselineCache::new()),
-        )?;
+        let run = run_cells_with(spec, cells, config, Some(archive), None)?;
         if let Some(e) = run.archive_errors.into_iter().next() {
             return Err(e);
         }

@@ -2,7 +2,7 @@
 //! one always-`ON1` baseline per group, which the group's always-`ON1`
 //! cells reuse as their own run, and one run for the tuning siblings of
 //! a timeout or oracle cell — changes *nothing* about the results. It
-//! only removes simulations (counted by the runner's [`RunStats`] hook).
+//! only removes simulations (counted in the runner's [`RunStats`]).
 //! The reference runs every cell and its baseline by itself.
 
 use dpm_campaign::{
@@ -96,14 +96,59 @@ fn dedup_preserves_results_and_strictly_cuts_simulations() {
     assert_eq!(shared.stats.simulations, 2 * (1 + 4));
 }
 
+/// Results and every work count are the same at any thread count, on a
+/// grid with one baseline per trace key (so every run of a key waits on
+/// it) and on one with several per trace key.
 #[test]
 fn dedup_is_thread_count_invariant() {
-    let spec = controller_grid();
-    let serial = run(&spec, 1);
-    for threads in [2, 4, 8] {
-        let parallel = run(&spec, threads);
-        assert_eq!(parallel.result, serial.result, "threads={threads}");
-        assert_eq!(parallel.stats.simulations, serial.stats.simulations);
+    for spec in [controller_grid(), two_per_axis()] {
+        let serial = run(&spec, 1);
+        for threads in [2, 4, 8] {
+            let parallel = run(&spec, threads);
+            let context = format!("{} threads={threads}", spec.name);
+            assert_eq!(parallel.result, serial.result, "{context}");
+            assert_eq!(parallel.stats, serial.stats, "{context}");
+        }
+    }
+}
+
+/// A shared simulation counts as speculative (prefetch) work only when
+/// every cell it serves is speculative. Seed 1's baseline serves only
+/// speculative cells; seed 2's serves a speculative run first and a real
+/// one later, so it is real work.
+#[test]
+fn a_shared_baseline_is_speculative_only_when_all_its_cells_are() {
+    let mut spec = controller_grid();
+    spec.controllers = vec![ControllerAxis::Dpm, ControllerAxis::AlwaysOn];
+    spec.tunings = vec![TuningAxis::Paper];
+    let cells = spec.expand();
+    let shape: Vec<(ControllerAxis, u64)> = cells.iter().map(|c| (c.controller, c.seed)).collect();
+    let (dpm, on) = (ControllerAxis::Dpm, ControllerAxis::AlwaysOn);
+    assert_eq!(shape, [(dpm, 1), (dpm, 2), (on, 1), (on, 2)]);
+    for threads in [1, 4] {
+        let config = RunnerConfig {
+            threads,
+            ..RunnerConfig::default()
+        };
+        let plain = run_cells_with(&spec, &cells, &config, None, None).expect("valid spec");
+        let prefetching = config.with_speculative(vec![0, 1, 2]);
+        let run = run_cells_with(&spec, &cells, &prefetching, None, None).expect("valid spec");
+        assert_eq!(run.result, plain.result, "threads={threads}");
+        let s = run.stats;
+        assert_eq!(s.baseline_groups, 1, "threads={threads}");
+        // seed 2's baseline; seed 1's baseline and both dpm runs
+        assert_eq!(
+            (s.simulations, s.speculative_simulations),
+            (1, 3),
+            "threads={threads}"
+        );
+        assert_eq!(
+            (s.executed_cells, s.speculative_cells),
+            (1, 3),
+            "threads={threads}"
+        );
+        // each always-ON1 cell is served by its baseline
+        assert_eq!(s.reused_runs, 2, "threads={threads}");
     }
 }
 
