@@ -168,7 +168,9 @@ impl BatteryClassifier {
         }
     }
 
-    fn raw_class(&self, soc: f64) -> BatteryClass {
+    /// The class of `soc` without hysteresis: one class up per boundary
+    /// it reaches. Reads no history, so a projection may call it freely.
+    pub fn quantize(&self, soc: f64) -> BatteryClass {
         let mut idx = 0;
         for t in self.thresholds {
             if soc >= t {
@@ -181,7 +183,7 @@ impl BatteryClassifier {
     /// Classifies `soc`, honouring hysteresis against the previous result.
     pub fn classify(&mut self, soc: Ratio) -> BatteryClass {
         let soc = soc.clamp_unit().value();
-        let raw = self.raw_class(soc);
+        let raw = self.quantize(soc);
         let Some(last) = self.last else {
             self.last = Some(raw);
             return raw;

@@ -673,24 +673,10 @@ impl CampaignArchive {
         }
         drop(open);
         if !records.is_empty() {
-            // reserve the target number with create_new (concurrent
-            // writers allocate past it), build the segment in a temp
-            // file, then atomically rename over the reservation
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            let mut number = old_segments.keys().next_back().map_or(0, |l| l + 1);
-            let target = loop {
-                let path = segment::segment_path(dir, number);
-                match std::fs::OpenOptions::new()
-                    .write(true)
-                    .create_new(true)
-                    .open(&path)
-                {
-                    Ok(_) => break path,
-                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => number += 1,
-                    Err(e) => return Err(format!("cannot reserve {}: {e}", path.display())),
-                }
-            };
+            // reserve the target number (concurrent writers allocate
+            // past it), build the segment in a temp file, then
+            // atomically rename over the reservation
+            let (number, target, _) = segment::create_segment(dir)?;
             let tmp = dir.join(format!("seg-{number:04}.log.tmp"));
             let write_all = || -> std::io::Result<()> {
                 let file = std::fs::File::create(&tmp)?;

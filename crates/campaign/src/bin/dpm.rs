@@ -267,7 +267,7 @@ fn emit_report(opts: &Opts, rendered: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The report format shared by `campaign run` and `search`.
+/// The report format shared by `campaign run`, `search` and `table2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
     Ascii,
@@ -672,12 +672,12 @@ fn search(args: &[String]) -> Result<(), String> {
 
 fn table2(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["format"], &[])?;
+    let format = output_format(&opts)?;
     let outcomes: Vec<_> = ScenarioId::ALL.into_iter().map(run_scenario).collect();
-    match opts.value("format").unwrap_or("ascii") {
-        "ascii" => out(table2_ascii(&outcomes).trim_end()),
-        "markdown" | "md" => out(table2_markdown(&outcomes).trim_end()),
-        "json" => out(table2_json(&outcomes).map_err(|e| e.to_string())?),
-        other => return Err(format!("unknown format '{other}'")),
+    match format {
+        OutputFormat::Ascii => out(table2_ascii(&outcomes).trim_end()),
+        OutputFormat::Markdown => out(table2_markdown(&outcomes).trim_end()),
+        OutputFormat::Json => out(table2_json(&outcomes).map_err(|e| e.to_string())?),
     }
     Ok(())
 }

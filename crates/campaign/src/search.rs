@@ -48,7 +48,7 @@ use crate::runner::{
     run_cells_with, BaselineCache, Fidelity, RunStats, RunnerConfig, ScenarioMetrics,
     ScenarioResult,
 };
-use crate::spec::{CampaignSpec, ScenarioSpec};
+use crate::spec::{parse_label, CampaignSpec, ScenarioSpec};
 
 /// Default number of start-frontier cells.
 pub const DEFAULT_START_POINTS: usize = 4;
@@ -103,15 +103,7 @@ impl SearchFidelity {
     ///
     /// Returns a description listing the accepted names.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|f| f.label() == s)
-            .ok_or_else(|| {
-                format!(
-                    "unknown fidelity '{s}' (expected one of: {})",
-                    Self::ALL.map(Self::label).join(", ")
-                )
-            })
+        parse_label("fidelity", s, Self::ALL, Self::label)
     }
 }
 
@@ -149,15 +141,7 @@ impl StrategyKind {
     ///
     /// Returns a description listing the accepted names.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.label() == s)
-            .ok_or_else(|| {
-                format!(
-                    "unknown strategy '{s}' (expected one of: {})",
-                    Self::ALL.map(Self::label).join(", ")
-                )
-            })
+        parse_label("strategy", s, Self::ALL, Self::label)
     }
 }
 

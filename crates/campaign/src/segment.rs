@@ -351,7 +351,13 @@ impl SegmentWriter {
         payload: &[u8],
     ) -> Result<IndexEntry, String> {
         if self.open.is_none() {
-            self.open = Some(Self::allocate(dir)?);
+            let (number, path, file) = create_segment(dir)?;
+            self.open = Some(OpenSegment {
+                number,
+                path,
+                file,
+                end: 0,
+            });
         }
         let seg = self.open.as_mut().expect("segment allocated above");
         let frame = encode_frame(index as u64, fingerprint, version, payload);
@@ -375,32 +381,24 @@ impl SegmentWriter {
     pub(crate) fn close(&mut self) {
         self.open = None;
     }
+}
 
-    /// Creates `dir` if needed and claims the next free segment number
-    /// with `create_new`, so concurrent writers always get distinct
-    /// files.
-    fn allocate(dir: &Path) -> Result<OpenSegment, String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let mut number = list_segments(dir)?.keys().next_back().map_or(0, |n| n + 1);
-        loop {
-            let path = segment_path(dir, number);
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(file) => {
-                    return Ok(OpenSegment {
-                        number,
-                        path,
-                        file,
-                        end: 0,
-                    })
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => number += 1,
-                Err(e) => return Err(format!("cannot create {}: {e}", path.display())),
-            }
+/// Creates `dir` if needed and claims the next free segment number with
+/// `create_new`, so concurrent writers always get distinct files. Returns
+/// the number, its path and the new empty file.
+pub(crate) fn create_segment(dir: &Path) -> Result<(u64, PathBuf, File), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let mut number = list_segments(dir)?.keys().next_back().map_or(0, |n| n + 1);
+    loop {
+        let path = segment_path(dir, number);
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(file) => return Ok((number, path, file)),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => number += 1,
+            Err(e) => return Err(format!("cannot create {}: {e}", path.display())),
         }
     }
 }

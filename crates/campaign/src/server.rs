@@ -69,6 +69,11 @@ const EVENT_WAIT_MAX_MS: u64 = 120_000;
 /// Poll interval while an `/events` stream waits for archive progress.
 const EVENT_POLL_MS: u64 = 100;
 
+/// How long a handler waits on one read from, or one write to, its
+/// client: a stalled, silent or non-reading client must not pin a
+/// handler thread, nor hold up the shutdown drain.
+const CLIENT_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// Options for one daemon instance.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -207,13 +212,20 @@ impl ServerState {
         jobs.status.insert(id.to_string(), status);
     }
 
-    /// Opens the campaign afresh, so its scan sees every record on disk
-    /// (a handle sees no record appended after it opened), and appends
-    /// an event line for every newly archived cell, plus the terminal
-    /// `complete` line once the grid drains and no slot of this daemon
-    /// has the campaign, so a client that saw `complete` may compact it.
+    /// Appends an event line for every newly archived cell, plus the
+    /// terminal `complete` line once the grid drains and no slot of this
+    /// daemon has the campaign, so a client that saw `complete` may
+    /// compact it. A terminal log is final, so it returns before touching
+    /// the store; otherwise it opens the campaign afresh, so its scan sees
+    /// every record on disk (a handle sees no record appended after it
+    /// opened), and fails when the campaign cannot be opened.
     /// Safe to call from any thread, any number of times.
     fn update_events(&self, id: &str) -> Result<(), String> {
+        let logs = self.events.lock().expect("event log poisoned");
+        if logs.get(id).is_some_and(|log| log.terminal) {
+            return Ok(());
+        }
+        drop(logs);
         let (archive, spec) = self.store.open_campaign(id)?;
         let states = archive.cell_states(&spec);
         let active = self.job_active(id);
@@ -464,8 +476,8 @@ fn run_by_group(
 /// Reads one request and routes it; every protocol failure becomes a
 /// JSON error response, every handler panic a 500.
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    // a stalled or silent client must not pin a handler thread forever
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
     let request = match read_request(&mut stream) {
         Ok(request) => request,
         Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
@@ -786,14 +798,16 @@ fn query_number<T: std::str::FromStr>(
 /// event log from `?since=N`, then follows archive progress until the
 /// campaign completes, the `?wait_ms=` budget runs out, or the daemon
 /// shuts down. Each line is one event with a `seq` cursor; resume by
-/// passing the last seen `seq + 1` as `since`.
+/// passing the last seen `seq + 1` as `since`. The first log update is
+/// the 404 check, and once the log is terminal no update opens the
+/// campaign, so a completed campaign's events replay from memory.
 fn events(
     state: &ServerState,
     id: &str,
     request: &Request,
     stream: &mut TcpStream,
 ) -> std::io::Result<()> {
-    if let Err(e) = state.store.open_campaign(id) {
+    if let Err(e) = state.update_events(id) {
         return write_error(stream, 404, &e);
     }
     // an unparseable cursor or wait is a client bug: reject it loudly
@@ -808,10 +822,6 @@ fn events(
     let mut writer = ChunkedWriter::begin(&mut *stream, 200, "application/x-ndjson")?;
     let mut cursor = since;
     loop {
-        if let Err(e) = state.update_events(id) {
-            writer.chunk(format!("{}\n", error_body(500, &e)).as_bytes())?;
-            break;
-        }
         let (fresh, terminal) = {
             let logs = state.events.lock().expect("event log poisoned");
             let log = logs.get(id).expect("update_events created the log");
@@ -833,6 +843,10 @@ fn events(
             let slice = remaining.min(5);
             std::thread::sleep(std::time::Duration::from_millis(slice));
             remaining -= slice;
+        }
+        if let Err(e) = state.update_events(id) {
+            writer.chunk(format!("{}\n", error_body(500, &e)).as_bytes())?;
+            break;
         }
     }
     writer.finish()

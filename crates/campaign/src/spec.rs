@@ -58,10 +58,7 @@ impl ControllerAxis {
 
     /// Parses a spec-file name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|c| c.label() == s)
-            .ok_or_else(|| unknown("controller", s, &Self::ALL.map(Self::label)))
+        parse_label("controller", s, Self::ALL, Self::label)
     }
 
     /// The concrete controller configuration.
@@ -121,10 +118,7 @@ impl TuningAxis {
 
     /// Parses a spec-file name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|c| c.label() == s)
-            .ok_or_else(|| unknown("tuning", s, &Self::ALL.map(Self::label)))
+        parse_label("tuning", s, Self::ALL, Self::label)
     }
 
     /// The concrete LEM tuning.
@@ -197,10 +191,7 @@ impl WorkloadAxis {
 
     /// Parses a spec-file name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|c| c.label() == s)
-            .ok_or_else(|| unknown("workload", s, &Self::ALL.map(Self::label)))
+        parse_label("workload", s, Self::ALL, Self::label)
     }
 
     /// The trace generator for this shape.
@@ -249,10 +240,7 @@ impl BatteryAxis {
 
     /// Parses a spec-file name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|c| c.label() == s)
-            .ok_or_else(|| unknown("battery", s, &Self::ALL.map(Self::label)))
+        parse_label("battery", s, Self::ALL, Self::label)
     }
 
     /// The concrete battery model.
@@ -291,10 +279,7 @@ impl ThermalAxis {
 
     /// Parses a spec-file name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|c| c.label() == s)
-            .ok_or_else(|| unknown("thermal", s, &Self::ALL.map(Self::label)))
+        parse_label("thermal", s, Self::ALL, Self::label)
     }
 
     /// The concrete thermal scenario.
@@ -306,11 +291,21 @@ impl ThermalAxis {
     }
 }
 
-fn unknown(axis: &str, got: &str, options: &[&str]) -> String {
-    format!(
-        "unknown {axis} '{got}' (expected one of: {})",
-        options.join(", ")
-    )
+/// The value of `all` whose `label` is `text`, or an error naming the
+/// `kind` and listing every label. The spec axes, the search fidelities
+/// and the strategies all parse their names through it.
+pub(crate) fn parse_label<T: Copy, const N: usize>(
+    kind: &str,
+    text: &str,
+    all: [T; N],
+    label: fn(T) -> &'static str,
+) -> Result<T, String> {
+    all.into_iter().find(|v| label(*v) == text).ok_or_else(|| {
+        format!(
+            "unknown {kind} '{text}' (expected one of: {})",
+            all.map(label).join(", ")
+        )
+    })
 }
 
 /// The most cells a grid may hold (2^20): ten times the 100 000-cell

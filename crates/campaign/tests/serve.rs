@@ -690,6 +690,105 @@ fn events_longpoll_releases_promptly_on_shutdown() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A 65,536-cell grid (2^6 axis combinations × 1,024 seeds) whose
+/// `GET /campaigns/{id}` body is ~9.6 MB: more than the socket buffers
+/// of a client that never reads can take.
+fn large_spec_toml() -> String {
+    let seeds: Vec<String> = (1..=1024).map(|s| s.to_string()).collect();
+    format!(
+        "name = \"large\"\n\n[axes]\ncontrollers = [\"dpm\", \"always_on\"]\n\
+         tunings = [\"paper\", \"default\"]\nworkloads = [\"low\", \"high\"]\n\
+         batteries = [\"linear\", \"kibam\"]\nthermals = [\"cool\", \"hot\"]\n\
+         ip_counts = [1, 4]\nseeds = [{}]\n",
+        seeds.join(", ")
+    )
+}
+
+/// A client that asks for a large body and never reads it cannot hold
+/// up the drain: each write to it times out, so `POST /shutdown` stops
+/// the daemon while that client keeps its connection open. Without the
+/// write timeout the handler blocks until the client closes, so the
+/// join is watched from a channel and the test fails instead of hanging.
+#[test]
+fn a_client_that_never_reads_cannot_hold_up_the_shutdown() {
+    let root = scratch_dir();
+    let id = CampaignStore::open(&root)
+        .expect("open store")
+        .submit_toml(&large_spec_toml())
+        .expect("create campaign")
+        .id;
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
+    let addr = server.addr();
+
+    let mut stalled = TcpStream::connect(addr).expect("connect to daemon");
+    write!(stalled, "GET /campaigns/{id} HTTP/1.1\r\nHost: e2e\r\n\r\n").expect("send request");
+    // the status line shows a handler is writing the body, so the
+    // shutdown below cannot drop the connection before it is handled
+    let mut status = [0u8; 12];
+    stalled
+        .read_exact(&mut status)
+        .expect("read the status line");
+    assert_eq!(&status, b"HTTP/1.1 200");
+    let bye = http(addr, "POST", "/shutdown", None);
+    assert_eq!(bye.status, 200);
+
+    let (joined, watchdog) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    let start = std::time::Instant::now();
+    assert!(
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .is_ok(),
+        "the non-reading client held the drain for {:?}",
+        start.elapsed()
+    );
+    // the client read nothing more until the daemon stopped
+    drop(stalled);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A terminal event log is final: `/events` replays it from memory and
+/// opens nothing, so with the campaign's `campaign.toml` deleted after
+/// `complete`, a replay from 0 still streams every cell line and
+/// `complete`, byte for byte as the first stream did.
+#[test]
+fn a_complete_event_log_replays_without_reopening_the_campaign() {
+    let root = scratch_dir();
+    let server = spawn_server(&root, serve_options(1)).expect("spawn daemon");
+    let addr = server.addr();
+    let created = http(addr, "POST", "/campaigns", Some(SPEC_TOML));
+    assert_eq!(created.status, 201, "{}", created.body);
+    let id = json_str(&created.body, "id").expect("id").to_string();
+    let first = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/events?wait_ms=60000"),
+        None,
+    );
+    assert!(
+        first.body.contains("\"event\":\"complete\""),
+        "{}",
+        first.body
+    );
+
+    std::fs::remove_file(root.join(&id).join("campaign.toml")).expect("delete the spec");
+    let replay = http(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/events?since=0&wait_ms=0"),
+        None,
+    );
+    assert_eq!(replay.status, 200, "{}", replay.body);
+    assert_eq!(replay.body.matches("\"event\":\"cell\"").count(), 4);
+    assert_eq!(replay.body, first.body);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// `POST /campaigns/{id}/compact` and `POST /campaigns/{id}/gc` answer
 /// 409 while this daemon has the campaign queued or running: both delete
 /// segment files, compaction every old one and gc one the slot has

@@ -9,14 +9,18 @@
 //! * battery — charge bookkeeping: subtract the task's nominal energy plus
 //!   the other IPs' announced energy from the current state of charge;
 //! * temperature — first-order step response toward the steady state the
-//!   projected power level would reach.
+//!   projected power level would reach, through the thermal network's
+//!   [`PackageParams::default_package`] (R to ambient, τ = C·R, no fan).
 //!
-//! The classifications here are *static* (no hysteresis): estimates are
-//! recomputed per task and must not carry sensor state.
+//! Both projections are classified by the monitors' default classifiers
+//! without hysteresis ([`BatteryClassifier::quantize`],
+//! [`ThermalClassifier::quantize`]): estimates are recomputed per task and
+//! must not carry sensor state. The boundaries and the package are read,
+//! never copied, so the projection classifies and heats like the plant.
 
-use dpm_battery::BatteryClass;
+use dpm_battery::{BatteryClass, BatteryClassifier};
 use dpm_power::{InstructionMix, IpPowerModel, PowerState};
-use dpm_thermal::ThermalClass;
+use dpm_thermal::{PackageParams, ThermalClass, ThermalClassifier};
 use dpm_units::{Celsius, Energy, Power, SimDuration};
 
 /// Projects battery and temperature to the end of a task.
@@ -24,29 +28,27 @@ use dpm_units::{Celsius, Energy, Power, SimDuration};
 pub struct EndOfTaskEstimator {
     /// Battery capacity used for state-of-charge arithmetic.
     pub capacity: Energy,
-    /// Static battery class boundaries (ascending fractions).
-    pub battery_thresholds: [f64; 4],
-    /// Static temperature class boundaries (ascending).
-    pub temp_thresholds: [Celsius; 2],
     /// Ambient temperature of the thermal model.
     pub ambient: Celsius,
-    /// Steady-state thermal gain (K per W of SoC power).
-    pub thermal_resistance: f64,
-    /// Thermal time constant (seconds) of the projection.
-    pub thermal_tau_s: f64,
+    /// The battery monitor's default classifier.
+    battery: BatteryClassifier,
+    /// The thermal monitor's default classifier.
+    thermal: ThermalClassifier,
+    /// The thermal network's default package.
+    package: PackageParams,
 }
 
 impl EndOfTaskEstimator {
-    /// An estimator with the workspace default thresholds (matching the
-    /// monitor classifiers) for a battery of the given capacity.
+    /// An estimator for a battery of the given capacity, classifying like
+    /// the default monitors and heating like the default package at a
+    /// 25 °C ambient.
     pub fn new(capacity: Energy) -> Self {
         Self {
             capacity,
-            battery_thresholds: [0.05, 0.25, 0.55, 0.85],
-            temp_thresholds: [Celsius::new(50.0), Celsius::new(70.0)],
             ambient: Celsius::new(25.0),
-            thermal_resistance: 40.0,
-            thermal_tau_s: 0.1,
+            battery: BatteryClassifier::with_defaults(),
+            thermal: ThermalClassifier::with_defaults(),
+            package: PackageParams::default_package(),
         }
     }
 
@@ -68,27 +70,14 @@ impl EndOfTaskEstimator {
         (e, dt)
     }
 
-    /// Static battery classification (no hysteresis).
+    /// The battery monitor's class of `soc`, without hysteresis.
     pub fn classify_battery(&self, soc: f64) -> BatteryClass {
-        let soc = soc.clamp(0.0, 1.0);
-        let mut idx = 0;
-        for t in self.battery_thresholds {
-            if soc >= t {
-                idx += 1;
-            }
-        }
-        BatteryClass::ALL[idx]
+        self.battery.quantize(soc)
     }
 
-    /// Static temperature classification (no hysteresis).
+    /// The thermal monitor's class of `t`, without hysteresis.
     pub fn classify_temperature(&self, t: Celsius) -> ThermalClass {
-        if t >= self.temp_thresholds[1] {
-            ThermalClass::High
-        } else if t >= self.temp_thresholds[0] {
-            ThermalClass::Medium
-        } else {
-            ThermalClass::Low
-        }
+        self.thermal.quantize(t)
     }
 
     /// Battery class at the end of the task: current charge minus the
@@ -103,18 +92,19 @@ impl EndOfTaskEstimator {
         self.classify_battery(soc_now - drain)
     }
 
-    /// Temperature class at the end of the task: first-order response
-    /// toward the steady state of the projected total power.
+    /// Temperature class at the end of the task: the package's
+    /// first-order response toward the steady state of the projected
+    /// total power.
     pub fn temperature_at_end(
         &self,
         temp_now: Celsius,
         total_power: Power,
         duration: SimDuration,
     ) -> ThermalClass {
-        let t_ss = self
-            .ambient
-            .plus_kelvin(self.thermal_resistance * total_power.as_watts());
-        let frac = 1.0 - (-duration.as_secs_f64() / self.thermal_tau_s).exp();
+        let r = self.package.resistance_to_ambient;
+        let t_ss = self.ambient.plus_kelvin(r * total_power.as_watts());
+        let tau = self.package.capacitance * r;
+        let frac = 1.0 - (-duration.as_secs_f64() / tau).exp();
         let t_end = temp_now.plus_kelvin((t_ss - temp_now) * frac);
         self.classify_temperature(t_end)
     }

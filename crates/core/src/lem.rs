@@ -16,6 +16,8 @@
 //! * defers tasks entirely (PSM to `SL1`) when the rules demand it
 //!   (battery Empty / temperature High for non-critical priorities) or
 //!   when the GEM withdraws its enable.
+//!
+//! Its knobs and their defaults are defined once, as [`LemTuning`].
 
 use std::collections::VecDeque;
 
@@ -71,12 +73,12 @@ pub enum SleepSelection {
     CheapestEnergy,
 }
 
-/// Tunable configuration of one LEM (*"whose parameters can be adapted to
-/// the single IP to optimize its performances"*, §1.4).
-#[derive(Debug, Clone)]
-pub struct LemConfig {
-    /// The selection policy (defaults to the paper's Table 1).
-    pub rules: RuleSet,
+/// The LEM's tunable knobs (*"whose parameters can be adapted to the
+/// single IP to optimize its performances"*, §1.4) and their one set of
+/// defaults. `dpm_soc` re-exports it as the SoC-level tuning, and
+/// [`LemConfig::new`] starts from its [`Default`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LemTuning {
     /// Idle-time predictor choice.
     pub predictor: PredictorKind,
     /// Seed prediction before any idle period completes.
@@ -90,8 +92,32 @@ pub struct LemConfig {
     pub sleep_delay: SimDuration,
     /// Optional cap on acceptable wake-up latency (limits sleep depth).
     pub max_wake_latency: Option<SimDuration>,
-    /// Sleep-state selection strategy.
+    /// Sleep-state selection strategy (paper heuristic vs energy-optimal).
     pub sleep_selection: SleepSelection,
+}
+
+impl Default for LemTuning {
+    fn default() -> Self {
+        Self {
+            predictor: PredictorKind::default(),
+            initial_prediction: SimDuration::from_micros(500),
+            use_estimates: true,
+            sleep_enabled: true,
+            sleep_delay: SimDuration::from_micros(10),
+            max_wake_latency: None,
+            sleep_selection: SleepSelection::default(),
+        }
+    }
+}
+
+/// Configuration of one LEM: its [`LemTuning`] plus what the SoC fixes
+/// around it (rules, power source, IP index, projection model).
+#[derive(Debug, Clone)]
+pub struct LemConfig {
+    /// The selection policy (defaults to the paper's Table 1).
+    pub rules: RuleSet,
+    /// The tunable knobs.
+    pub tuning: LemTuning,
     /// Whether the SoC runs from battery or mains.
     pub source: PowerSource,
     /// Index of the governed IP (used in GEM requests).
@@ -106,13 +132,7 @@ impl LemConfig {
     pub fn new(ip_index: u8, source: PowerSource, battery_capacity: Energy) -> Self {
         Self {
             rules: crate::policy::table1(),
-            predictor: PredictorKind::default(),
-            initial_prediction: SimDuration::from_micros(500),
-            use_estimates: true,
-            sleep_enabled: true,
-            sleep_delay: SimDuration::from_micros(10),
-            max_wake_latency: None,
-            sleep_selection: SleepSelection::default(),
+            tuning: LemTuning::default(),
             source,
             ip_index,
             estimator: EndOfTaskEstimator::new(battery_capacity),
@@ -195,7 +215,7 @@ impl Lem {
             BreakEvenTable::compute(&model, transitions, PowerState::On3),
             BreakEvenTable::compute(&model, transitions, PowerState::On4),
         ];
-        let predictor = cfg.predictor.build(cfg.initial_prediction);
+        let predictor = cfg.tuning.predictor.build(cfg.tuning.initial_prediction);
         let policy = PolicyTable::new(&cfg.rules);
         let lem = Lem {
             cfg,
@@ -212,7 +232,7 @@ impl Lem {
             gem_requested_for: None,
             stats: LemStats::default(),
         };
-        let use_estimates = lem.cfg.use_estimates;
+        let use_estimates = lem.cfg.tuning.use_estimates;
         let pid = sim.add_process(name, lem);
         sim.sensitize(pid, ports.requests.written_event());
         sim.sensitize_signal(pid, ports.done_count);
@@ -262,7 +282,7 @@ impl Lem {
 
     /// Policy inputs for `task`, using end-of-task estimates when enabled.
     fn inputs_for(&self, ctx: &Ctx<'_>, task: &TaskSpec) -> PolicyInputs {
-        let (battery, temperature) = if self.cfg.use_estimates {
+        let (battery, temperature) = if self.cfg.tuning.use_estimates {
             let soc = ctx.read(self.ports.battery_soc);
             let temp = Celsius::new(ctx.read(self.ports.temp_c));
             let others = self
@@ -348,7 +368,7 @@ impl Lem {
     /// Idle management: predict, compare with break-even, arm the sleep
     /// timer.
     fn plan_idle(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.cfg.sleep_enabled || ctx.is_pending(self.sleep_timer) {
+        if !self.cfg.tuning.sleep_enabled || ctx.is_pending(self.sleep_timer) {
             return;
         }
         let current = ctx.read(self.ports.psm_state);
@@ -358,14 +378,16 @@ impl Lem {
         let hold_level = current.on_level().expect("execution state").get();
         let table = &self.breakeven[(hold_level - 1) as usize];
         let predicted = self.predictor.predict();
-        self.chosen_sleep = match self.cfg.sleep_selection {
-            SleepSelection::Deepest => table.deepest_within(predicted, self.cfg.max_wake_latency),
+        self.chosen_sleep = match self.cfg.tuning.sleep_selection {
+            SleepSelection::Deepest => {
+                table.deepest_within(predicted, self.cfg.tuning.max_wake_latency)
+            }
             SleepSelection::CheapestEnergy => {
-                table.cheapest_within(predicted, self.cfg.max_wake_latency)
+                table.cheapest_within(predicted, self.cfg.tuning.max_wake_latency)
             }
         };
         if self.chosen_sleep.is_some() {
-            ctx.notify(self.sleep_timer, self.cfg.sleep_delay);
+            ctx.notify(self.sleep_timer, self.cfg.tuning.sleep_delay);
         }
     }
 }
@@ -583,7 +605,7 @@ mod tests {
             gem: None,
         };
         let mut cfg = LemConfig::new(0, PowerSource::Battery, Energy::from_joules(100.0));
-        cfg.use_estimates = false; // class signals drive the tests directly
+        cfg.tuning.use_estimates = false; // class signals drive the tests directly
         cfg_mut(&mut cfg);
         let lem = Lem::spawn(&mut sim, "lem", cfg, model.clone(), &table, ports);
         let arrival = sim.event("ip.arrival");
@@ -708,7 +730,7 @@ mod tests {
                 task(1, 5_500, 50_000, Priority::High),
             ],
             |cfg| {
-                cfg.predictor = PredictorKind::Fixed { value_us: 5_000 };
+                cfg.tuning.predictor = PredictorKind::Fixed { value_us: 5_000 };
             },
         );
         let outcome = r.sim.run_until(SimTime::from_millis(20));
@@ -729,7 +751,7 @@ mod tests {
                 task(1, 5_500, 50_000, Priority::High),
             ],
             |cfg| {
-                cfg.sleep_enabled = false;
+                cfg.tuning.sleep_enabled = false;
             },
         );
         r.sim.run_until(SimTime::from_millis(20));

@@ -43,7 +43,7 @@ pub mod psm;
 pub use baseline::{AlwaysOnController, OracleController, TimeoutController};
 pub use estimator::EndOfTaskEstimator;
 pub use gem::{Gem, GemConfig, GemLemPorts, GemStats};
-pub use lem::{Lem, LemConfig, LemPorts, LemStats, SleepSelection};
+pub use lem::{Lem, LemConfig, LemPorts, LemStats, LemTuning, SleepSelection};
 pub use msg::{GemRequest, TaskGrant, TaskRequest};
 pub use policy::{PolicyInputs, PolicyTable, Rule, RuleSet, Selection};
 pub use predictor::{

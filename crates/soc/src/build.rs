@@ -205,13 +205,7 @@ pub fn build_soc_on(sim: &mut Simulation, cfg: &SocConfig, ips: &[IpConfig]) -> 
         let controller = match &cfg.controller {
             ControllerKind::Dpm => {
                 let mut lem_cfg = LemConfig::new(i as u8, cfg.source, cfg.battery_capacity);
-                lem_cfg.predictor = cfg.lem.predictor;
-                lem_cfg.initial_prediction = cfg.lem.initial_prediction;
-                lem_cfg.use_estimates = cfg.lem.use_estimates;
-                lem_cfg.sleep_enabled = cfg.lem.sleep_enabled;
-                lem_cfg.sleep_delay = cfg.lem.sleep_delay;
-                lem_cfg.max_wake_latency = cfg.lem.max_wake_latency;
-                lem_cfg.sleep_selection = cfg.lem.sleep_selection;
+                lem_cfg.tuning = cfg.lem.clone();
                 lem_cfg.estimator.ambient = cfg.thermal.ambient;
                 Lem::spawn(
                     sim,

@@ -1,8 +1,11 @@
 //! Declarative SoC configuration.
+//!
+//! The LEM tuning a [`SocConfig`] carries is `dpm_core`'s [`LemTuning`],
+//! re-exported here, so its fields and defaults have one definition and
+//! the builder hands it to each LEM whole.
 
 use dpm_battery::PowerSource;
-use dpm_core::predictor::PredictorKind;
-use dpm_core::SleepSelection;
+pub use dpm_core::LemTuning;
 use dpm_power::{IpPowerModel, PowerState};
 use dpm_units::{Celsius, Energy, Power, Ratio, SimDuration};
 use dpm_workload::TaskTrace;
@@ -48,40 +51,6 @@ pub enum ControllerKind {
     },
     /// Clairvoyant sleeping (perfect idle knowledge).
     Oracle,
-}
-
-/// LEM tuning knobs exposed at the SoC level (per-LEM adaptation is the
-/// paper's stated flexibility point).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LemTuning {
-    /// Idle predictor choice.
-    pub predictor: PredictorKind,
-    /// Seed prediction.
-    pub initial_prediction: SimDuration,
-    /// Use end-of-task estimates (paper behaviour).
-    pub use_estimates: bool,
-    /// Allow idle-time sleeping.
-    pub sleep_enabled: bool,
-    /// Grace period before committing to sleep.
-    pub sleep_delay: SimDuration,
-    /// Optional wake-latency cap.
-    pub max_wake_latency: Option<SimDuration>,
-    /// Sleep-state selection strategy (paper heuristic vs energy-optimal).
-    pub sleep_selection: SleepSelection,
-}
-
-impl Default for LemTuning {
-    fn default() -> Self {
-        Self {
-            predictor: PredictorKind::default(),
-            initial_prediction: SimDuration::from_micros(500),
-            use_estimates: true,
-            sleep_enabled: true,
-            sleep_delay: SimDuration::from_micros(10),
-            max_wake_latency: None,
-            sleep_selection: SleepSelection::default(),
-        }
-    }
 }
 
 /// Battery model choice.

@@ -114,7 +114,9 @@ impl ThermalClassifier {
         }
     }
 
-    fn raw(&self, t: Celsius) -> ThermalClass {
+    /// The class of `t` without hysteresis: one class up per boundary it
+    /// reaches. Reads no history, so a projection may call it freely.
+    pub fn quantize(&self, t: Celsius) -> ThermalClass {
         if t >= self.thresholds[1] {
             ThermalClass::High
         } else if t >= self.thresholds[0] {
@@ -126,7 +128,7 @@ impl ThermalClassifier {
 
     /// Classifies `t`, honouring hysteresis against the previous result.
     pub fn classify(&mut self, t: Celsius) -> ThermalClass {
-        let raw = self.raw(t);
+        let raw = self.quantize(t);
         let Some(last) = self.last else {
             self.last = Some(raw);
             return raw;
